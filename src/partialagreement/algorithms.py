@@ -2,8 +2,9 @@
 
 Async behaviors expose ``state0`` and ``step(state, obs) -> (state, action)``;
 sync behaviors expose ``state0``, ``round_send``, ``round_recv`` and
-``finalize``. All are pure and deterministic, so runs replay bit-identically
-and the explorer can dedupe on state.
+``finalize``. All are pure and deterministic, with hashable states and
+observations, so runs replay bit-identically, the explorer can dedupe on
+state, and the async executor can memoise steps.
 
 The catalog maps stable string ids ("no-comm", "max-wait", "min-flood",
 "smg-comp", "reduce-binary", "reduce-set", "reduce-sync", "reduce-smg") to

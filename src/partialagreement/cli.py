@@ -50,7 +50,10 @@ def _add_spec_flags(p, *, need_t=True, required=True):
     p.add_argument("--m", type=int, default=None, help="value domain size; inferred from --inputs when omitted")
     p.add_argument("--t", type=int, default=1 if need_t else 0)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--ell", type=int, default=1)
+    p.add_argument(
+        "--ell", type=int, default=None,
+        help="decision-set bound; the algorithm's default when omitted, else 1",
+    )
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--validity", choices=["weak", "strong"], default="weak")
 
@@ -139,19 +142,19 @@ def _spec_from_args(args, entry=None) -> ProblemSpec:
     ell = args.ell
     if entry is not None:
         probe = ProblemSpec(
-            n=args.n, m=args.m, t=args.t, k=None, ell=min(args.ell, args.m),
+            n=args.n, m=args.m, t=args.t, k=None, ell=min(ell or 1, args.m),
             validity=args.validity, model=model, g=args.g if model == "sm-g" else None,
         )
         if k is None:
             k = entry.default_k(probe)
-        if ell == 1:
+        if ell is None:
             ell = entry.default_ell(probe)
     return ProblemSpec(
         n=args.n,
         m=args.m,
         t=args.t,
         k=k,
-        ell=ell,
+        ell=1 if ell is None else ell,
         validity=args.validity,
         model=model,
         g=args.g if model == "sm-g" else None,
@@ -286,17 +289,39 @@ def _random_sync_pattern(spec, rounds, seed) -> CrashPattern:
     return _random_pattern(random.Random(seed), spec.n, spec.t, rounds)
 
 
-def cmd_run(args) -> int:
-    if args.replay:
+def _int_tuple(value, what: str) -> tuple:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise SpecError(f"replay {what} must be a list of integers")
+    return tuple(value)
+
+
+def _load_replay(args):
+    """Read a replay token (a ``run`` replay or a recorded violation) into
+    ``args``; returns (spec, inputs, assignment). A malformed token is a
+    SpecError."""
+    try:
         replay = json.loads(args.replay)
         args.alg = replay["algorithm"]
         spec = ProblemSpec.from_dict(replay["spec"])
+        inputs = _int_tuple(replay["inputs"], "inputs")
+        assignment = replay.get("assignment")
+        assignment = _int_tuple(assignment, "assignment") if assignment else None
+        for name, kind in (("schedule", str), ("pattern", str), ("rounds", int)):
+            value = replay.get(name)
+            if value is not None and type(value) is not kind:
+                raise SpecError(f"replay {name} must be a {kind.__name__}")
+            setattr(args, name, value)
+    except KeyError as exc:
+        raise SpecError(f"replay token lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad replay token: {exc}") from None
+    return spec, inputs, assignment
+
+
+def cmd_run(args) -> int:
+    if args.replay:
+        spec, inputs, assignment = _load_replay(args)
         entry = get_algorithm(args.alg)
-        inputs = tuple(replay["inputs"])
-        args.schedule = replay.get("schedule")
-        args.pattern = replay.get("pattern")
-        args.rounds = replay.get("rounds")
-        assignment = tuple(replay["assignment"]) if replay.get("assignment") else None
     else:
         if args.alg is None or args.n is None:
             raise SpecError("run needs --alg and --n (or --replay)")

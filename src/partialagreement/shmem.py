@@ -90,6 +90,8 @@ class AsyncSchedule:
         for p, pos in self.crashes:
             if not 0 <= p < n:
                 raise SpecError(f"crash names unknown process {p}")
+            if pos < 0:
+                raise SpecError(f"crash of process {p} at negative position {pos}")
             if p in self.steps[pos:]:
                 raise SpecError(f"process {p} is scheduled at or after its crash position {pos}")
         for p in self.steps:
@@ -120,6 +122,8 @@ class AsyncSchedule:
             )
         except ValueError as exc:
             raise SpecError(f"bad schedule token {token!r}") from exc
+        if any(v < 0 for v in steps) or any(v < 0 for c in crashes for v in c):
+            raise SpecError(f"bad schedule token {token!r}: negative process or position")
         return cls(steps, crashes)
 
 
@@ -167,9 +171,25 @@ class AsyncRun:
 
     Each process carries its program state plus the precomputed action it
     will perform next, so observations fold into the state at the step that
-    produced them. clone() is cheap (immutable leaves are shared), key() is
-    a hashable snapshot of everything that determines the run's future, and
-    path records the schedule taken so far for replay.
+    produced them. key() is a hashable snapshot of everything that
+    determines the run's future.
+
+    clone() is O(1) in the run's length: it copies four n-entry lists and
+    shares everything else.
+
+    - ``memo`` caches ``prog.step(state, obs)`` by ``(pid, state, obs)``.
+      Programs are pure and their states and observations hashable, so a
+      cached result equals a fresh one. One dict is shared by a run and
+      every clone made from it, and dies with them.
+    - ``path`` is the steps taken so far, for replay, as a persistent
+      linked list of ``(parent, pid)`` nodes (None when empty): a step
+      adds a node on top and never touches the shared tail.
+      ``crash_log`` holds ``(pid, position)`` per crash, the position
+      being the number of steps taken before it. schedule_so_far()
+      unwinds both into an AsyncSchedule.
+    - ``regs``, ``flags`` and the ``objects`` dict are never changed in
+      place: a write, a flagged decision or a propose replaces them (a
+      propose copies the one object it touches).
 
     With eager=True, steps whose outcome is already fixed are committed
     immediately: local decides, reads of written cells (write-once
@@ -196,27 +216,31 @@ class AsyncRun:
         "eager",
         "events",
         "path",
+        "crash_log",
+        "memo",
     )
 
     def __init__(self, progs, inputs, objects=None, eager=False, log=False, step_bound=None):
         self.n = len(inputs)
         self.progs = progs
         self.inputs = tuple(inputs)
+        self.memo = {}
         self.states = [None] * self.n
         self.actions = [None] * self.n
         for pid in range(self.n):
-            self.states[pid], self.actions[pid] = progs[pid].step(progs[pid].state0, None)
+            self.states[pid], self.actions[pid] = self._program_step(pid, progs[pid].state0, None)
         self.decided = [None] * self.n
         self.crashed = [False] * self.n
         self.regs = RegisterSpace(self.n)
         self.objects = dict(objects) if objects else {}
-        self.flags: set = set()
+        self.flags = frozenset()
         self.steps_taken = 0
         self.step_bound = step_bound if step_bound is not None else default_step_bound(self.n)
         self.nonterminating = False
         self.eager = eager
         self.events = [] if log else None
-        self.path: list = []
+        self.path = None
+        self.crash_log = ()
         if eager:
             self._settle_all()
 
@@ -230,14 +254,16 @@ class AsyncRun:
         new.decided = list(self.decided)
         new.crashed = list(self.crashed)
         new.regs = self.regs
-        new.objects = {name: obj.clone() for name, obj in self.objects.items()}
-        new.flags = set(self.flags)
+        new.objects = self.objects
+        new.flags = self.flags
         new.steps_taken = self.steps_taken
         new.step_bound = self.step_bound
         new.nonterminating = self.nonterminating
         new.eager = self.eager
         new.events = None
-        new.path = list(self.path)
+        new.path = self.path
+        new.crash_log = self.crash_log
+        new.memo = self.memo
         return new
 
     def key(self):
@@ -247,8 +273,8 @@ class AsyncRun:
             tuple(self.decided),
             tuple(self.crashed),
             self.regs.rows,
-            tuple(obj.key() for obj in self.objects.values()),
-            frozenset(self.flags),
+            tuple([obj.key() for obj in self.objects.values()]),
+            self.flags,
         )
 
     def live_undecided(self) -> list[int]:
@@ -269,7 +295,7 @@ class AsyncRun:
         if self.crashed[pid]:
             raise SpecError(f"process {pid} crashed twice")
         self.crashed[pid] = True
-        self.path.append(("c", pid))
+        self.crash_log += ((pid, self.steps_taken),)
         if self.events is not None:
             self.events.append((self.steps_taken, pid, "crash", None))
         if self.eager:
@@ -324,33 +350,42 @@ class AsyncRun:
                 index = len(self.regs.rows[pid]) - 1
                 self.events.append((pos, pid, "write", (index, act.payload)))
         elif kind is Propose:
-            obj = self.objects[act.obj]
+            # the objects dict is shared with clones: copy, never mutate
+            obj = self.objects[act.obj].clone()
             obs = obj.propose(pid, act.value)
+            self.objects = {**self.objects, act.obj: obj}
             if self.events is not None:
                 self.events.append((pos, pid, "propose", (act.obj, act.value, obs)))
         elif kind is Decide:
             self.decided[pid] = act.value
-            self.flags.update(act.flags)
+            if act.flags:
+                self.flags = self.flags.union(act.flags)
             if self.events is not None:
                 self.events.append((pos, pid, "decide", act.value))
         else:
             raise ModelViolationError(f"behavior emitted unknown action {act!r}")
         self.steps_taken += 1
-        self.path.append(("s", pid))
+        self.path = (self.path, pid)
         if self.decided[pid] is None:
-            self.states[pid], self.actions[pid] = self.progs[pid].step(self.states[pid], obs)
+            self.states[pid], self.actions[pid] = self._program_step(pid, self.states[pid], obs)
         else:
             self.actions[pid] = None
 
+    def _program_step(self, pid: int, state, obs):
+        key = (pid, state, obs)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self.progs[pid].step(state, obs)
+        return out
+
     def schedule_so_far(self) -> AsyncSchedule:
         steps = []
-        crashes = []
-        for tag, pid in self.path:
-            if tag == "s":
-                steps.append(pid)
-            else:
-                crashes.append((pid, len(steps)))
-        return AsyncSchedule(tuple(steps), frozenset(crashes))
+        node = self.path
+        while node is not None:
+            node, pid = node
+            steps.append(pid)
+        steps.reverse()
+        return AsyncSchedule(tuple(steps), frozenset(self.crash_log))
 
 
 def default_step_bound(n: int) -> int:

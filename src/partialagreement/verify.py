@@ -15,6 +15,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algorithms import get_algorithm
 from .core import BudgetExceededError, ProblemSpec, SpecError, VALIDITY_STRONG
@@ -144,6 +145,7 @@ class ExplorationReport:
     spec: ProblemSpec
     inputs_mode: object
     budget: ExploreBudget
+    full_scan: bool = False
     executions_checked: int = 0
     states_explored: int = 0
     violations: list = field(default_factory=list)
@@ -160,11 +162,12 @@ class ExplorationReport:
         if not isinstance(mode, str):
             mode = [list(v) for v in mode]
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "algorithm": self.algorithm,
             "spec": self.spec.to_dict(),
             "inputs_mode": mode,
             "budget": self.budget.to_dict(),
+            "full_scan": self.full_scan,
             "executions_checked": self.executions_checked,
             "states_explored": self.states_explored,
             "violations": self.violations,
@@ -183,7 +186,7 @@ class ExplorationReport:
     def replay_encoding(self) -> str:
         d = self.to_dict()
         return json.dumps(
-            {k: d[k] for k in ("algorithm", "spec", "inputs_mode", "budget")},
+            {k: d[k] for k in ("algorithm", "spec", "inputs_mode", "budget", "full_scan")},
             sort_keys=True,
         )
 
@@ -198,6 +201,7 @@ def explore_from_replay(encoding: str | dict) -> ExplorationReport:
         ProblemSpec.from_dict(d["spec"]),
         inputs_mode=mode,
         budget=ExploreBudget(**d["budget"]),
+        full_scan=d.get("full_scan", False),
     )
 
 
@@ -205,8 +209,13 @@ class _BudgetStop(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(NamedTuple):
+    """What check_agreement reads from a finished run, and nothing else.
+
+    Being a hashable tuple, it keys the verdict memo: two runs with equal
+    outcomes get equal verdicts.
+    """
+
     inputs: tuple
     decisions: tuple
     crashed: frozenset
@@ -219,13 +228,36 @@ class _Aggregator:
         self.spec = spec
         self.budget = budget
         self.report = report
+        self.verdicts: dict = {}
 
-    def record(self, outcome, encoding: dict) -> None:
+    def record(self, outcome: _Outcome, base: dict, token_key: str, token) -> None:
+        """Count one finished run; ``token`` (a schedule or crash pattern) is
+        encoded under ``token_key`` only if the run is recorded as a violation."""
         rep = self.report
         rep.executions_checked += 1
         if outcome.flags:
             rep.flagged_executions += 1
-        verdict = check_agreement(outcome, self.spec)
+        verdict = self.verdicts.get(outcome)
+        if verdict is None:
+            verdict = self.verdicts[outcome] = check_agreement(outcome, self.spec)
+            # empirical thresholds are maxima and minima over outcomes, so
+            # one fold per distinct outcome gives the same values
+            self._fold_thresholds(outcome)
+        if not verdict.passed:
+            rep.violations_total += 1
+            if len(rep.violations) < self.budget.max_recorded_violations:
+                rep.violations.append({
+                    "algorithm": rep.algorithm,
+                    "spec": self.spec.to_dict(),
+                    **base,
+                    token_key: token.encode(),
+                    "verdict": verdict.to_dict(),
+                })
+        if rep.executions_checked >= self.budget.max_runs:
+            raise _BudgetStop
+
+    def _fold_thresholds(self, outcome: _Outcome) -> None:
+        rep = self.report
         decided = [v for v in outcome.decisions if v is not None]
         undecided = self.spec.n - len(decided)
         counts = Counter(decided)
@@ -240,12 +272,6 @@ class _Aggregator:
             top = max(counts.values())
             if rep.empirical_k is None or top < rep.empirical_k:
                 rep.empirical_k = top
-        if not verdict.passed:
-            rep.violations_total += 1
-            if len(rep.violations) < self.budget.max_recorded_violations:
-                rep.violations.append({**encoding, "verdict": verdict.to_dict()})
-        if rep.executions_checked >= self.budget.max_runs:
-            raise _BudgetStop
 
 
 def _canonical_pattern(vector) -> tuple:
@@ -322,7 +348,7 @@ def _explore_async_cell(entry, spec, inputs, assignment, agg, budget, report, fu
                     run.step(pid)
                 else:
                     run.crash(pid)
-            agg.record(_async_outcome(run), {**base, "schedule": run.schedule_so_far().encode()})
+            agg.record(_async_outcome(run), base, "schedule", run.schedule_so_far())
         return
 
     root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
@@ -330,17 +356,17 @@ def _explore_async_cell(entry, spec, inputs, assignment, agg, budget, report, fu
     stack = [root]
     while stack:
         run = stack.pop()
-        key = run.key()
-        if key in seen:
+        size = len(seen)
+        seen.add(run.key())
+        if len(seen) == size:
             continue
-        seen.add(key)
         report.states_explored += 1
         if report.states_explored > budget.max_states:
             raise _BudgetStop
-        if run.nonterminating or not run.live_undecided():
-            agg.record(_async_outcome(run), {**base, "schedule": run.schedule_so_far().encode()})
-            continue
         live = run.live_undecided()
+        if run.nonterminating or not live:
+            agg.record(_async_outcome(run), base, "schedule", run.schedule_so_far())
+            continue
         children = []
         if sum(run.crashed) < crash_budget:
             # Crashing a process whose remaining actions are invisible to
@@ -388,7 +414,11 @@ def _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report):
     for pattern in patterns:
         trace = run_sync(built.programs, inputs, pattern, rounds, log=False)
         report.states_explored += 1
-        agg.record(trace, {**base, "pattern": pattern.encode()})
+        outcome = _Outcome(
+            trace.inputs, trace.decisions, frozenset(trace.crashed), trace.flags,
+            trace.nonterminating,
+        )
+        agg.record(outcome, base, "pattern", pattern)
 
 
 def explore(
@@ -408,7 +438,7 @@ def explore(
     """
     entry = get_algorithm(algorithm)
     budget = budget or ExploreBudget()
-    report = ExplorationReport(algorithm, spec, inputs_mode, budget)
+    report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
     agg = _Aggregator(spec, budget, report)
     vectors = _input_vectors(spec, inputs_mode, budget)
     try:

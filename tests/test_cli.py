@@ -173,3 +173,70 @@ def test_env_var_budget_default(monkeypatch, capsys):
         "explore", "--alg", "max-wait", "--n", "3", "--m", "2", "--t", "1", "--k", "2",
     )
     assert code == 2  # tiny default budget from the environment cuts the search
+
+
+def test_every_recorded_violation_replays(capsys):
+    from partialagreement import ExploreBudget, ProblemSpec, explore
+
+    spec = ProblemSpec(n=4, m=2, t=1, k=3)
+    report = explore("max-wait", spec, "all", ExploreBudget(max_recorded_violations=1000))
+    assert len(report.violations) == report.violations_total == 188
+    for violation in report.violations:
+        code, out, err = run_cli(capsys, "run", "--replay", json.dumps(violation), "--format", "json")
+        assert code == 1, err
+        assert json.loads(out)["verdict"] == violation["verdict"]
+
+
+def test_violation_report_validates_against_schema(capsys):
+    import importlib.resources as resources
+
+    code, out, _ = run_cli(
+        capsys,
+        "explore", "--alg", "no-comm", "--n", "4", "--m", "2", "--t", "1",
+        "--k", "3", "--format", "json",
+    )
+    assert code == 1
+    schema = json.loads(
+        resources.files("partialagreement.schemas")
+        .joinpath("exploration_report.schema.json")
+        .read_text()
+    )
+    payload = json.loads(out)
+    assert payload["violations"]
+    jsonschema.validate(payload, schema)
+
+
+def test_malformed_replay_exits_64(capsys):
+    good = {"algorithm": "no-comm", "spec": {"n": 2, "m": 2, "t": 1, "k": 2}, "inputs": [0, 1]}
+    for missing in good:
+        token = json.dumps({k: v for k, v in good.items() if k != missing})
+        code, _, err = run_cli(capsys, "run", "--replay", token)
+        assert code == 64 and missing in err
+    malformed = [
+        {"spec": {"n": "two"}}, {"inputs": "01"}, {"inputs": [0, "x"]}, {"assignment": [0, 0.5]},
+        {"schedule": 5}, {"algorithm": "min-flood", "pattern": 7},
+        {"algorithm": "min-flood", "rounds": "x"},
+    ]
+    tokens = ["not json", "[1, 2]"] + [json.dumps({**good, **change}) for change in malformed]
+    for token in tokens:
+        code, _, _ = run_cli(capsys, "run", "--replay", token)
+        assert code == 64, token
+
+
+def test_negative_crash_position_exits_64(capsys):
+    code, _, _ = run_cli(
+        capsys,
+        "run", "--alg", "max-wait", "--n", "3", "--inputs", "0,1,1", "--schedule", "a1:0.1:2@-1",
+    )
+    assert code == 64
+
+
+def test_explicit_ell_one_is_honoured(capsys):
+    argv = [
+        "explore", "--alg", "reduce-set", "--n", "3", "--m", "3", "--t", "2",
+        "--validity", "strong", "--inputs", "0,1,2", "--format", "json",
+    ]
+    code, out, _ = run_cli(capsys, *argv)
+    assert json.loads(out)["spec"]["ell"] == 2  # the algorithm's default, m - 1
+    code, out, _ = run_cli(capsys, *argv, "--ell", "1")
+    assert json.loads(out)["spec"]["ell"] == 1

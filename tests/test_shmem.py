@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from partialagreement import (
     AsyncSchedule,
@@ -70,6 +71,27 @@ def test_schedule_token_roundtrip():
     assert AsyncSchedule.decode(AsyncSchedule().encode()) == AsyncSchedule()
     with pytest.raises(SpecError):
         AsyncSchedule.decode("bogus")
+
+
+@given(
+    st.lists(st.integers(0, 20), max_size=30),
+    st.frozensets(st.tuples(st.integers(0, 20), st.integers(0, 40)), max_size=4),
+)
+def test_schedule_token_roundtrip_random(steps, crashes):
+    sched = AsyncSchedule(tuple(steps), crashes)
+    assert AsyncSchedule.decode(sched.encode()) == sched
+
+
+@pytest.mark.parametrize("token", ["a1:0.1:2@-1", "a1:0.-1:", "a1:0:-2@1"])
+def test_schedule_token_rejects_negative_numbers(token):
+    with pytest.raises(SpecError):
+        AsyncSchedule.decode(token)
+
+
+def test_schedule_validation_rejects_negative_crash_position():
+    # run_async never reaches a negative position, so the crash would be lost
+    with pytest.raises(SpecError):
+        AsyncSchedule((0, 1), frozenset({(2, -1)})).validate(3, 1)
 
 
 # --- run_async basics -------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from partialagreement import (
     BudgetExceededError,
@@ -122,6 +123,18 @@ def test_pattern_token_roundtrip():
     assert CrashPattern.decode(pattern.encode()) == pattern
     with pytest.raises(SpecError):
         CrashPattern.decode("nope")
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, 12),
+        st.tuples(st.integers(1, 6), st.frozensets(st.integers(0, 12))),
+        max_size=4,
+    )
+)
+def test_pattern_token_roundtrip_random(victims):
+    pattern = CrashPattern(tuple((p, r, rcpts) for p, (r, rcpts) in victims.items()))
+    assert CrashPattern.decode(pattern.encode()) == pattern
 
 
 def test_enumeration_count_example():

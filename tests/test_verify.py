@@ -241,3 +241,63 @@ def test_tight_rules_have_counterexamples_one_above():
         big,
     )
     assert r10.violations_total > 0 and r10.empirical_k == 6
+
+
+# --- search size and the verdict memo -------------------------------------------
+
+# Exact sizes of fast exhaustive searches. A faster explorer must search the
+# same states and check the same runs; a change here changes what is searched.
+PINNED_SEARCHES = [
+    ("reduce-binary", ProblemSpec(n=4, m=2, t=1, k=4, validity="strong"), [(0, 0, 1, 1)],
+     (6160, 2130, 0)),
+    ("max-wait", ProblemSpec(n=4, m=2, t=1, k=3), "all", (9856, 3408, 188)),
+    ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
+     (740, 34, 0)),
+    ("min-flood", ProblemSpec(n=4, m=4, t=2, k=4, model="sync-mp"), [tuple(range(4))],
+     (1537, 1537, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "alg, spec, inputs, sizes", PINNED_SEARCHES, ids=[search[0] for search in PINNED_SEARCHES]
+)
+def test_search_size_is_pinned(alg, spec, inputs, sizes):
+    report = explore(alg, spec, inputs)
+    assert report.exhaustive
+    got = (report.states_explored, report.executions_checked, report.violations_total)
+    assert got == sizes
+
+
+def test_verdict_memo_on_sync_runs(monkeypatch):
+    # Sync traces hold dicts, so the memo must key on the outcome, not the trace.
+    from partialagreement import build_algorithm, enumerate_crash_patterns, run_sync
+    from partialagreement import verify
+
+    calls = []
+
+    def counting(outcome, spec):
+        calls.append(outcome)
+        return check_agreement(outcome, spec)
+
+    monkeypatch.setattr(verify, "check_agreement", counting)
+    spec = ProblemSpec(n=4, m=4, t=2, k=3, ell=2, model="sync-mp")
+    inputs = (3, 2, 1, 0)
+    report = explore("min-flood", spec, [inputs])
+
+    built = build_algorithm("min-flood", spec, inputs)
+    verdicts = [
+        check_agreement(run_sync(built.programs, inputs, p, built.rounds, spec=spec), spec)
+        for p in enumerate_crash_patterns(4, 2, built.rounds, canonical=True)
+    ]
+    assert report.executions_checked == len(verdicts)
+    assert report.violations_total == sum(not v.passed for v in verdicts)
+    assert len(calls) == len(set(calls)) < len(verdicts)
+    assert report.empirical_ell == max(len(v.details) for v in verdicts)
+
+
+def test_full_scan_replay_is_byte_identical():
+    spec = ProblemSpec(n=4, m=2, t=1, k=4, validity="strong")
+    report = explore("reduce-set", spec, [(0, 0, 1, 1)], full_scan=True)
+    assert report.full_scan and report.states_explored == 6540
+    replayed = explore_from_replay(report.replay_encoding())
+    assert replayed.to_json() == report.to_json()
