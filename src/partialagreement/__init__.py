@@ -14,9 +14,7 @@ from .shmem import (
     ExecutionTrace,
     Propose,
     Read,
-    RegisterSpace,
     Write,
-    enumerate_async_schedules,
     run_async,
 )
 from .syncmp import (
@@ -52,9 +50,7 @@ __all__ = [
     "ExecutionTrace",
     "Propose",
     "Read",
-    "RegisterSpace",
     "Write",
-    "enumerate_async_schedules",
     "run_async",
     "CrashPattern",
     "RoundTrace",

@@ -1,10 +1,10 @@
 """Every catalog algorithm and reduction, as executor-ready state machines.
 
 Async behaviors expose ``state0`` and ``step(state, obs) -> (state, action)``;
-sync behaviors expose ``state0``, ``round_send``, ``round_recv`` and
-``finalize``. All are pure and deterministic, with hashable states and
-observations, so runs replay bit-identically, the explorer can dedupe on
-state, and the async executor can memoise steps.
+sync behaviors expose ``state0``, ``round_send`` (one payload for every
+process), ``round_recv`` and ``finalize``. All are pure and deterministic,
+with hashable states and observations, so runs replay bit-identically, the
+explorer can dedupe on state, and the async executor can memoise steps.
 
 The catalog maps stable string ids ("no-comm", "max-wait", "min-flood",
 "smg-comp", "reduce-binary", "reduce-set", "reduce-sync", "reduce-smg") to
@@ -51,6 +51,12 @@ def most_repeated_max(values):
 _INIT = ("i",)
 
 
+def _next_other(owner: int, pid: int, n: int) -> int:
+    """The process after ``owner`` in cyclic order, skipping ``pid`` itself."""
+    owner = (owner + 1) % n
+    return (owner + 1) % n if owner == pid else owner
+
+
 class NoComm:
     """Decide the own input at the first step; never touch a register."""
 
@@ -85,17 +91,13 @@ class MaxWait:
         self.value = inputs[pid]
         self.quorum = quorum
 
-    def _next(self, owner):
-        owner = (owner + 1) % self.n
-        return (owner + 1) % self.n if owner == self.pid else owner
-
     def no_more_visible(self, state):
         # after the single write only reads and the decide remain
         return not (state is _INIT or state[0] == "i")
 
     def step(self, state, obs):
         if state is _INIT or state[0] == "i":
-            cursor = self._next(self.pid)
+            cursor = _next_other(self.pid, self.pid, self.n)
             return (cursor, -1, 1 << self.pid), Write(self.value)
         cursor, last, mask = state
         if last >= 0 and obs is not None:
@@ -103,7 +105,7 @@ class MaxWait:
         if mask.bit_count() >= self.quorum:
             best = max(self.inputs[o] for o in range(self.n) if mask >> o & 1)
             return (cursor, -1, mask), Decide(best)
-        return (self._next(cursor), cursor, mask), Read(cursor, 0)
+        return (_next_other(cursor, self.pid, self.n), cursor, mask), Read(cursor, 0)
 
 
 class OracleThenQuorum:
@@ -130,10 +132,6 @@ class OracleThenQuorum:
         self.full_scan = full_scan
         self.start = (pid + 1) % n
 
-    def _next(self, owner):
-        owner = (owner + 1) % self.n
-        return (owner + 1) % self.n if owner == self.pid else owner
-
     def no_more_visible(self, state):
         return state[0] == "s"
 
@@ -156,23 +154,7 @@ class OracleThenQuorum:
         at_boundary = cursor == self.start and last >= 0
         if len(observed) >= self.quorum and (not self.full_scan or at_boundary):
             return state, self._decision(observed)
-        return ("s", self._next(cursor), cursor, observed), Read(cursor, 0)
-
-
-class DecideOwn:
-    """Outside every group: decide the own input immediately."""
-
-    __slots__ = ("value",)
-    state0 = _INIT
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def step(self, state, obs):
-        return state, Decide(self.value)
-
-    def no_more_visible(self, state):
-        return True
+        return ("s", _next_other(cursor, self.pid, self.n), cursor, observed), Read(cursor, 0)
 
 
 class ProposeThenDecide:
@@ -222,14 +204,13 @@ class ProposeRelayDecide:
 class MinFlood:
     """Broadcast the preferred value each round; adopt the round minimum."""
 
-    __slots__ = ("n", "state0")
+    __slots__ = ("state0",)
 
-    def __init__(self, n: int, value: int):
-        self.n = n
+    def __init__(self, value: int):
         self.state0 = value
 
     def round_send(self, pref, rnd):
-        return pref, {dst: pref for dst in range(self.n)}
+        return pref, pref
 
     def round_recv(self, pref, rnd, inbox):
         return min(inbox.values()) if inbox else pref
@@ -241,14 +222,13 @@ class MinFlood:
 class BroadcastMajority:
     """One broadcast round of the first-phase answer, then majority."""
 
-    __slots__ = ("n", "state0")
+    __slots__ = ("state0",)
 
-    def __init__(self, n: int, first_phase_value: int):
-        self.n = n
+    def __init__(self, first_phase_value: int):
         self.state0 = (first_phase_value, ())
 
     def round_send(self, state, rnd):
-        return state, {dst: state[0] for dst in range(self.n)}
+        return state, state[0]
 
     def round_recv(self, state, rnd, inbox):
         return (state[0], tuple(sorted(inbox.values())))
@@ -299,7 +279,6 @@ class CatalogEntry:
     fault_budget: Callable
     default_k: Callable
     default_ell: Callable = lambda spec: spec.ell
-    rounds: Callable | None = None
     oracle_contract: Callable | None = None  # spec -> (k, ell, validity)
 
     @property
@@ -329,7 +308,7 @@ def _build_max_wait(spec, inputs, assignment=None, full_scan=False):
 def _build_min_flood(spec, inputs, assignment=None, full_scan=False):
     rounds = spec.t // spec.ell + 1
     return Built(
-        {pid: MinFlood(spec.n, inputs[pid]) for pid in range(spec.n)},
+        {pid: MinFlood(inputs[pid]) for pid in range(spec.n)},
         rounds=rounds,
     )
 
@@ -347,7 +326,7 @@ def _build_smg_comp(spec, inputs, assignment=None, full_scan=False):
             if pid in members:
                 programs[pid] = ProposeThenDecide("A", inputs[pid])
             else:
-                programs[pid] = DecideOwn(inputs[pid])
+                programs[pid] = NoComm(inputs[pid])
     else:
         objects = {"A": ConsensusObject(g), "B": ConsensusObject(g), "C": ConsensusObject(g)}
         relay_a, relay_b = set(plan["G3"]), set(plan["G4"])
@@ -362,24 +341,13 @@ def _build_smg_comp(spec, inputs, assignment=None, full_scan=False):
             elif pid in group_b:
                 programs[pid] = ProposeThenDecide("B", inputs[pid])
             else:
-                programs[pid] = DecideOwn(inputs[pid])
+                programs[pid] = NoComm(inputs[pid])
     return Built(programs, objects=objects, meta={"plan": plan})
 
 
 def smg_guarantee(spec: ProblemSpec) -> int:
     ghat = min(spec.n // 2, spec.g)
     return max(spec.g, 3 * (ghat // 2))
-
-
-def _oracle_for(spec, inputs, contract, assignment):
-    k, ell, validity = contract
-    if assignment is not None:
-        return PartialAgreementOracle(
-            spec.n, k, ell, validity, strategy="fixed", inputs=inputs, assignment=assignment
-        )
-    return PartialAgreementOracle(
-        spec.n, k, ell, validity, strategy="worst-case-split", inputs=inputs
-    )
 
 
 def _binary_contract(spec):
@@ -389,7 +357,9 @@ def _binary_contract(spec):
 def _build_reduce_binary(spec, inputs, assignment=None, full_scan=False):
     if spec.m != 2:
         raise SpecError("reduce-binary needs m=2")
-    oracle = _oracle_for(spec, tuple(inputs), _binary_contract(spec), assignment)
+    oracle = PartialAgreementOracle(
+        spec.n, *_binary_contract(spec), inputs=tuple(inputs), assignment=assignment
+    )
     quorum = spec.n - 1
     programs = {
         pid: OracleThenQuorum(pid, spec.n, inputs[pid], quorum, rule="majority", full_scan=full_scan)
@@ -405,7 +375,9 @@ def _set_contract(spec):
 def _build_reduce_set(spec, inputs, assignment=None, full_scan=False):
     if spec.m > spec.t + 1:
         raise SpecError(f"reduce-set needs m <= t+1, got m={spec.m}, t={spec.t}")
-    oracle = _oracle_for(spec, tuple(inputs), _set_contract(spec), assignment)
+    oracle = PartialAgreementOracle(
+        spec.n, *_set_contract(spec), inputs=tuple(inputs), assignment=assignment
+    )
     quorum = spec.n - (spec.m - 1)
     programs = {
         pid: OracleThenQuorum(pid, spec.n, inputs[pid], quorum, rule="mode-max", full_scan=full_scan)
@@ -423,7 +395,9 @@ def _build_reduce_smg(spec, inputs, assignment=None, full_scan=False):
         raise SpecError("reduce-smg needs m=2")
     if not spec.n > spec.t >= 1:
         raise SpecError(f"reduce-smg needs n > t >= 1, got n={spec.n}, t={spec.t}")
-    oracle = _oracle_for(spec, tuple(inputs), _smg_contract(spec), assignment)
+    oracle = PartialAgreementOracle(
+        spec.n, *_smg_contract(spec), inputs=tuple(inputs), assignment=assignment
+    )
     quorum = spec.n - spec.t
     programs = {
         pid: OracleThenQuorum(pid, spec.n, inputs[pid], quorum, rule="majority", full_scan=full_scan)
@@ -443,9 +417,11 @@ def _build_reduce_sync(spec, inputs, assignment=None, full_scan=False):
     if spec.m != 2:
         raise SpecError("reduce-sync needs m=2")
     inputs = tuple(inputs)
-    oracle = _oracle_for(spec, inputs, _sync_contract(spec), assignment)
+    oracle = PartialAgreementOracle(
+        spec.n, *_sync_contract(spec), inputs=inputs, assignment=assignment
+    )
     answers = [oracle.propose(pid, inputs[pid]) for pid in range(spec.n)]
-    programs = {pid: BroadcastMajority(spec.n, answers[pid]) for pid in range(spec.n)}
+    programs = {pid: BroadcastMajority(answers[pid]) for pid in range(spec.n)}
     return Built(programs, rounds=1, meta={"first_phase": answers})
 
 
@@ -470,7 +446,6 @@ CATALOG: dict[str, CatalogEntry] = {
         build=_build_min_flood,
         fault_budget=lambda spec: spec.t,
         default_k=lambda spec: ceil_div(spec.n, spec.ell),
-        rounds=lambda spec: spec.t // spec.ell + 1,
     ),
     "smg-comp": CatalogEntry(
         name="smg-comp",
@@ -502,7 +477,6 @@ CATALOG: dict[str, CatalogEntry] = {
         build=_build_reduce_sync,
         fault_budget=lambda spec: spec.t,
         default_k=lambda spec: spec.n,
-        rounds=lambda spec: 1,
         oracle_contract=_sync_contract,
     ),
     "reduce-smg": CatalogEntry(

@@ -26,9 +26,9 @@ from .core import (
     SpecError,
     evaluate_bounds,
 )
-from .shmem import AsyncSchedule, run_async
+from .shmem import AsyncRun, AsyncSchedule, run_async
 from .syncmp import CrashPattern, run_sync
-from .verify import ExploreBudget, check_agreement, explore
+from .verify import ExploreBudget, check_agreement, explore, random_pattern, random_walk
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -260,35 +260,6 @@ def cmd_table(args) -> int:
     return EXIT_PASS
 
 
-def _random_async_schedule(entry, spec, inputs, seed) -> AsyncSchedule:
-    # Dry-run with random choices; the recorded path is the schedule.
-    from .shmem import AsyncRun
-
-    built = build_algorithm(entry.name, spec, inputs)
-    run = AsyncRun(built.programs, inputs, objects=built.objects)
-    rng = random.Random(seed)
-    crash_budget = min(entry.fault_budget(spec), spec.n)
-    while True:
-        live = run.live_undecided()
-        if not live:
-            break
-        options = [("s", p) for p in live]
-        if sum(run.crashed) < crash_budget:
-            options += [("c", p) for p in live]
-        tag, pid = options[rng.randrange(len(options))]
-        if tag == "s":
-            run.step(pid)
-        else:
-            run.crash(pid)
-    return run.schedule_so_far()
-
-
-def _random_sync_pattern(spec, rounds, seed) -> CrashPattern:
-    from .verify import _random_pattern
-
-    return _random_pattern(random.Random(seed), spec.n, spec.t, rounds)
-
-
 def _int_tuple(value, what: str) -> tuple:
     if not isinstance(value, list) or any(type(v) is not int for v in value):
         raise SpecError(f"replay {what} must be a list of integers")
@@ -343,13 +314,13 @@ def cmd_run(args) -> int:
     }
 
     if entry.flavor == "sync":
-        rounds = args.rounds or built.rounds or (entry.rounds(spec) if entry.rounds else 1)
+        rounds = args.rounds or built.rounds
         if args.pattern:
             pattern = CrashPattern.decode(args.pattern)
         elif args.no_crash or args.seed is None:
             pattern = CrashPattern()
         else:
-            pattern = _random_sync_pattern(spec, rounds, args.seed)
+            pattern = random_pattern(random.Random(args.seed), spec.n, spec.t, rounds)
         trace = run_sync(built.programs, inputs, pattern, rounds, spec=spec)
         replay_payload.update({"pattern": pattern.encode(), "rounds": rounds})
     else:
@@ -358,7 +329,9 @@ def cmd_run(args) -> int:
         elif args.no_crash or args.seed is None:
             schedule = AsyncSchedule()  # round-robin extension drives the run
         else:
-            schedule = _random_async_schedule(entry, spec, inputs, args.seed)
+            run = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
+            random_walk(run, random.Random(args.seed), min(entry.fault_budget(spec), spec.n))
+            schedule = run.schedule_so_far()
         trace = run_async(
             built.programs, inputs, schedule, spec=spec, objects=built.objects
         )

@@ -3,10 +3,10 @@
 ConsensusObject is a wait-free first-value-wins agreement object for up to
 ``capacity`` distinct proposers. PartialAgreementOracle stands in for a
 black-box protocol that meets an (n, k, ell) agreement contract: it answers
-in a single atomic step, and its completed assignment over all n processes
-always satisfies the contract (checkable post hoc). The "fixed" strategy
-plus ``compliant_assignments`` lets an explorer drive every assignment the
-contract admits.
+in a single atomic step from an assignment over all n processes that
+satisfies the contract (checkable post hoc). Passing each assignment
+``compliant_assignments`` yields lets an explorer drive every assignment
+the contract admits.
 """
 
 from __future__ import annotations
@@ -16,13 +16,6 @@ from collections import Counter
 from typing import Iterator
 
 from .core import ModelViolationError, SpecError, VALIDITY_STRONG
-
-STRATEGIES = (
-    "worst-case-split",
-    "plurality-exact-k",
-    "honest-full-agreement",
-    "fixed",
-)
 
 
 class ConsensusObject:
@@ -120,37 +113,18 @@ def plan_worst_case_split(n: int, k: int, inputs) -> tuple:
     return tuple(plan)
 
 
-def plan_plurality_exact_k(n: int, k: int, inputs) -> tuple:
-    """The plurality value goes to k processes; everyone else keeps its own.
-
-    Witness proposers come first when picking the k receivers; a witness
-    proposer that misses the cut falls back to the smallest other proposed
-    value so the witness count stays exactly k where possible.
-    """
-    counts = Counter(inputs)
-    witness = min(counts, key=lambda v: (-counts[v], v))
-    others = sorted(v for v in set(inputs) if v != witness)
-    order = sorted(range(n), key=lambda p: (inputs[p] != witness, p))
-    plan = [None] * n
-    for slot, pid in enumerate(order):
-        if slot < k:
-            plan[pid] = witness
-        elif inputs[pid] == witness:
-            plan[pid] = others[0] if others else witness
-        else:
-            plan[pid] = inputs[pid]
-    return tuple(plan)
-
-
 class PartialAgreementOracle:
     """Single-step stand-in for a protocol meeting an (n, k, ell) contract.
 
-    Split strategies plan the full assignment up front from the input
-    vector; "honest-full-agreement" answers the first proposal to everyone;
-    "fixed" replays a caller-supplied compliant assignment.
+    The whole assignment is fixed at construction: ``assignment`` when
+    given (checked against the contract when ``inputs`` is known), else the
+    worst-case split planned from ``inputs``. Each process is answered from
+    that plan, whatever the order of the accesses.
     """
 
-    __slots__ = ("n", "k", "ell", "validity", "strategy", "inputs", "plan", "proposed")
+    __slots__ = ("inputs", "plan", "proposed")
+
+    commutes = True  # answers come from a plan fixed at construction
 
     def __init__(
         self,
@@ -158,70 +132,40 @@ class PartialAgreementOracle:
         k: int,
         ell: int = 1,
         validity: str = VALIDITY_STRONG,
-        strategy: str = "worst-case-split",
         inputs=None,
         assignment=None,
     ):
-        if strategy not in STRATEGIES:
-            raise SpecError(f"unknown oracle strategy {strategy!r}")
         if not 1 <= k <= n:
             raise SpecError(f"oracle needs 1 <= k <= n, got k={k}, n={n}")
-        self.n = n
-        self.k = k
-        self.ell = ell
-        self.validity = validity
-        self.strategy = strategy
         self.inputs = tuple(inputs) if inputs is not None else None
         self.proposed: frozenset = frozenset()
-        if strategy == "fixed":
-            if assignment is None:
-                raise SpecError("fixed strategy needs an assignment")
+        if assignment is not None:
             plan = tuple(assignment)
             if self.inputs is not None and not agreement_holds(
                 plan, n, k, ell, validity, self.inputs
             ):
-                raise SpecError("fixed assignment violates the oracle contract")
+                raise SpecError("the assignment violates the oracle contract")
             self.plan = plan
-        elif strategy == "honest-full-agreement":
-            self.plan = None
+        elif self.inputs is None:
+            raise SpecError("the oracle needs the input vector or an assignment")
         else:
-            if self.inputs is None:
-                raise SpecError(f"strategy {strategy!r} needs the input vector")
-            if strategy == "worst-case-split":
-                self.plan = plan_worst_case_split(n, k, self.inputs)
-            else:
-                self.plan = plan_plurality_exact_k(n, k, self.inputs)
-
-    @property
-    def commutes(self) -> bool:
-        # A pre-planned oracle answers each process from a plan fixed at
-        # construction, so accesses are order-independent.
-        return self.strategy != "honest-full-agreement"
+            self.plan = plan_worst_case_split(n, k, self.inputs)
 
     def propose(self, pid: int, value: int) -> int:
         if pid in self.proposed:
             raise ModelViolationError(f"process {pid} proposed twice to the oracle")
         self.proposed = self.proposed | {pid}
-        if self.strategy == "honest-full-agreement":
-            if self.plan is None:
-                self.plan = tuple([value] * self.n)
-            return self.plan[pid]
         if self.inputs is not None and value != self.inputs[pid]:
             raise SpecError(
                 f"process {pid} proposed {value} but the oracle was planned for {self.inputs[pid]}"
             )
         return self.plan[pid]
 
-    def assignment(self) -> tuple | None:
+    def assignment(self) -> tuple:
         return self.plan
 
     def clone(self) -> "PartialAgreementOracle":
         new = object.__new__(PartialAgreementOracle)
-        new.n = self.n
-        new.k = self.k
-        new.ell = self.ell
-        new.validity = self.validity
-        new.strategy = self.strategy
         new.inputs = self.inputs
         new.plan = self.plan
         new.proposed = self.proposed

@@ -12,9 +12,9 @@ adversary can interleave inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
-from .core import BudgetExceededError, ModelViolationError, ProblemSpec, SpecError
+from .core import ModelViolationError, ProblemSpec, SpecError
 
 
 class Write(NamedTuple):
@@ -38,36 +38,6 @@ class Propose(NamedTuple):
 class Decide(NamedTuple):
     value: int
     flags: tuple = ()
-
-
-class RegisterSpace:
-    """Per-process append-only arrays of single-writer registers."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, n: int, rows: tuple | None = None):
-        self.rows = rows if rows is not None else tuple(() for _ in range(n))
-
-    def write(self, writer: int, owner: int, index: int, payload) -> "RegisterSpace":
-        if writer != owner:
-            raise ModelViolationError(
-                f"process {writer} attempted to write a register owned by {owner}"
-            )
-        row = self.rows[owner]
-        if index != len(row):
-            raise ModelViolationError(
-                f"process {owner} wrote register index {index}; next unused is {len(row)}"
-            )
-        rows = list(self.rows)
-        rows[owner] = row + (payload,)
-        return RegisterSpace(len(rows), tuple(rows))
-
-    def append(self, owner: int, payload) -> "RegisterSpace":
-        return self.write(owner, owner, len(self.rows[owner]), payload)
-
-    def read(self, owner: int, index: int):
-        row = self.rows[owner]
-        return row[index] if 0 <= index < len(row) else None
 
 
 @dataclass(frozen=True)
@@ -174,6 +144,11 @@ class AsyncRun:
     produced them. key() is a hashable snapshot of everything that
     determines the run's future.
 
+    ``regs`` holds one tuple of register values per process. A Write names
+    no owner and appends to the writer's own row, so every register has a
+    single writer and is written once, by construction. A Read of a cell
+    past the end of its row (not yet written) observes None.
+
     clone() is O(1) in the run's length: it copies four n-entry lists and
     shares everything else.
 
@@ -231,7 +206,7 @@ class AsyncRun:
             self.states[pid], self.actions[pid] = self._program_step(pid, progs[pid].state0, None)
         self.decided = [None] * self.n
         self.crashed = [False] * self.n
-        self.regs = RegisterSpace(self.n)
+        self.regs = ((),) * self.n
         self.objects = dict(objects) if objects else {}
         self.flags = frozenset()
         self.steps_taken = 0
@@ -272,7 +247,7 @@ class AsyncRun:
             tuple(self.actions),
             tuple(self.decided),
             tuple(self.crashed),
-            self.regs.rows,
+            self.regs,
             tuple([obj.key() for obj in self.objects.values()]),
             self.flags,
         )
@@ -316,7 +291,7 @@ class AsyncRun:
         if kind is Decide:
             return True
         if kind is Read:
-            if act.index < len(self.regs.rows[act.owner]):
+            if act.index < len(self.regs[act.owner]):
                 return True  # write-once cell: the value can never change
             return self.crashed[act.owner]  # permanently unwritten
         if kind is Propose:
@@ -341,14 +316,15 @@ class AsyncRun:
         pos = self.steps_taken
         obs = None
         if kind is Read:
-            obs = self.regs.read(act.owner, act.index)
+            row = self.regs[act.owner]
+            obs = row[act.index] if 0 <= act.index < len(row) else None
             if self.events is not None:
                 self.events.append((pos, pid, "read", (act.owner, act.index, obs)))
         elif kind is Write:
-            self.regs = self.regs.append(pid, act.payload)
+            row = self.regs[pid]
+            self.regs = self.regs[:pid] + (row + (act.payload,),) + self.regs[pid + 1:]
             if self.events is not None:
-                index = len(self.regs.rows[pid]) - 1
-                self.events.append((pos, pid, "write", (index, act.payload)))
+                self.events.append((pos, pid, "write", (len(row), act.payload)))
         elif kind is Propose:
             # the objects dict is shared with clones: copy, never mutate
             obj = self.objects[act.obj].clone()
@@ -458,55 +434,3 @@ def run_async(
         nonterminating=nonterminating,
         schedule=run.schedule_so_far(),
     )
-
-
-def enumerate_async_schedules(
-    n: int,
-    t: int,
-    max_steps: int,
-    *,
-    runnable: Callable | None = None,
-    prune: Callable | None = None,
-    cap: int | None = None,
-) -> Iterator[AsyncSchedule]:
-    """Depth-first enumeration of interleavings and crash placements.
-
-    ``runnable(steps, crashed)`` returns the pids eligible to take the next
-    step; an empty answer completes the schedule (default: every uncrashed
-    pid, completing only at ``max_steps``). ``prune(steps, crashes)`` cuts a
-    subtree when it returns True. Crash placements are canonical: within one
-    position, victims are chosen in ascending pid order. At most min(t, n)
-    processes crash. Raises BudgetExceededError past ``cap`` yields.
-    """
-    if max_steps < n:
-        raise SpecError(f"max_steps must be at least n, got {max_steps} < {n}")
-    budget = min(t, n)
-    yielded = 0
-
-    def rec(steps, crashes, last_crash):
-        nonlocal yielded
-        if prune is not None and prune(steps, crashes):
-            return
-        crashed = frozenset(p for p, _ in crashes)
-        if runnable is not None:
-            choices = sorted(runnable(steps, crashed))
-        else:
-            choices = [p for p in range(n) if p not in crashed]
-        if not choices or len(steps) == max_steps:
-            yielded += 1
-            if cap is not None and yielded > cap:
-                raise BudgetExceededError(
-                    f"schedule enumeration exceeded cap {cap}", yielded
-                )
-            yield AsyncSchedule(steps, frozenset(crashes))
-            return
-        pos = len(steps)
-        if len(crashes) < budget:
-            for pid in choices:
-                if last_crash is not None and last_crash[1] == pos and pid <= last_crash[0]:
-                    continue
-                yield from rec(steps, crashes + ((pid, pos),), (pid, pos))
-        for pid in choices:
-            yield from rec(steps + (pid,), crashes, last_crash)
-
-    yield from rec((), (), None)

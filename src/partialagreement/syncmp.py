@@ -1,15 +1,16 @@
 """Lockstep round-based message-passing executor.
 
-Rounds are numbered from 1. In each round every live process emits its
-message set, deliveries are computed from the crash pattern (a round-r
-victim reaches exactly its recipients_reached and takes no further action,
-not even receiving), then every surviving process consumes its inbox.
-Decisions happen once, after the final configured round.
+Rounds are numbered from 1. In each round every live process broadcasts
+one payload to every process, itself included; deliveries are computed
+from the crash pattern (a round-r victim reaches exactly its
+recipients_reached and takes no further action, not even receiving), then
+every surviving process consumes its inbox. Decisions happen once, after
+the final configured round.
 
 A sync behavior is a pure state machine: ``state0``,
-``round_send(state, rnd) -> (state, {dst: payload})``,
-``round_recv(state, rnd, inbox) -> state`` with ``inbox = {src: payload}``,
-and ``finalize(state) -> Decide``.
+``round_send(state, rnd) -> (state, payload)``,
+``round_recv(state, rnd, inbox) -> state`` with ``inbox = {src: payload}``
+in ascending src order, and ``finalize(state) -> Decide``.
 """
 
 from __future__ import annotations
@@ -158,31 +159,25 @@ def run_sync(
     trace_rounds = []
 
     for rnd in range(1, rounds + 1):
-        outboxes: dict[int, dict] = {}
+        payloads = {}
         for pid in alive:
-            states[pid], msgs = programs[pid].round_send(states[pid], rnd)
-            outboxes[pid] = msgs
-        victims_now = [pid for pid in alive if crash_round.get(pid) == rnd]
-        survivors = [pid for pid in alive if crash_round.get(pid, rounds + 1) > rnd]
-        sent = []
-        inboxes: dict[int, dict] = {pid: {} for pid in survivors}
+            states[pid], payloads[pid] = programs[pid].round_send(states[pid], rnd)
+        victims = {pid: reached[pid] for pid in alive if crash_round.get(pid) == rnd}
+        survivors = [pid for pid in alive if pid not in victims]
         delivered = []
-        for src in alive:
-            partial = reached[src] if src in victims_now else None
-            for dst, payload in outboxes[src].items():
-                if log:
-                    sent.append((src, dst, payload))
-                if partial is not None and dst not in partial:
-                    continue
-                if dst in inboxes:
-                    inboxes[dst][src] = payload
-                    if log:
-                        delivered.append((src, dst, payload))
-        for pid in survivors:
-            states[pid] = programs[pid].round_recv(states[pid], rnd, inboxes[pid])
+        for dst in survivors:
+            inbox = {
+                src: payload
+                for src, payload in payloads.items()
+                if src not in victims or dst in victims[src]
+            }
+            states[dst] = programs[dst].round_recv(states[dst], rnd, inbox)
+            if log:
+                delivered.extend((src, dst, payload) for src, payload in inbox.items())
         alive = survivors
         if log:
-            trace_rounds.append((tuple(sorted(sent)), tuple(sorted(delivered))))
+            sent = [(src, dst, payload) for src, payload in payloads.items() for dst in range(n)]
+            trace_rounds.append((tuple(sent), tuple(sorted(delivered))))
 
     decisions = [None] * n
     flags: set = set()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .algorithms import get_algorithm
-from .core import BudgetExceededError, ProblemSpec, SpecError, VALIDITY_STRONG
+from .core import BudgetExceededError, ProblemSpec, SpecError, VALIDITY_STRONG, evaluate_bounds
 from .shmem import AsyncRun
 from .syncmp import CrashPattern, enumerate_crash_patterns, run_sync
 
@@ -88,10 +88,9 @@ def check_agreement(trace, spec: ProblemSpec) -> Verdict:
     witness_set = set(witness)
     offenders = sum(c for v, c in counts.items() if v not in witness_set)
     agreement_ok = offenders <= n - spec.k
-    if spec.validity == VALIDITY_STRONG:
-        validity_ok = all(v in proposed for v in counts)
-    else:
-        validity_ok = all(v in proposed for v in witness)
+    # Weak validity asks only that the witness values were proposed, and
+    # best_witness picks proposed values only, so it always holds.
+    validity_ok = spec.validity != VALIDITY_STRONG or all(v in proposed for v in counts)
     undecided_live = any(
         decisions[pid] is None and pid not in trace.crashed for pid in range(n)
     )
@@ -336,18 +335,7 @@ def _explore_async_cell(entry, spec, inputs, assignment, agg, budget, report, fu
         template = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
         for _ in range(budget.samples):
             run = template.clone()
-            while not run.nonterminating:
-                live = run.live_undecided()
-                if not live:
-                    break
-                options = [("s", p) for p in live]
-                if sum(run.crashed) < crash_budget:
-                    options += [("c", p) for p in live]
-                tag, pid = options[rng.randrange(len(options))]
-                if tag == "s":
-                    run.step(pid)
-                else:
-                    run.crash(pid)
+            report.states_explored += random_walk(run, rng, crash_budget)
             agg.record(_async_outcome(run), base, "schedule", run.schedule_so_far())
         return
 
@@ -385,7 +373,30 @@ def _explore_async_cell(entry, spec, inputs, assignment, agg, budget, report, fu
         stack.extend(reversed(children))
 
 
-def _random_pattern(rng, n, t, rounds) -> CrashPattern:
+def random_walk(run, rng, crash_budget: int) -> int:
+    """Drive an AsyncRun to its end by random choices: each step picks,
+    uniformly, a live undecided process to step or, while fewer than
+    ``crash_budget`` processes have crashed, to crash.
+
+    Returns the number of configurations visited, the start included.
+    """
+    visited = 1
+    while not run.nonterminating:
+        live = run.live_undecided()
+        if not live:
+            break
+        options = len(live) * (2 if sum(run.crashed) < crash_budget else 1)
+        pick = rng.randrange(options)
+        if pick < len(live):
+            run.step(live[pick])
+        else:
+            run.crash(live[pick - len(live)])
+        visited += 1
+    return visited
+
+
+def random_pattern(rng, n, t, rounds) -> CrashPattern:
+    """A random crash pattern with at most ``t`` victims."""
     count = rng.randint(0, t)
     victims = sorted(rng.sample(range(n), count))
     chosen = []
@@ -407,7 +418,7 @@ def _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report):
     if budget.mode == "sample":
         rng = random.Random(f"{budget.seed}|{inputs}|{assignment}")
         patterns = (
-            _random_pattern(rng, spec.n, crash_budget, rounds) for _ in range(budget.samples)
+            random_pattern(rng, spec.n, crash_budget, rounds) for _ in range(budget.samples)
         )
     else:
         patterns = enumerate_crash_patterns(spec.n, crash_budget, rounds, canonical=True)
@@ -459,10 +470,9 @@ def explore(
         report.exhaustive = False
     if entry.uses_oracle:
         report.notes.append("conditional construction verified against oracle")
-    if spec.model == "async-rw" and spec.t >= 1 and not entry.uses_oracle:
-        d = min(spec.m, spec.t + 1)
-        gap = (spec.n // d + spec.n % d) - (-(-spec.n // d))
-        if gap > 0:
+    if spec.model == "async-rw" and not entry.uses_oracle:
+        r5 = next(r for r in evaluate_bounds(spec) if r.row == "R5" and r.variant == "base")
+        if r5.necessary_k is not None and r5.necessary_k > r5.sufficient_k:
             report.notes.append(
                 "sufficient and necessary thresholds differ at this configuration; "
                 "whether either side is tight here is open"

@@ -83,7 +83,7 @@ def test_linearizability_all_returns_equal_first_proposal():
     assert returns == [3, 3, 3, 3]
 
 
-# --- oracle strategies -------------------------------------------------------
+# --- agreement oracle --------------------------------------------------------
 
 
 def test_worst_case_split_two_blocks():
@@ -124,23 +124,6 @@ def test_worst_case_split_evenness_bound():
                 assert c <= bound
 
 
-def test_plurality_exact_k():
-    oracle = PartialAgreementOracle(
-        5, 2, strategy="plurality-exact-k", inputs=(2, 1, 1, 0, 2)
-    )
-    plan = oracle.assignment()
-    # plurality of (2,1,1,0,2): counts 2->2, 1->2, 0->1; tie broken to 1
-    assert Counter(plan)[1] >= 2
-    assert agreement_holds(plan, 5, 2, 1, "strong", (2, 1, 1, 0, 2))
-
-
-def test_honest_full_agreement():
-    oracle = PartialAgreementOracle(3, 3, strategy="honest-full-agreement")
-    assert oracle.propose(1, 2) == 2
-    assert oracle.propose(0, 0) == 2
-    assert oracle.propose(2, 1) == 2
-
-
 def test_oracle_double_propose_rejected():
     oracle = PartialAgreementOracle(3, 2, inputs=(0, 1, 1))
     oracle.propose(0, 0)
@@ -150,22 +133,20 @@ def test_oracle_double_propose_rejected():
 
 def test_fixed_assignment_must_be_compliant():
     with pytest.raises(SpecError):
-        PartialAgreementOracle(
-            4, 3, strategy="fixed", inputs=(0, 0, 1, 1), assignment=(0, 0, 1, 1)
-        )
-    PartialAgreementOracle(
-        4, 3, strategy="fixed", inputs=(0, 0, 1, 1), assignment=(0, 0, 0, 1)
-    )
+        PartialAgreementOracle(4, 3, inputs=(0, 0, 1, 1), assignment=(0, 0, 1, 1))
+    with pytest.raises(SpecError):
+        PartialAgreementOracle(4, 3)  # neither inputs to plan from nor an assignment
+    oracle = PartialAgreementOracle(4, 3, inputs=(0, 0, 1, 1), assignment=(0, 0, 0, 1))
+    assert [oracle.propose(pid, v) for pid, v in enumerate((0, 0, 1, 1))] == [0, 0, 0, 1]
 
 
 def test_oracle_compliance_checked_for_all_inputs_n4():
-    # every strategy's completed assignment passes the post-hoc check
+    # the planned worst-case split passes the post-hoc check
+    spec = ProblemSpec(n=4, m=2, t=1, k=3, validity="strong")
     for inputs in itertools.product(range(2), repeat=4):
-        for strategy in ("worst-case-split", "plurality-exact-k"):
-            oracle = PartialAgreementOracle(4, 3, strategy=strategy, inputs=inputs)
-            outcome = Outcome(oracle.assignment(), inputs)
-            spec = ProblemSpec(n=4, m=2, t=1, k=3, validity="strong")
-            assert check_agreement(outcome, spec).passed, (inputs, strategy)
+        oracle = PartialAgreementOracle(4, 3, inputs=inputs)
+        outcome = Outcome(oracle.assignment(), inputs)
+        assert check_agreement(outcome, spec).passed, inputs
 
 
 # --- compliant assignment enumeration ---------------------------------------

@@ -182,7 +182,7 @@ def test_finalize_must_return_decide():
         state0 = 0
 
         def round_send(self, state, rnd):
-            return state, {}
+            return state, state
 
         def round_recv(self, state, rnd, inbox):
             return state

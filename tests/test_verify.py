@@ -268,6 +268,15 @@ def test_search_size_is_pinned(alg, spec, inputs, sizes):
     assert got == sizes
 
 
+def test_sampled_search_size_is_pinned():
+    # A sampled async search counts every configuration its random walks
+    # visit, the start of each walk included.
+    budget = ExploreBudget(mode="sample", samples=12, seed=0)
+    report = explore("max-wait", ProblemSpec(n=3, m=2, t=1, k=2), "all", budget)
+    got = (report.states_explored, report.executions_checked, report.violations_total)
+    assert got == (468, 96, 0)
+
+
 def test_verdict_memo_on_sync_runs(monkeypatch):
     # Sync traces hold dicts, so the memo must key on the outcome, not the trace.
     from partialagreement import build_algorithm, enumerate_crash_patterns, run_sync
