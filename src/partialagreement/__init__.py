@@ -33,7 +33,6 @@ from .verify import (
     check_agreement,
     explore,
     explore_from_replay,
-    measure_empirical_k,
 )
 
 __version__ = "0.1.0"
@@ -69,5 +68,4 @@ __all__ = [
     "check_agreement",
     "explore",
     "explore_from_replay",
-    "measure_empirical_k",
 ]

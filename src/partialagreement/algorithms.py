@@ -493,7 +493,7 @@ CATALOG: dict[str, CatalogEntry] = {
 def get_algorithm(name: str) -> CatalogEntry:
     try:
         return CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):
         known = ", ".join(sorted(CATALOG))
         raise SpecError(f"unknown algorithm {name!r}; known: {known}") from None
 

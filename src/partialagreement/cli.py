@@ -2,10 +2,12 @@
 
 Subcommands: bounds (threshold catalog for one configuration), table (CSV
 sweep over n), run (one execution plus verdict), explore (exhaustive or
-sampled adversary search), reduce (oracle-backed reduction check).
+sampled adversary search).
 
 Exit codes: 0 pass, 1 violation/failed verdict, 2 budget-incomplete,
-64 usage or validation error. Default budget via PARTIAL_AGREEMENT_BUDGET.
+64 usage or validation error, with a one-line message: every malformed
+argument, replay token or input vector, and an unwritable --out.
+Default budget via PARTIAL_AGREEMENT_BUDGET.
 """
 
 from __future__ import annotations
@@ -104,30 +106,23 @@ def build_parser() -> _Parser:
     p.add_argument("--max-runs", type=int, default=None)
     _add_output_flags(p)
 
-    p = sub.add_parser("reduce", help="check an oracle-backed reduction")
-    p.add_argument(
-        "--alg",
-        required=True,
-        choices=[name for name, e in sorted(CATALOG.items()) if e.oracle_contract],
-    )
-    _add_spec_flags(p)
-    p.add_argument("--inputs", default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", action="store_true")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--max-runs", type=int, default=None)
-    _add_output_flags(p)
-
     return parser
+
+
+def _ints(text, sep=",") -> tuple:
+    """``text``, integers separated by ``sep``, as a tuple; SpecError if any
+    piece is not an integer."""
+    try:
+        return tuple(int(x) for x in text.split(sep))
+    except ValueError:
+        raise SpecError(f"expected integers separated by {sep!r}, got {text!r}") from None
 
 
 def _spec_from_args(args, entry=None) -> ProblemSpec:
     if args.m is None:
-        inputs_text = getattr(args, "inputs", None)
-        if inputs_text and "," in str(inputs_text):
-            args.m = max(2, 1 + max(int(x) for x in inputs_text.split(",")))
-        else:
-            args.m = 2
+        text = getattr(args, "inputs", None)
+        vectors = [] if text in (None, "all", "canonical") else _inputs_mode_from_arg(text)
+        args.m = max(2, 1 + max((v for vec in vectors for v in vec), default=0))
     model = getattr(args, "model", None)
     if model is None:
         if args.g is not None:
@@ -161,16 +156,6 @@ def _spec_from_args(args, entry=None) -> ProblemSpec:
     )
 
 
-def _parse_inputs(text, spec) -> tuple:
-    vec = tuple(int(x) for x in text.split(","))
-    if len(vec) != spec.n:
-        raise SpecError(f"expected {spec.n} inputs, got {len(vec)}")
-    for v in vec:
-        if not 0 <= v < spec.m:
-            raise SpecError(f"input {v} outside value domain 0..{spec.m - 1}")
-    return vec
-
-
 def _budget_from_args(args) -> ExploreBudget:
     env_default = os.environ.get("PARTIAL_AGREEMENT_BUDGET")
     max_runs = args.max_runs
@@ -184,6 +169,14 @@ def _budget_from_args(args) -> ExploreBudget:
     )
 
 
+def _write_out(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(args, text_lines, payload):
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -191,8 +184,7 @@ def _emit(args, text_lines, payload):
         for line in text_lines:
             print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+        _write_out(args.out, json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _fmt(v):
@@ -225,7 +217,10 @@ TABLE_COLUMNS = [
 
 
 def cmd_table(args) -> int:
-    lo, hi = (int(x) for x in args.n_range.split(":"))
+    bounds = _ints(args.n_range, ":")
+    if len(bounds) != 2:
+        raise SpecError(f"--n-range must be lo:hi, got {args.n_range!r}")
+    lo, hi = bounds
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TABLE_COLUMNS)
     writer.writeheader()
@@ -253,17 +248,10 @@ def cmd_table(args) -> int:
             )
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_PASS
-
-
-def _int_tuple(value, what: str) -> tuple:
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise SpecError(f"replay {what} must be a list of integers")
-    return tuple(value)
 
 
 def _load_replay(args):
@@ -274,9 +262,9 @@ def _load_replay(args):
         replay = json.loads(args.replay)
         args.alg = replay["algorithm"]
         spec = ProblemSpec.from_dict(replay["spec"])
-        inputs = _int_tuple(replay["inputs"], "inputs")
+        inputs = spec.check_inputs(replay["inputs"])
         assignment = replay.get("assignment")
-        assignment = _int_tuple(assignment, "assignment") if assignment else None
+        assignment = spec.check_inputs(assignment) if assignment is not None else None
         for name, kind in (("schedule", str), ("pattern", str), ("rounds", int)):
             value = replay.get(name)
             if value is not None and type(value) is not kind:
@@ -300,7 +288,7 @@ def cmd_run(args) -> int:
         spec = _spec_from_args(args, entry)
         if args.inputs is None:
             raise SpecError("run needs --inputs (or --replay)")
-        inputs = _parse_inputs(args.inputs, spec)
+        inputs = spec.check_inputs(_ints(args.inputs))
         assignment = None
 
     built = build_algorithm(args.alg, spec, inputs, assignment=assignment)
@@ -314,7 +302,7 @@ def cmd_run(args) -> int:
     }
 
     if entry.flavor == "sync":
-        rounds = args.rounds or built.rounds
+        rounds = built.rounds if args.rounds is None else args.rounds
         if args.pattern:
             pattern = CrashPattern.decode(args.pattern)
         elif args.no_crash or args.seed is None:
@@ -359,7 +347,7 @@ def cmd_run(args) -> int:
 def _inputs_mode_from_arg(text):
     if text in ("all", "canonical"):
         return text
-    return [tuple(int(x) for x in vec.split(",")) for vec in text.split(";")]
+    return [_ints(vec) for vec in text.split(";")]
 
 
 def cmd_explore(args) -> int:
@@ -394,7 +382,6 @@ def main(argv=None) -> int:
             "table": cmd_table,
             "run": cmd_run,
             "explore": cmd_explore,
-            "reduce": cmd_explore,
         }[args.command]
         return handler(args)
     except _UsageError as exc:

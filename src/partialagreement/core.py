@@ -1,8 +1,9 @@
 """Shared domain types and the closed-form solvability catalog.
 
 Values are integers 0..m-1 (the algorithms rely on the total order through
-their max/min selection rules). The catalog rules are keyed R1..R10; each
-report names the rule that produced it so tables can be cross-referenced.
+their max/min selection rules); ``ProblemSpec.check_inputs`` is the one
+check that a vector is n such values. The catalog rules are keyed R1..R10;
+each report names the rule that produced it so tables can be cross-referenced.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.k is None:
             object.__setattr__(self, "k", self.n)
+        for name in ("n", "m", "t", "k", "ell") + (("g",) if self.g is not None else ()):
+            if type(getattr(self, name)) is not int:
+                raise SpecError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 2:
             raise SpecError(f"n must be >= 2, got {self.n}")
         if self.m < 2:
@@ -81,6 +85,17 @@ class ProblemSpec:
                 raise SpecError(f"g must satisfy 1 <= g <= n, got g={self.g}, n={self.n}")
         elif self.g is not None:
             raise SpecError(f"g is only meaningful for model sm-g, got model {self.model!r}")
+
+    def check_inputs(self, values) -> tuple:
+        """``values`` as a tuple if it is an input vector (or an oracle
+        assignment) for this spec: n ints in 0..m-1; else SpecError."""
+        vec = tuple(values)
+        if len(vec) != self.n:
+            raise SpecError(f"expected {self.n} values, got {len(vec)}: {vec}")
+        for v in vec:
+            if type(v) is not int or not 0 <= v < self.m:
+                raise SpecError(f"value {v!r} outside value domain 0..{self.m - 1}")
+        return vec
 
     def to_dict(self) -> dict:
         return {

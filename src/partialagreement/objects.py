@@ -141,6 +141,8 @@ class PartialAgreementOracle:
         self.proposed: frozenset = frozenset()
         if assignment is not None:
             plan = tuple(assignment)
+            if len(plan) != n:
+                raise SpecError(f"the assignment has {len(plan)} entries for n={n}")
             if self.inputs is not None and not agreement_holds(
                 plan, n, k, ell, validity, self.inputs
             ):

@@ -385,18 +385,11 @@ def run_async(
     out with live undecided processes it is extended round-robin over them
     until everyone decided or ``step_bound`` is hit, in which case the trace
     is flagged nonterminating (resiliency violation) rather than raising.
+    With ``spec``, ``spec.check_inputs`` checks the inputs.
     """
-    inputs = tuple(inputs)
+    inputs = tuple(inputs) if spec is None else spec.check_inputs(inputs)
     n = len(inputs)
-    if spec is not None:
-        if n != spec.n:
-            raise SpecError(f"got {n} inputs for n={spec.n}")
-        for v in inputs:
-            if not 0 <= v < spec.m:
-                raise SpecError(f"input {v} outside value domain 0..{spec.m - 1}")
-        schedule.validate(n, spec.t)
-    else:
-        schedule.validate(n, n)
+    schedule.validate(n, n if spec is None else spec.t)
     if step_bound is None:
         step_bound = default_step_bound(n)
 

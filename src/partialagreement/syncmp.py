@@ -140,17 +140,13 @@ def run_sync(
     spec: ProblemSpec | None = None,
     log: bool = True,
 ) -> RoundTrace:
-    """Execute exactly ``rounds`` lockstep rounds under ``pattern``."""
-    inputs = tuple(inputs)
+    """Execute exactly ``rounds`` lockstep rounds under ``pattern``. With
+    ``spec``, ``spec.check_inputs`` checks the inputs."""
+    inputs = tuple(inputs) if spec is None else spec.check_inputs(inputs)
     n = len(inputs)
     if rounds < 1:
         raise SpecError(f"rounds must be >= 1, got {rounds}")
-    if spec is not None:
-        if n != spec.n:
-            raise SpecError(f"got {n} inputs for n={spec.n}")
-        pattern.validate(n, spec.t, rounds)
-    else:
-        pattern.validate(n, n, rounds)
+    pattern.validate(n, n if spec is None else spec.t, rounds)
 
     crash_round = pattern.crash_round()
     reached = pattern.reached()

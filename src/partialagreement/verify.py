@@ -296,16 +296,7 @@ def _input_vectors(spec: ProblemSpec, inputs_mode, budget: ExploreBudget) -> lis
             # injective value relabelings.
             return sorted({_canonical_pattern(v) for v in vectors})
         return list(vectors)
-    out = []
-    for vec in inputs_mode:
-        vec = tuple(vec)
-        if len(vec) != spec.n:
-            raise SpecError(f"input vector {vec} has {len(vec)} entries for n={spec.n}")
-        for v in vec:
-            if not 0 <= v < spec.m:
-                raise SpecError(f"input {v} outside value domain 0..{spec.m - 1}")
-        out.append(vec)
-    return out
+    return [spec.check_inputs(vec) for vec in inputs_mode]
 
 
 def _crash_can_matter(run, pid) -> bool:
@@ -396,8 +387,8 @@ def random_walk(run, rng, crash_budget: int) -> int:
 
 
 def random_pattern(rng, n, t, rounds) -> CrashPattern:
-    """A random crash pattern with at most ``t`` victims."""
-    count = rng.randint(0, t)
+    """A random crash pattern with at most ``t`` victims (none without rounds)."""
+    count = rng.randint(0, t) if rounds >= 1 else 0
     victims = sorted(rng.sample(range(n), count))
     chosen = []
     for pid in victims:
@@ -478,13 +469,3 @@ def explore(
                 "whether either side is tight here is open"
             )
     return report
-
-
-def measure_empirical_k(
-    algorithm: str,
-    spec: ProblemSpec,
-    budget: ExploreBudget | None = None,
-    inputs_mode="all",
-) -> int | None:
-    """Smallest plurality over explored executions where everyone decided."""
-    return explore(algorithm, spec, inputs_mode=inputs_mode, budget=budget).empirical_k

@@ -20,7 +20,6 @@ from partialagreement import (
     evaluate_bounds,
     explore,
     explore_from_replay,
-    measure_empirical_k,
     run_sync,
 )
 from partialagreement.core import ceil_div
@@ -146,7 +145,7 @@ def test_c4_multivalued_sufficiency():
         report = explore("max-wait", spec, "canonical", BIG)
         assert report.exhaustive and report.violations_total == 0, t
         assert report.empirical_ell <= t + 1, t
-    assert measure_empirical_k("no-comm", ProblemSpec(n=6, m=3, t=3, k=2), BIG) == 2
+    assert explore("no-comm", ProblemSpec(n=6, m=3, t=3, k=2), budget=BIG).empirical_k == 2
     report_line("C4", started, "wait-quorum holds at ceil(4/(t+1)); no-comm empirical k = 6/3")
 
 

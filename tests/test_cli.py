@@ -134,7 +134,7 @@ def test_explore_report_validates_against_schema(capsys):
 def test_reduce_command_notes_oracle(capsys):
     code, out, _ = run_cli(
         capsys,
-        "reduce", "--alg", "reduce-set", "--n", "4", "--m", "2", "--t", "1",
+        "explore", "--alg", "reduce-set", "--n", "4", "--m", "2", "--t", "1",
         "--validity", "strong",
     )
     assert code == 0
@@ -240,3 +240,56 @@ def test_explicit_ell_one_is_honoured(capsys):
     assert json.loads(out)["spec"]["ell"] == 2  # the algorithm's default, m - 1
     code, out, _ = run_cli(capsys, *argv, "--ell", "1")
     assert json.loads(out)["spec"]["ell"] == 1
+
+
+MIN_FLOOD = {
+    "algorithm": "min-flood", "inputs": [1, 1, 0], "pattern": "p1:", "rounds": 2,
+    "spec": {"n": 3, "m": 2, "t": 1, "k": 3, "ell": 1, "validity": "weak", "model": "sync-mp"},
+}
+MAX_WAIT = {
+    "algorithm": "max-wait", "inputs": [1, 1, 0], "schedule": "a1:0.1.2.0.1.2.0.1.2:",
+    "spec": {"n": 3, "m": 2, "t": 1, "k": 2, "ell": 1, "validity": "weak", "model": "async-rw"},
+}
+REDUCE_SET = {
+    "algorithm": "reduce-set", "inputs": [0, 0, 1, 1],
+    "spec": {"n": 4, "m": 2, "t": 1, "k": 4, "ell": 1, "validity": "strong", "model": "async-rw"},
+}
+
+
+def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys):
+    replays = [
+        {**MIN_FLOOD, "inputs": [5, 1, 0]},
+        {**MIN_FLOOD, "inputs": [0, 1]},
+        {**MAX_WAIT, "inputs": [0, 1]},
+        {**REDUCE_SET, "assignment": [0, 0, 0]},
+        {**REDUCE_SET, "assignment": [0, 0, 0, 1, 1]},
+        {**MAX_WAIT, "spec": {**MAX_WAIT["spec"], "t": 1.5}},
+    ]
+    invocations = [["run", "--replay", json.dumps(token)] for token in replays] + [
+        ["run", "--alg", "max-wait", "--n", "3", "--t", "1", "--inputs", "0,1,x"],
+        ["explore", "--alg", "max-wait", "--n", "3", "--t", "1", "--inputs", "0,1;1"],
+        ["explore", "--alg", "max-wait", "--n", "3", "--t", "1", "--inputs", ""],
+        ["table", "--n-range", "5"],
+        ["table", "--n-range", "a:b"],
+        ["run", "--alg", "min-flood", "--n", "3", "--t", "1", "--inputs", "0,1,0", "--rounds", "0"],
+        ["run", "--alg", "min-flood", "--n", "3", "--t", "1", "--inputs", "0,1,0", "--rounds", "0",
+         "--seed", "1"],
+        ["explore", "--alg", "no-comm", "--n", "3", "--t", "1", "--out",
+         str(tmp_path / "missing" / "r.json")],
+        ["table", "--out", str(tmp_path)],
+    ]
+    for argv in invocations:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert len(err.splitlines()) == 1, (argv, err)
+    assert "cannot write" in err
+
+
+def test_explore_infers_m_from_every_vector(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "explore", "--alg", "max-wait", "--n", "3", "--t", "1", "--k", "2",
+        "--inputs", "0,1,0;2,1,1", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["spec"]["m"] == 3

@@ -173,3 +173,11 @@ def test_compliant_assignments_weak_validity_needs_m():
     got = list(compliant_assignments(3, 3, 1, "weak", (0, 1, 0), m=3))
     # all three must share one proposed value: (0,0,0) and (1,1,1)
     assert set(got) == {(0, 0, 0), (1, 1, 1)}
+
+
+def test_assignment_of_wrong_length_is_refused():
+    for assignment in [(0, 0, 0), (0, 0, 0, 1, 1)]:
+        with pytest.raises(SpecError):
+            PartialAgreementOracle(4, 3, 1, "strong", inputs=(0, 0, 1, 1), assignment=assignment)
+        with pytest.raises(SpecError):
+            PartialAgreementOracle(4, 3, 1, "strong", assignment=assignment)

@@ -14,7 +14,6 @@ from partialagreement import (
     check_agreement,
     explore,
     explore_from_replay,
-    measure_empirical_k,
 )
 from partialagreement.verify import best_witness
 
@@ -151,12 +150,12 @@ def test_explore_no_comm_finds_counterexample_one_above():
 
 def test_measure_empirical_k_no_comm_divisible():
     spec = ProblemSpec(n=6, m=3, t=3, k=2)
-    assert measure_empirical_k("no-comm", spec) == 2
+    assert explore("no-comm", spec).empirical_k == 2
 
 
 def test_measure_empirical_k_max_wait():
     spec = ProblemSpec(n=4, m=3, t=2, k=2)
-    assert measure_empirical_k("max-wait", spec, inputs_mode="canonical") == 2
+    assert explore("max-wait", spec, inputs_mode="canonical").empirical_k == 2
 
 
 def test_explore_min_flood_full_agreement_in_t_plus_one_rounds():
@@ -222,7 +221,7 @@ def test_violation_schedule_encoding_replays():
 
 def test_measure_empirical_k_reduce_binary_full_agreement():
     spec = ProblemSpec(n=4, m=2, t=1, k=4, validity="strong")
-    assert measure_empirical_k("reduce-binary", spec, inputs_mode=[(0, 0, 1, 1)]) == 4
+    assert explore("reduce-binary", spec, inputs_mode=[(0, 0, 1, 1)]).empirical_k == 4
 
 
 def test_tight_rules_have_counterexamples_one_above():
@@ -310,3 +309,24 @@ def test_full_scan_replay_is_byte_identical():
     assert report.full_scan and report.states_explored == 6540
     replayed = explore_from_replay(report.replay_encoding())
     assert replayed.to_json() == report.to_json()
+
+
+def test_every_entry_point_checks_inputs_against_the_spec():
+    from partialagreement import (
+        AsyncSchedule, CrashPattern, SpecError, build_algorithm, run_async, run_sync,
+    )
+
+    async_spec = ProblemSpec(n=3, m=2, t=1, k=2)
+    sync_spec = ProblemSpec(n=3, m=2, t=1, k=3, model="sync-mp")
+    async_progs = build_algorithm("max-wait", async_spec, (0, 1, 1)).programs
+    sync_progs = build_algorithm("min-flood", sync_spec, (0, 1, 1)).programs
+    for bad in [(0, 1), (0, 1, 1, 0), (0, 1, 2), (0, 1, -1), (0, 1, True), (0, 1, 1.0)]:
+        with pytest.raises(SpecError):
+            async_spec.check_inputs(bad)
+        with pytest.raises(SpecError):
+            explore("max-wait", async_spec, [bad])
+        with pytest.raises(SpecError):
+            run_async(async_progs, bad, AsyncSchedule(), spec=async_spec)
+        with pytest.raises(SpecError):
+            run_sync(sync_progs, bad, CrashPattern(), 2, spec=sync_spec)
+    assert async_spec.check_inputs([0, 1, 1]) == (0, 1, 1)
