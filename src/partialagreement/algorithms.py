@@ -273,6 +273,18 @@ class Built:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog algorithm: its builder, fault budget and verdict defaults.
+
+    ``oracle_contract`` (spec -> (k, ell, validity)) marks a reduction whose
+    first phase is a partial-agreement oracle. Its exhaustive explore folds
+    the oracle cells by pid rotation, which is sound only if the programs
+    use the input solely as the oracle proposal, and relabelling pids by
+    p -> p+r maps each run under assignment a onto a run under the rotated
+    assignment. ``OracleThenQuorum`` meets this because every scan starts at
+    pid+1 and runs cyclically; ``BroadcastMajority`` is symmetric under any
+    pid permutation.
+    """
+
     name: str
     flavor: str  # "async" | "sync"
     build: Callable

@@ -156,11 +156,22 @@ def _spec_from_args(args, entry=None) -> ProblemSpec:
     )
 
 
+def _check_model(entry, spec) -> None:
+    """A sync algorithm is judged in model sync-mp only (``--g`` selects sm-g)."""
+    if entry.flavor == "sync" and spec.model != "sync-mp":
+        raise SpecError(f"{entry.name} is synchronous: its model is sync-mp, not {spec.model}")
+
+
 def _budget_from_args(args) -> ExploreBudget:
     env_default = os.environ.get("PARTIAL_AGREEMENT_BUDGET")
     max_runs = args.max_runs
     if max_runs is None:
-        max_runs = int(env_default) if env_default else ExploreBudget.max_runs
+        try:
+            max_runs = int(env_default) if env_default else ExploreBudget.max_runs
+        except ValueError:
+            raise SpecError(
+                f"PARTIAL_AGREEMENT_BUDGET must be an integer, got {env_default!r}"
+            ) from None
     return ExploreBudget(
         max_runs=max_runs,
         samples=args.samples,
@@ -290,6 +301,7 @@ def cmd_run(args) -> int:
             raise SpecError("run needs --inputs (or --replay)")
         inputs = spec.check_inputs(_ints(args.inputs))
         assignment = None
+    _check_model(entry, spec)
 
     built = build_algorithm(args.alg, spec, inputs, assignment=assignment)
     replay_payload = {
@@ -353,6 +365,7 @@ def _inputs_mode_from_arg(text):
 def cmd_explore(args) -> int:
     entry = get_algorithm(args.alg)
     spec = _spec_from_args(args, entry)
+    _check_model(entry, spec)
     budget = _budget_from_args(args)
     report = explore(args.alg, spec, _inputs_mode_from_arg(args.inputs), budget)
     lines = [
@@ -362,6 +375,12 @@ def cmd_explore(args) -> int:
         f"violations: {report.violations_total}",
         f"empirical k: {report.empirical_k}   empirical ell: {report.empirical_ell}",
     ]
+    if entry.uses_oracle:
+        cells = report.cells_explored + report.cells_folded
+        lines.append(
+            f"oracle cells: {cells} ({report.cells_explored} explored, "
+            f"{report.cells_folded} folded by pid rotation)"
+        )
     lines += [f"note: {n}" for n in report.notes]
     for v in report.violations[:5]:
         lines.append(f"violation: {json.dumps(v, sort_keys=True)}")

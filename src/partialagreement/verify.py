@@ -115,7 +115,8 @@ class ExploreBudget:
 
     mode "auto" enumerates exhaustively and fails soft (partial report)
     past the caps; mode "sample" replaces schedule/pattern enumeration with
-    ``samples`` seeded random runs per cell.
+    ``samples`` seeded random runs per cell. The caps and ``samples`` must
+    be positive (SpecError otherwise).
     """
 
     max_runs: int = 500_000
@@ -125,6 +126,11 @@ class ExploreBudget:
     mode: str = "auto"
     seed: int = 0
     max_recorded_violations: int = 25
+
+    def __post_init__(self):
+        for name in ("max_runs", "max_states", "max_input_vectors", "samples"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be positive, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {
@@ -155,6 +161,10 @@ class ExplorationReport:
     empirical_ell: int | None = None
     exhaustive: bool = True
     notes: list = field(default_factory=list)
+    # Oracle cells searched and folded by pid rotation (see explore); not
+    # serialised, because folding leaves the report unchanged.
+    cells_explored: int = 0
+    cells_folded: int = 0
 
     def to_dict(self) -> dict:
         mode = self.inputs_mode
@@ -423,6 +433,20 @@ def _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report):
         agg.record(outcome, base, "pattern", pattern)
 
 
+def _orbit(assignment) -> tuple:
+    """The lexicographically least rotation of ``assignment``."""
+    return min(assignment[r:] + assignment[:r] for r in range(len(assignment)))
+
+
+def _tally(report) -> tuple:
+    return (
+        report.states_explored,
+        report.executions_checked,
+        report.flagged_executions,
+        report.violations_total,
+    )
+
+
 def explore(
     algorithm: str,
     spec: ProblemSpec,
@@ -437,24 +461,54 @@ def explore(
     (sync); oracle-backed reductions additionally iterate every
     contract-compliant first-phase assignment. Budget exhaustion yields a
     partial report flagged non-exhaustive rather than an exception.
+
+    An exhaustive search folds the oracle cells of each input vector by pid
+    rotation: a cell whose assignment rotates that of an earlier cell with
+    no violation adds that cell's states, runs and flagged runs instead of
+    being searched. This is sound under the precondition stated on
+    ``CatalogEntry.oracle_contract``, since the verdict and the empirical k
+    and ell read decisions only as a multiset. The cell is searched anyway
+    when the addition would reach a cap, so a partial search stops on the
+    same run.
     """
     entry = get_algorithm(algorithm)
     budget = budget or ExploreBudget()
     report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
     agg = _Aggregator(spec, budget, report)
     vectors = _input_vectors(spec, inputs_mode, budget)
+    fold = entry.uses_oracle and budget.mode != "sample"
     try:
         for inputs in vectors:
             cells = [None]
             if entry.uses_oracle:
                 cells = entry.oracle_assignments(spec, inputs)
+            # orbit -> tally of its first cell; None if that cell recorded a
+            # violation, so the recorded list keeps its cells and order
+            tallies: dict = {}
             for assignment in cells:
+                orbit = _orbit(assignment) if fold else None
+                tally = tallies.get(orbit)
+                if (
+                    tally is not None
+                    and report.states_explored + tally[0] <= budget.max_states
+                    and report.executions_checked + tally[1] < budget.max_runs
+                ):
+                    report.states_explored += tally[0]
+                    report.executions_checked += tally[1]
+                    report.flagged_executions += tally[2]
+                    report.cells_folded += 1
+                    continue
+                before = _tally(report)
+                report.cells_explored += 1
                 if entry.flavor == "async":
                     _explore_async_cell(
                         entry, spec, inputs, assignment, agg, budget, report, full_scan
                     )
                 else:
                     _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report)
+                if fold and orbit not in tallies:
+                    delta = tuple(a - b for a, b in zip(_tally(report), before))
+                    tallies[orbit] = None if delta[3] else delta[:3]
     except _BudgetStop:
         report.exhaustive = False
     if budget.mode == "sample":

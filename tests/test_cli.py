@@ -256,7 +256,7 @@ REDUCE_SET = {
 }
 
 
-def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys):
+def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys, monkeypatch):
     replays = [
         {**MIN_FLOOD, "inputs": [5, 1, 0]},
         {**MIN_FLOOD, "inputs": [0, 1]},
@@ -276,6 +276,9 @@ def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys):
          "--seed", "1"],
         ["explore", "--alg", "no-comm", "--n", "3", "--t", "1", "--out",
          str(tmp_path / "missing" / "r.json")],
+        ["explore", "--alg", "no-comm", "--n", "2", "--t", "1", "--max-runs", "0"],
+        ["explore", "--alg", "no-comm", "--n", "2", "--t", "1", "--max-runs", "-1"],
+        ["explore", "--alg", "no-comm", "--n", "2", "--t", "1", "--sample", "--samples", "0"],
         ["table", "--out", str(tmp_path)],
     ]
     for argv in invocations:
@@ -283,6 +286,44 @@ def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys):
         assert code == 64, argv
         assert len(err.splitlines()) == 1, (argv, err)
     assert "cannot write" in err
+    for budget in ("abc", "1.5", "0", "-3"):
+        monkeypatch.setenv("PARTIAL_AGREEMENT_BUDGET", budget)
+        code, _, err = run_cli(capsys, "explore", "--alg", "no-comm", "--n", "2", "--t", "1")
+        assert code == 64, budget
+        assert len(err.splitlines()) == 1, (budget, err)
+
+
+def test_sync_algorithm_refuses_another_model(capsys):
+    for argv in (
+        ["explore", "--alg", "min-flood", "--n", "3", "--t", "1", "--g", "1"],
+        ["run", "--alg", "reduce-sync", "--n", "4", "--t", "1", "--g", "2", "--inputs", "0,0,1,1"],
+        ["run", "--replay", json.dumps({**MIN_FLOOD, "spec": {**MIN_FLOOD["spec"], "model": "async-rw"}})],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == "", argv
+        assert len(err.splitlines()) == 1 and "sync-mp" in err, (argv, err)
+    code, out, _ = run_cli(
+        capsys, "explore", "--alg", "min-flood", "--n", "3", "--t", "1", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["spec"]["model"] == "sync-mp"
+
+
+def test_explore_reports_the_oracle_cell_fold(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "explore", "--alg", "reduce-binary", "--n", "4", "--t", "1", "--validity", "strong",
+        "--inputs", "0,0,1,1",
+    )
+    assert code == 0
+    assert "oracle cells: 10 (4 explored, 6 folded by pid rotation)" in out.splitlines()
+    code, out, _ = run_cli(
+        capsys,
+        "explore", "--alg", "reduce-binary", "--n", "4", "--t", "1", "--validity", "strong",
+        "--inputs", "0,0,1,1", "--sample", "--samples", "2",
+    )
+    assert "oracle cells: 10 (10 explored, 0 folded by pid rotation)" in out.splitlines()
+    code, out, _ = run_cli(capsys, "explore", "--alg", "no-comm", "--n", "3", "--t", "1")
+    assert "oracle cells" not in out
 
 
 def test_explore_infers_m_from_every_vector(capsys):

@@ -330,3 +330,140 @@ def test_every_entry_point_checks_inputs_against_the_spec():
         with pytest.raises(SpecError):
             run_sync(sync_progs, bad, CrashPattern(), 2, spec=sync_spec)
     assert async_spec.check_inputs([0, 1, 1]) == (0, 1, 1)
+
+
+# --- oracle cells folded by pid rotation ------------------------------------------
+
+# Small exhaustive configurations of every oracle-backed entry. The n=3
+# binary and smg contracts admit only unanimous assignments, whose orbits
+# are single cells, so those entries also get n=4 configurations, on a few
+# vectors to keep the suite fast; (0, 1, 0, 1) is not rotation-invariant.
+# The reduce-set configuration with k=4 and ell=1 has violations: there a
+# broken rotation symmetry shows in the violation counts even where the
+# state and run counts stay equal.
+FEW = [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]
+FOLD_CONFIGS = [
+    ("reduce-binary", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all"),
+    ("reduce-binary", ProblemSpec(n=4, m=2, t=1, validity="strong"), FEW),
+    ("reduce-set", ProblemSpec(n=3, m=3, t=2, ell=2, validity="strong"), "all"),
+    ("reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), [(0, 1, 2, 2), (0, 1, 0, 2)]),
+    ("reduce-smg", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all"),
+    ("reduce-smg", ProblemSpec(n=4, m=2, t=1, validity="strong"), FEW),
+    ("reduce-sync", ProblemSpec(n=4, m=2, t=1, validity="strong", model="sync-mp"), "all"),
+]
+
+
+def _cell_tally(entry, spec, inputs, assignment):
+    """Everything one oracle cell adds to a report, searched on its own."""
+    from partialagreement import verify
+
+    budget = ExploreBudget()
+    report = verify.ExplorationReport(entry.name, spec, [inputs], budget)
+    agg = verify._Aggregator(spec, budget, report)
+    if entry.flavor == "async":
+        verify._explore_async_cell(entry, spec, inputs, assignment, agg, budget, report)
+    else:
+        verify._explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report)
+    return (
+        report.states_explored, report.executions_checked, report.violations_total,
+        report.flagged_executions, report.empirical_k, report.empirical_k_all_runs,
+        report.empirical_ell,
+    )
+
+
+def _least(values):
+    values = [v for v in values if v is not None]
+    return min(values) if values else None
+
+
+def test_every_cell_of_a_rotation_orbit_has_the_same_search():
+    # The soundness fact behind the fold, checked directly: the cells of one
+    # pid-rotation orbit have equal tallies. The folded explore must also
+    # equal the sum over every cell, i.e. the unfolded explorer.
+    from partialagreement import CATALOG
+
+    oracle_entries = {name for name, entry in CATALOG.items() if entry.uses_oracle}
+    assert {alg for alg, _, _ in FOLD_CONFIGS} == oracle_entries
+    with_orbits = set()
+    for alg, spec, vectors in FOLD_CONFIGS:
+        entry = CATALOG[alg]
+        tallies = []
+        foldable = 0
+        if vectors == "all":
+            vectors = list(itertools.product(range(spec.m), repeat=spec.n))
+        for inputs in vectors:
+            orbits: dict = {}
+            for cell in entry.oracle_assignments(spec, inputs):
+                tally = _cell_tally(entry, spec, inputs, cell)
+                tallies.append(tally)
+                orbit = min(cell[r:] + cell[:r] for r in range(spec.n))
+                orbits.setdefault(orbit, []).append((cell, tally))
+            for members in orbits.values():
+                assert len({tally for _, tally in members}) == 1, (alg, inputs, members)
+                if len(members) > 1:
+                    with_orbits.add(alg)
+                    if members[0][1][2] == 0:
+                        foldable += len(members) - 1
+
+        report = explore(alg, spec, vectors)
+        assert report.cells_folded == foldable
+        assert report.cells_explored + report.cells_folded == len(tallies)
+        states, runs, violations, flagged, ks, ks_all, ells = zip(*tallies)
+        assert (
+            report.states_explored, report.executions_checked, report.violations_total,
+            report.flagged_executions,
+        ) == (sum(states), sum(runs), sum(violations), sum(flagged))
+        assert report.empirical_k == _least(ks)
+        assert report.empirical_k_all_runs == _least(ks_all)
+        assert report.empirical_ell == max(ells)
+    assert with_orbits == oracle_entries
+
+
+def test_a_violating_orbit_is_searched_cell_by_cell():
+    # Pinned from the unfolded explorer: all 528 violations, in their order.
+    import hashlib
+
+    spec = ProblemSpec(n=4, m=3, t=2, k=4, ell=1)
+    budget = ExploreBudget(max_recorded_violations=1000)
+    report = explore("reduce-set", spec, [(0, 1, 2, 2)], budget)
+    assert (report.states_explored, report.executions_checked, report.violations_total) == (
+        5400, 1269, 528,
+    )
+    # Three orbits of four cells each violate, and every one of their cells
+    # is searched; the three clean orbits of four fold.
+    assert len({tuple(v["assignment"]) for v in report.violations}) == 12
+    assert len(report.violations) == 528 and report.cells_folded == 9
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "bab05ca10d06d5c8788769b0b0603f4e41ae8aa8dddd13ed5f9cf7db8fd58b9d"
+
+
+PARTIAL_REPORT = (
+    '{"algorithm": "reduce-binary", "budget": {"max_input_vectors": 4096, '
+    '"max_recorded_violations": 25, "max_runs": %d, "max_states": %d, "mode": "auto", '
+    '"samples": 100, "seed": 0}, "empirical_ell": 1, "empirical_k": 4, '
+    '"empirical_k_all_runs": 4, "executions_checked": %d, "exhaustive": false, '
+    '"flagged_executions": 0, "full_scan": false, "inputs_mode": [[0, 0, 1, 1]], '
+    '"notes": ["conditional construction verified against oracle"], "schema_version": 2, '
+    '"spec": {"ell": 1, "g": null, "k": 4, "m": 2, "model": "async-rw", "n": 4, "t": 1, '
+    '"validity": "strong"}, "states_explored": %d, "violations": [], "violations_total": 0}'
+)
+
+
+# (max_runs, max_states, runs, states), pinned from the unfolded explorer.
+# Each of the ten cells of (0, 0, 1, 1) has 616 states and 213 runs. The
+# first two caps fall exactly at the end of the third cell, the first one
+# a fold could cover; the last two fall inside the last cell.
+PARTIAL_SEARCHES = [
+    (639, 4_000_000, 639, 1848),
+    (500_000, 1847, 638, 1848),
+    (2130, 4_000_000, 2130, 6160),
+    (500_000, 6159, 2129, 6160),
+]
+
+
+@pytest.mark.parametrize("max_runs, max_states, runs, states", PARTIAL_SEARCHES)
+def test_a_partial_search_stops_on_the_same_run(max_runs, max_states, runs, states):
+    spec = ProblemSpec(n=4, m=2, t=1, k=4, validity="strong")
+    budget = ExploreBudget(max_runs=max_runs, max_states=max_states)
+    report = explore("reduce-binary", spec, [(0, 0, 1, 1)], budget)
+    assert report.to_json() == PARTIAL_REPORT % (max_runs, max_states, runs, states)
