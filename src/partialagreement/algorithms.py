@@ -276,13 +276,24 @@ class CatalogEntry:
     """One catalog algorithm: its builder, fault budget and verdict defaults.
 
     ``oracle_contract`` (spec -> (k, ell, validity)) marks a reduction whose
-    first phase is a partial-agreement oracle. Its exhaustive explore folds
-    the oracle cells by pid rotation, which is sound only if the programs
-    use the input solely as the oracle proposal, and relabelling pids by
-    p -> p+r maps each run under assignment a onto a run under the rotated
-    assignment. ``OracleThenQuorum`` meets this because every scan starts at
-    pid+1 and runs cyclically; ``BroadcastMajority`` is symmetric under any
-    pid permutation.
+    first phase is a partial-agreement oracle; its programs use the input
+    solely as the oracle proposal.
+
+    ``symmetry`` declares the pid relabellings the entry commutes with:
+    "rotation" (p -> p+r), "any" (every permutation) or None. Relabelling
+    pids by a group element maps each run onto a run of the relabelled
+    input vector (and oracle assignment), and together with monotone value
+    relabelling this lets an exhaustive explore fold each orbit onto one
+    search (see ``explore``). Why each declaration holds:
+
+    - ``MaxWait``: rotation, as ``_next_other`` scans cyclically from pid+1,
+      and its max rule commutes with monotone value relabelling.
+    - ``NoComm``, ``MinFlood``, ``BroadcastMajority``: any permutation, as
+      every process runs the same program and the crash patterns are
+      enumerated over all pids.
+    - ``OracleThenQuorum``: rotation, as every scan starts at pid+1 and runs
+      cyclically.
+    - ``smg-comp``: none, as its pids hold distinct roles.
     """
 
     name: str
@@ -292,6 +303,7 @@ class CatalogEntry:
     default_k: Callable
     default_ell: Callable = lambda spec: spec.ell
     oracle_contract: Callable | None = None  # spec -> (k, ell, validity)
+    symmetry: str | None = None  # "rotation" | "any" | None
 
     @property
     def uses_oracle(self) -> bool:
@@ -444,6 +456,7 @@ CATALOG: dict[str, CatalogEntry] = {
         build=_build_no_comm,
         fault_budget=lambda spec: spec.t,
         default_k=lambda spec: ceil_div(spec.n, spec.m),
+        symmetry="any",
     ),
     "max-wait": CatalogEntry(
         name="max-wait",
@@ -451,6 +464,7 @@ CATALOG: dict[str, CatalogEntry] = {
         build=_build_max_wait,
         fault_budget=lambda spec: spec.t,
         default_k=lambda spec: ceil_div(spec.n, min(spec.m, spec.t + 1)),
+        symmetry="rotation",
     ),
     "min-flood": CatalogEntry(
         name="min-flood",
@@ -458,6 +472,7 @@ CATALOG: dict[str, CatalogEntry] = {
         build=_build_min_flood,
         fault_budget=lambda spec: spec.t,
         default_k=lambda spec: ceil_div(spec.n, spec.ell),
+        symmetry="any",
     ),
     "smg-comp": CatalogEntry(
         name="smg-comp",
@@ -473,6 +488,7 @@ CATALOG: dict[str, CatalogEntry] = {
         fault_budget=lambda spec: 1,
         default_k=lambda spec: spec.n,
         oracle_contract=_binary_contract,
+        symmetry="rotation",
     ),
     "reduce-set": CatalogEntry(
         name="reduce-set",
@@ -482,6 +498,7 @@ CATALOG: dict[str, CatalogEntry] = {
         default_k=lambda spec: spec.n,
         default_ell=lambda spec: spec.m - 1,
         oracle_contract=_set_contract,
+        symmetry="rotation",
     ),
     "reduce-sync": CatalogEntry(
         name="reduce-sync",
@@ -490,6 +507,7 @@ CATALOG: dict[str, CatalogEntry] = {
         fault_budget=lambda spec: spec.t,
         default_k=lambda spec: spec.n,
         oracle_contract=_sync_contract,
+        symmetry="any",
     ),
     "reduce-smg": CatalogEntry(
         name="reduce-smg",
@@ -498,6 +516,7 @@ CATALOG: dict[str, CatalogEntry] = {
         fault_budget=lambda spec: spec.t,
         default_k=lambda spec: spec.n,
         oracle_contract=_smg_contract,
+        symmetry="rotation",
     ),
 }
 

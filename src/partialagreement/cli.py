@@ -292,6 +292,8 @@ def cmd_run(args) -> int:
     if args.replay:
         spec, inputs, assignment = _load_replay(args)
         entry = get_algorithm(args.alg)
+        if assignment is not None and not entry.uses_oracle:
+            raise SpecError(f"{entry.name} has no oracle, so a replay assignment does not apply")
     else:
         if args.alg is None or args.n is None:
             raise SpecError("run needs --alg and --n (or --replay)")
@@ -375,11 +377,13 @@ def cmd_explore(args) -> int:
         f"violations: {report.violations_total}",
         f"empirical k: {report.empirical_k}   empirical ell: {report.empirical_ell}",
     ]
-    if entry.uses_oracle:
+    if entry.symmetry is not None:
+        what = "oracle cells" if entry.uses_oracle else "input vectors"
+        group = "rotation" if entry.symmetry == "rotation" else "permutation"
         cells = report.cells_explored + report.cells_folded
         lines.append(
-            f"oracle cells: {cells} ({report.cells_explored} explored, "
-            f"{report.cells_folded} folded by pid rotation)"
+            f"{what}: {cells} ({report.cells_explored} explored, "
+            f"{report.cells_folded} folded by pid {group})"
         )
     lines += [f"note: {n}" for n in report.notes]
     for v in report.violations[:5]:

@@ -161,7 +161,7 @@ class ExplorationReport:
     empirical_ell: int | None = None
     exhaustive: bool = True
     notes: list = field(default_factory=list)
-    # Oracle cells searched and folded by pid rotation (see explore); not
+    # Cells searched and folded by pid symmetry (see explore); not
     # serialised, because folding leaves the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
@@ -433,9 +433,23 @@ def _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report):
         agg.record(outcome, base, "pattern", pattern)
 
 
-def _orbit(assignment) -> tuple:
-    """The lexicographically least rotation of ``assignment``."""
-    return min(assignment[r:] + assignment[:r] for r in range(len(assignment)))
+def _least(vector, symmetry) -> tuple:
+    """The least image of ``vector`` under the pid ``symmetry`` group."""
+    if symmetry == "any":
+        return tuple(sorted(vector))
+    return min(vector[r:] + vector[:r] for r in range(len(vector)))
+
+
+def _orbit(entry, inputs, assignment) -> tuple:
+    """The key shared by every cell whose search is the same up to the
+    entry's declared symmetry. A plain cell is keyed by its input vector,
+    up to pid symmetry and monotone value relabelling; an oracle cell by
+    its set of proposed values and its assignment up to pid symmetry, as the
+    programs read the input only through the oracle and the verdict reads
+    it only as that set."""
+    if assignment is None:
+        return _canonical_pattern(_least(inputs, entry.symmetry))
+    return frozenset(inputs), _least(assignment, entry.symmetry)
 
 
 def _tally(report) -> tuple:
@@ -462,31 +476,30 @@ def explore(
     contract-compliant first-phase assignment. Budget exhaustion yields a
     partial report flagged non-exhaustive rather than an exception.
 
-    An exhaustive search folds the oracle cells of each input vector by pid
-    rotation: a cell whose assignment rotates that of an earlier cell with
-    no violation adds that cell's states, runs and flagged runs instead of
-    being searched. This is sound under the precondition stated on
-    ``CatalogEntry.oracle_contract``, since the verdict and the empirical k
-    and ell read decisions only as a multiset. The cell is searched anyway
-    when the addition would reach a cap, so a partial search stops on the
-    same run.
+    A cell is one input vector with, for a reduction, one oracle
+    assignment. An exhaustive search folds the cells by the entry's declared
+    ``CatalogEntry.symmetry``, across input vectors: a cell in the orbit
+    (see ``_orbit``) of an earlier cell with no violation adds that cell's
+    states, runs and flagged runs instead of being searched. This is sound
+    because the verdict and the empirical k and ell read decisions only as
+    a multiset, and commute with monotone value relabelling. The cell is
+    searched anyway when the addition would reach a cap, so a partial
+    search stops on the same run.
     """
     entry = get_algorithm(algorithm)
     budget = budget or ExploreBudget()
     report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
     agg = _Aggregator(spec, budget, report)
     vectors = _input_vectors(spec, inputs_mode, budget)
-    fold = entry.uses_oracle and budget.mode != "sample"
+    fold = entry.symmetry is not None and budget.mode != "sample"
+    # orbit -> tally of its first cell; None if that cell recorded a
+    # violation, so the recorded list keeps its cells and order
+    tallies: dict = {}
     try:
         for inputs in vectors:
-            cells = [None]
-            if entry.uses_oracle:
-                cells = entry.oracle_assignments(spec, inputs)
-            # orbit -> tally of its first cell; None if that cell recorded a
-            # violation, so the recorded list keeps its cells and order
-            tallies: dict = {}
+            cells = entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None]
             for assignment in cells:
-                orbit = _orbit(assignment) if fold else None
+                orbit = _orbit(entry, inputs, assignment) if fold else None
                 tally = tallies.get(orbit)
                 if (
                     tally is not None

@@ -263,6 +263,7 @@ def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys, monkeypatch):
         {**MAX_WAIT, "inputs": [0, 1]},
         {**REDUCE_SET, "assignment": [0, 0, 0]},
         {**REDUCE_SET, "assignment": [0, 0, 0, 1, 1]},
+        {**MAX_WAIT, "inputs": [0, 1, 0], "assignment": [0, 0, 0]},
         {**MAX_WAIT, "spec": {**MAX_WAIT["spec"], "t": 1.5}},
     ]
     invocations = [["run", "--replay", json.dumps(token)] for token in replays] + [
@@ -324,6 +325,25 @@ def test_explore_reports_the_oracle_cell_fold(capsys):
     assert "oracle cells: 10 (10 explored, 0 folded by pid rotation)" in out.splitlines()
     code, out, _ = run_cli(capsys, "explore", "--alg", "no-comm", "--n", "3", "--t", "1")
     assert "oracle cells" not in out
+    code, out, _ = run_cli(
+        capsys, "explore", "--alg", "max-wait", "--n", "4", "--m", "4", "--t", "1", "--k", "2",
+        "--inputs", "canonical",
+    )
+    assert code == 0
+    assert "input vectors: 75 (20 explored, 55 folded by pid rotation)" in out.splitlines()
+    code, out, _ = run_cli(
+        capsys,
+        "explore", "--alg", "reduce-sync", "--n", "4", "--t", "1", "--validity", "strong",
+        "--inputs", "0,0,1,1",
+    )
+    assert code == 0
+    assert "oracle cells: 10 (4 explored, 6 folded by pid permutation)" in out.splitlines()
+    code, out, _ = run_cli(
+        capsys, "explore", "--alg", "smg-comp", "--n", "4", "--m", "4", "--t", "4", "--g", "2",
+        "--inputs", "0,1,2,3",
+    )
+    assert code == 0
+    assert "folded" not in out
 
 
 def test_explore_infers_m_from_every_vector(capsys):

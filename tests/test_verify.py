@@ -332,15 +332,16 @@ def test_every_entry_point_checks_inputs_against_the_spec():
     assert async_spec.check_inputs([0, 1, 1]) == (0, 1, 1)
 
 
-# --- oracle cells folded by pid rotation ------------------------------------------
+# --- cells folded by the declared pid symmetry -------------------------------------
 
-# Small exhaustive configurations of every oracle-backed entry. The n=3
-# binary and smg contracts admit only unanimous assignments, whose orbits
-# are single cells, so those entries also get n=4 configurations, on a few
-# vectors to keep the suite fast; (0, 1, 0, 1) is not rotation-invariant.
-# The reduce-set configuration with k=4 and ell=1 has violations: there a
-# broken rotation symmetry shows in the violation counts even where the
-# state and run counts stay equal.
+# Small exhaustive configurations of every entry with a declared symmetry.
+# The n=3 binary and smg contracts admit only unanimous assignments, whose
+# orbits span input vectors only, so those entries also get n=4
+# configurations, on a few vectors to keep the suite fast; (0, 1, 0, 1) is
+# not rotation-invariant. The reduce-set configuration with k=4 and ell=1,
+# both max-wait configurations and no-comm (at its default k=n) have
+# violations: there a broken pid symmetry shows in the violation counts
+# even where the state and run counts stay equal.
 FEW = [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]
 FOLD_CONFIGS = [
     ("reduce-binary", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all"),
@@ -350,11 +351,15 @@ FOLD_CONFIGS = [
     ("reduce-smg", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all"),
     ("reduce-smg", ProblemSpec(n=4, m=2, t=1, validity="strong"), FEW),
     ("reduce-sync", ProblemSpec(n=4, m=2, t=1, validity="strong", model="sync-mp"), "all"),
+    ("max-wait", ProblemSpec(n=4, m=2, t=1, k=3), "all"),
+    ("max-wait", ProblemSpec(n=3, m=2, t=1, k=3), "all"),
+    ("no-comm", ProblemSpec(n=4, m=3, t=1), "all"),
+    ("min-flood", ProblemSpec(n=3, m=3, t=1, model="sync-mp"), "all"),
 ]
 
 
 def _cell_tally(entry, spec, inputs, assignment):
-    """Everything one oracle cell adds to a report, searched on its own."""
+    """Everything one cell adds to a report, searched on its own."""
     from partialagreement import verify
 
     budget = ExploreBudget()
@@ -376,14 +381,34 @@ def _least(values):
     return min(values) if values else None
 
 
-def test_every_cell_of_a_rotation_orbit_has_the_same_search():
+def _images(vector, symmetry):
+    """Every relabelling of ``vector`` by a pid permutation of the group."""
+    n = len(vector)
+    if symmetry == "rotation":
+        group = [[(p + r) % n for p in range(n)] for r in range(n)]
+    else:
+        group = itertools.permutations(range(n))
+    return frozenset(tuple(vector[g[p]] for p in range(n)) for g in group)
+
+
+def _ranks(vector):
+    """``vector`` with each value replaced by its rank among the values."""
+    values = sorted(set(vector))
+    return tuple(values.index(v) for v in vector)
+
+
+def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
     # The soundness fact behind the fold, checked directly: the cells of one
-    # pid-rotation orbit have equal tallies. The folded explore must also
-    # equal the sum over every cell, i.e. the unfolded explorer.
+    # orbit have equal tallies. A plain cell's orbit is its input vector up
+    # to the pid group and monotone value relabelling; an oracle cell's is
+    # its set of proposed values and its assignment up to the pid group.
+    # The folded explore must also equal the sum over every cell, i.e. the
+    # unfolded explorer.
     from partialagreement import CATALOG
 
-    oracle_entries = {name for name, entry in CATALOG.items() if entry.uses_oracle}
-    assert {alg for alg, _, _ in FOLD_CONFIGS} == oracle_entries
+    assert CATALOG["smg-comp"].symmetry is None
+    symmetric = {name for name, entry in CATALOG.items() if entry.symmetry is not None}
+    assert {alg for alg, _, _ in FOLD_CONFIGS} == symmetric
     with_orbits = set()
     for alg, spec, vectors in FOLD_CONFIGS:
         entry = CATALOG[alg]
@@ -391,19 +416,26 @@ def test_every_cell_of_a_rotation_orbit_has_the_same_search():
         foldable = 0
         if vectors == "all":
             vectors = list(itertools.product(range(spec.m), repeat=spec.n))
+        orbits: dict = {}
         for inputs in vectors:
-            orbits: dict = {}
-            for cell in entry.oracle_assignments(spec, inputs):
+            if entry.uses_oracle:
+                keys = [
+                    (cell, (frozenset(inputs), _images(cell, entry.symmetry)))
+                    for cell in entry.oracle_assignments(spec, inputs)
+                ]
+            else:
+                images = {_ranks(image) for image in _images(inputs, entry.symmetry)}
+                keys = [(None, frozenset(images))]
+            for cell, orbit in keys:
                 tally = _cell_tally(entry, spec, inputs, cell)
                 tallies.append(tally)
-                orbit = min(cell[r:] + cell[:r] for r in range(spec.n))
-                orbits.setdefault(orbit, []).append((cell, tally))
-            for members in orbits.values():
-                assert len({tally for _, tally in members}) == 1, (alg, inputs, members)
-                if len(members) > 1:
-                    with_orbits.add(alg)
-                    if members[0][1][2] == 0:
-                        foldable += len(members) - 1
+                orbits.setdefault(orbit, []).append(((inputs, cell), tally))
+        for members in orbits.values():
+            assert len({tally for _, tally in members}) == 1, (alg, members)
+            if len(members) > 1:
+                with_orbits.add(alg)
+                if members[0][1][2] == 0:
+                    foldable += len(members) - 1
 
         report = explore(alg, spec, vectors)
         assert report.cells_folded == foldable
@@ -416,7 +448,7 @@ def test_every_cell_of_a_rotation_orbit_has_the_same_search():
         assert report.empirical_k == _least(ks)
         assert report.empirical_k_all_runs == _least(ks_all)
         assert report.empirical_ell == max(ells)
-    assert with_orbits == oracle_entries
+    assert with_orbits == symmetric
 
 
 def test_a_violating_orbit_is_searched_cell_by_cell():
@@ -467,3 +499,45 @@ def test_a_partial_search_stops_on_the_same_run(max_runs, max_states, runs, stat
     budget = ExploreBudget(max_runs=max_runs, max_states=max_states)
     report = explore("reduce-binary", spec, [(0, 0, 1, 1)], budget)
     assert report.to_json() == PARTIAL_REPORT % (max_runs, max_states, runs, states)
+
+
+MAX_WAIT_4 = ("max-wait", ProblemSpec(n=4, m=4, t=1, k=2), "canonical")
+NO_COMM_6 = ("no-comm", ProblemSpec(n=6, m=2, t=1, k=4), "all")
+
+# (config, max_runs, max_states, digest of to_json, cells searched and
+# folded), the digests pinned from the explorer without input-vector folds.
+# Each of the 75 canonical max-wait vectors has 616 states and 213 runs;
+# (0, 0, 0, 1) is the first vector whose orbit has more members, and
+# (0, 0, 1, 0), the third vector, is the first a fold could cover. 426 runs
+# end the first of these; 639 runs end the second, where the fold would
+# reach the cap, so the vector is searched. 17,000 states fall inside
+# (1, 0, 0, 1), the 28th vector and a later member of the orbit of
+# (0, 0, 1, 1), which is searched for the same reason. In no-comm, the
+# orbits whose first vector violates are searched vector by vector.
+PLAIN_FOLDS = [
+    (MAX_WAIT_4, 500_000, 4_000_000,
+     "5ab67e6b9d5667804f43871499b1d99d4bb0d530734c584423154d83b09064f0", (20, 55)),
+    (MAX_WAIT_4, 426, 4_000_000,
+     "bde3ecfb2898927d3bbd34af4e782685d833bd439585a6aba4e9f1df09b97bf9", (2, 0)),
+    (MAX_WAIT_4, 639, 4_000_000,
+     "90aed6fe7225866e4cd5b674f149bfa3535d2a287e073307f99c49e38d23be6b", (3, 0)),
+    (MAX_WAIT_4, 500_000, 17_000,
+     "5af8a6d6db016c6bb6dce40f0075a44444782299299e3ec59cf355aad7388e26", (21, 7)),
+    (NO_COMM_6, 500_000, 4_000_000,
+     "12c8badcd8f936debddd874047838a1f4c3085738891639ffa6e6f2cef32fd50", (25, 39)),
+]
+
+
+@pytest.mark.parametrize(
+    "config, max_runs, max_states, digest, cells", PLAIN_FOLDS,
+    ids=["max-wait", "max-wait-426-runs", "max-wait-639-runs", "max-wait-17000-states",
+         "no-comm"],
+)
+def test_a_folded_input_vector_keeps_the_report(config, max_runs, max_states, digest, cells):
+    import hashlib
+
+    alg, spec, inputs = config
+    budget = ExploreBudget(max_runs=max_runs, max_states=max_states)
+    report = explore(alg, spec, inputs, budget)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    assert (report.cells_explored, report.cells_folded) == cells
