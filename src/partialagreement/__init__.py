@@ -20,11 +20,10 @@ from .shmem import (
 from .syncmp import (
     CrashPattern,
     RoundTrace,
-    count_crash_patterns,
     enumerate_crash_patterns,
     run_sync,
 )
-from .objects import ConsensusObject, PartialAgreementOracle, compliant_assignments
+from .objects import ConsensusObject, compliant_assignments, first_phase
 from .algorithms import CATALOG, build_algorithm, get_algorithm
 from .verify import (
     ExplorationReport,
@@ -53,12 +52,11 @@ __all__ = [
     "run_async",
     "CrashPattern",
     "RoundTrace",
-    "count_crash_patterns",
     "enumerate_crash_patterns",
     "run_sync",
     "ConsensusObject",
-    "PartialAgreementOracle",
     "compliant_assignments",
+    "first_phase",
     "CATALOG",
     "build_algorithm",
     "get_algorithm",

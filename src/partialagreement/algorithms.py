@@ -9,6 +9,8 @@ explorer can dedupe on state, and the async executor can memoise steps.
 The catalog maps stable string ids ("no-comm", "max-wait", "min-flood",
 "smg-comp", "reduce-binary", "reduce-set", "reduce-sync", "reduce-smg") to
 builders that wire programs, shared objects, and verdict defaults together.
+A reduction's builder answers its first phase itself (``first_phase``), so
+its programs start from their first-phase answers.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import MODEL_SM_G, ProblemSpec, SpecError, VALIDITY_STRONG, ceil_div
-from .objects import ConsensusObject, PartialAgreementOracle, compliant_assignments
+from .core import MODEL_SM_G, ProblemSpec, SpecError, ceil_div
+from .objects import ConsensusObject, compliant_assignments, first_phase
 from .shmem import Decide, Propose, Read, Write
 
 
@@ -109,8 +111,8 @@ class MaxWait:
 
 
 class OracleThenQuorum:
-    """Two-phase reduction: ask the first-phase object, publish its answer,
-    scan until enough answers are known, then apply the decision rule.
+    """Second phase of a reduction: publish the first-phase answer, scan
+    until enough answers are known, then apply the decision rule.
 
     rule "majority" decides the strict majority (flagging if none exists);
     rule "mode-max" decides the largest among the most-repeated values.
@@ -118,16 +120,15 @@ class OracleThenQuorum:
     decision reflects everything available during one whole pass.
     """
 
-    __slots__ = ("pid", "n", "value", "quorum", "obj", "rule", "full_scan", "start")
+    __slots__ = ("pid", "n", "answer", "quorum", "rule", "full_scan", "start")
 
     state0 = _INIT
 
-    def __init__(self, pid, n, value, quorum, obj="A", rule="majority", full_scan=False):
+    def __init__(self, pid, n, answer, quorum, rule="majority", full_scan=False):
         self.pid = pid
         self.n = n
-        self.value = value
+        self.answer = answer
         self.quorum = quorum
-        self.obj = obj
         self.rule = rule
         self.full_scan = full_scan
         self.start = (pid + 1) % n
@@ -144,10 +145,8 @@ class OracleThenQuorum:
 
     def step(self, state, obs):
         if state is _INIT or state[0] == "i":
-            return ("w",), Propose(self.obj, self.value)
-        if state[0] == "w":
-            own = frozenset(((self.pid, obs),))
-            return ("s", self.start, -1, own), Write(obs)
+            own = frozenset(((self.pid, self.answer),))
+            return ("s", self.start, -1, own), Write(self.answer)
         _, cursor, last, observed = state
         if last >= 0 and obs is not None:
             observed = observed | {(last, obs)}
@@ -275,16 +274,19 @@ class Built:
 class CatalogEntry:
     """One catalog algorithm: its builder, fault budget and verdict defaults.
 
-    ``oracle_contract`` (spec -> (k, ell, validity)) marks a reduction whose
-    first phase is a partial-agreement oracle; its programs use the input
-    solely as the oracle proposal.
+    ``oracle_contract`` (spec -> (k, ell)) marks a reduction whose first
+    phase is a black-box protocol meeting that contract under strong
+    validity. The builder answers the first phase from a given compliant
+    assignment (one cell of an explore) or the worst-case split, and
+    records the answers as ``meta["first_phase"]``; the programs start from
+    their answers and never read the input.
 
     ``symmetry`` declares the pid relabellings the entry commutes with:
     "rotation" (p -> p+r), "any" (every permutation) or None. Relabelling
     pids by a group element maps each run onto a run of the relabelled
-    input vector (and oracle assignment), and together with monotone value
-    relabelling this lets an exhaustive explore fold each orbit onto one
-    search (see ``explore``). Why each declaration holds:
+    input vector (and first-phase assignment), and together with monotone
+    value relabelling this lets an exhaustive explore fold each orbit onto
+    one search (see ``explore``). Why each declaration holds:
 
     - ``MaxWait``: rotation, as ``_next_other`` scans cyclically from pid+1,
       and its max rule commutes with monotone value relabelling.
@@ -302,7 +304,7 @@ class CatalogEntry:
     fault_budget: Callable
     default_k: Callable
     default_ell: Callable = lambda spec: spec.ell
-    oracle_contract: Callable | None = None  # spec -> (k, ell, validity)
+    oracle_contract: Callable | None = None  # spec -> (k, ell)
     symmetry: str | None = None  # "rotation" | "any" | None
 
     @property
@@ -310,8 +312,7 @@ class CatalogEntry:
         return self.oracle_contract is not None
 
     def oracle_assignments(self, spec: ProblemSpec, inputs):
-        k, ell, validity = self.oracle_contract(spec)
-        return compliant_assignments(spec.n, k, ell, validity, inputs)
+        return compliant_assignments(spec.n, *self.oracle_contract(spec), inputs)
 
 
 def _build_no_comm(spec, inputs, assignment=None, full_scan=False):
@@ -374,44 +375,43 @@ def smg_guarantee(spec: ProblemSpec) -> int:
     return max(spec.g, 3 * (ghat // 2))
 
 
+def _build_reduction(spec, inputs, assignment, full_scan, contract, quorum, rule) -> Built:
+    """An async reduction: the first phase answered at build time, then
+    OracleThenQuorum with ``quorum`` and ``rule``."""
+    answers = first_phase(spec.n, *contract(spec), inputs, assignment)
+    programs = {
+        pid: OracleThenQuorum(pid, spec.n, answers[pid], quorum, rule, full_scan)
+        for pid in range(spec.n)
+    }
+    return Built(programs, meta={"quorum": quorum, "first_phase": answers})
+
+
 def _binary_contract(spec):
-    return (ceil_div(spec.n, 2) + 1, 1, VALIDITY_STRONG)
+    return (ceil_div(spec.n, 2) + 1, 1)
 
 
 def _build_reduce_binary(spec, inputs, assignment=None, full_scan=False):
     if spec.m != 2:
         raise SpecError("reduce-binary needs m=2")
-    oracle = PartialAgreementOracle(
-        spec.n, *_binary_contract(spec), inputs=tuple(inputs), assignment=assignment
+    return _build_reduction(
+        spec, inputs, assignment, full_scan, _binary_contract, spec.n - 1, "majority"
     )
-    quorum = spec.n - 1
-    programs = {
-        pid: OracleThenQuorum(pid, spec.n, inputs[pid], quorum, rule="majority", full_scan=full_scan)
-        for pid in range(spec.n)
-    }
-    return Built(programs, objects={"A": oracle}, meta={"quorum": quorum})
 
 
 def _set_contract(spec):
-    return (spec.n // spec.m + spec.n % spec.m + 1, 1, VALIDITY_STRONG)
+    return (spec.n // spec.m + spec.n % spec.m + 1, 1)
 
 
 def _build_reduce_set(spec, inputs, assignment=None, full_scan=False):
     if spec.m > spec.t + 1:
         raise SpecError(f"reduce-set needs m <= t+1, got m={spec.m}, t={spec.t}")
-    oracle = PartialAgreementOracle(
-        spec.n, *_set_contract(spec), inputs=tuple(inputs), assignment=assignment
+    return _build_reduction(
+        spec, inputs, assignment, full_scan, _set_contract, spec.n - (spec.m - 1), "mode-max"
     )
-    quorum = spec.n - (spec.m - 1)
-    programs = {
-        pid: OracleThenQuorum(pid, spec.n, inputs[pid], quorum, rule="mode-max", full_scan=full_scan)
-        for pid in range(spec.n)
-    }
-    return Built(programs, objects={"A": oracle}, meta={"quorum": quorum})
 
 
 def _smg_contract(spec):
-    return (ceil_div(spec.n + spec.t - 1, 2) + 1, 1, VALIDITY_STRONG)
+    return (ceil_div(spec.n + spec.t - 1, 2) + 1, 1)
 
 
 def _build_reduce_smg(spec, inputs, assignment=None, full_scan=False):
@@ -419,19 +419,13 @@ def _build_reduce_smg(spec, inputs, assignment=None, full_scan=False):
         raise SpecError("reduce-smg needs m=2")
     if not spec.n > spec.t >= 1:
         raise SpecError(f"reduce-smg needs n > t >= 1, got n={spec.n}, t={spec.t}")
-    oracle = PartialAgreementOracle(
-        spec.n, *_smg_contract(spec), inputs=tuple(inputs), assignment=assignment
+    return _build_reduction(
+        spec, inputs, assignment, full_scan, _smg_contract, spec.n - spec.t, "majority"
     )
-    quorum = spec.n - spec.t
-    programs = {
-        pid: OracleThenQuorum(pid, spec.n, inputs[pid], quorum, rule="majority", full_scan=full_scan)
-        for pid in range(spec.n)
-    }
-    return Built(programs, objects={"A": oracle}, meta={"quorum": quorum})
 
 
 def _sync_contract(spec):
-    return (ceil_div(spec.n + spec.t + 1, 2), 1, VALIDITY_STRONG)
+    return (ceil_div(spec.n + spec.t + 1, 2), 1)
 
 
 def _build_reduce_sync(spec, inputs, assignment=None, full_scan=False):
@@ -440,11 +434,7 @@ def _build_reduce_sync(spec, inputs, assignment=None, full_scan=False):
     # round with no recipients models a crash inside the first phase.
     if spec.m != 2:
         raise SpecError("reduce-sync needs m=2")
-    inputs = tuple(inputs)
-    oracle = PartialAgreementOracle(
-        spec.n, *_sync_contract(spec), inputs=inputs, assignment=assignment
-    )
-    answers = [oracle.propose(pid, inputs[pid]) for pid in range(spec.n)]
+    answers = first_phase(spec.n, *_sync_contract(spec), inputs, assignment)
     programs = {pid: BroadcastMajority(answers[pid]) for pid in range(spec.n)}
     return Built(programs, rounds=1, meta={"first_phase": answers})
 

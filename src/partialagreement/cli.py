@@ -310,9 +310,7 @@ def cmd_run(args) -> int:
         "algorithm": args.alg,
         "spec": spec.to_dict(),
         "inputs": list(inputs),
-        "assignment": list(built.meta["first_phase"])
-        if "first_phase" in built.meta
-        else (list(assignment) if assignment else None),
+        "assignment": list(built.meta["first_phase"]) if entry.uses_oracle else None,
     }
 
     if entry.flavor == "sync":

@@ -1,12 +1,13 @@
-"""Linearizable shared objects used inside the executors.
+"""Linearizable shared objects used inside the executors, and the first
+phase of the reductions.
 
 ConsensusObject is a wait-free first-value-wins agreement object for up to
-``capacity`` distinct proposers. PartialAgreementOracle stands in for a
-black-box protocol that meets an (n, k, ell) agreement contract: it answers
-in a single atomic step from an assignment over all n processes that
-satisfies the contract (checkable post hoc). Passing each assignment
-``compliant_assignments`` yields lets an explorer drive every assignment
-the contract admits.
+``capacity`` distinct proposers; it is the only shared object. A
+reduction's first phase is a black-box protocol meeting an (n, k, ell)
+agreement contract under strong validity. It is not an object: its answers
+are an assignment over all n processes, fixed when the reduction is built
+(``first_phase``). Passing each assignment ``compliant_assignments`` yields
+lets an explorer drive every assignment the contract admits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from collections import Counter
 from typing import Iterator
 
-from .core import ModelViolationError, SpecError, VALIDITY_STRONG
+from .core import ModelViolationError, SpecError
 
 
 class ConsensusObject:
@@ -29,8 +30,6 @@ class ConsensusObject:
         self.capacity = capacity
         self.winner = None
         self.proposers: frozenset = frozenset()
-
-    commutes = False  # first-value-wins: outcomes depend on access order
 
     def propose(self, pid: int, value: int) -> int:
         if pid in self.proposers:
@@ -55,34 +54,23 @@ class ConsensusObject:
         return ("consensus", self.capacity, self.winner, self.proposers)
 
 
-def agreement_holds(assignment, n, k, ell, validity, inputs) -> bool:
-    """Does a full decision assignment satisfy the (n, k, ell) contract?"""
+def agreement_holds(assignment, n, k, ell, inputs) -> bool:
+    """Does a full decision assignment satisfy the (n, k, ell) contract
+    under strong validity?"""
     proposed = set(inputs)
     counts = Counter(assignment)
-    if validity == VALIDITY_STRONG and any(v not in proposed for v in counts):
+    if any(v not in proposed for v in counts):
         return False
-    witness = sorted((v for v in counts if v in proposed), key=lambda v: (-counts[v], v))[:ell]
+    witness = sorted(counts, key=lambda v: (-counts[v], v))[:ell]
     covered = sum(counts[v] for v in witness)
     return n - covered <= n - k
 
 
-def compliant_assignments(
-    n: int,
-    k: int,
-    ell: int,
-    validity: str,
-    inputs,
-    m: int | None = None,
-) -> Iterator[tuple]:
-    """Every full decision assignment satisfying the (n, k, ell) contract."""
-    if validity == VALIDITY_STRONG:
-        domain = sorted(set(inputs))
-    else:
-        if m is None:
-            raise SpecError("weak validity enumeration needs the domain size m")
-        domain = list(range(m))
-    for assignment in itertools.product(domain, repeat=n):
-        if agreement_holds(assignment, n, k, ell, validity, inputs):
+def compliant_assignments(n: int, k: int, ell: int, inputs) -> Iterator[tuple]:
+    """Every full decision assignment satisfying the (n, k, ell) contract
+    under strong validity."""
+    for assignment in itertools.product(sorted(set(inputs)), repeat=n):
+        if agreement_holds(assignment, n, k, ell, inputs):
             yield assignment
 
 
@@ -113,65 +101,18 @@ def plan_worst_case_split(n: int, k: int, inputs) -> tuple:
     return tuple(plan)
 
 
-class PartialAgreementOracle:
-    """Single-step stand-in for a protocol meeting an (n, k, ell) contract.
-
-    The whole assignment is fixed at construction: ``assignment`` when
-    given (checked against the contract when ``inputs`` is known), else the
-    worst-case split planned from ``inputs``. Each process is answered from
-    that plan, whatever the order of the accesses.
+def first_phase(n: int, k: int, ell: int, inputs, assignment=None) -> tuple:
+    """The answers of a first phase meeting the (n, k, ell) contract on
+    ``inputs``, one per process: ``assignment`` when given (SpecError unless
+    it has n entries and meets the contract), else the worst-case split.
     """
-
-    __slots__ = ("inputs", "plan", "proposed")
-
-    commutes = True  # answers come from a plan fixed at construction
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        ell: int = 1,
-        validity: str = VALIDITY_STRONG,
-        inputs=None,
-        assignment=None,
-    ):
-        if not 1 <= k <= n:
-            raise SpecError(f"oracle needs 1 <= k <= n, got k={k}, n={n}")
-        self.inputs = tuple(inputs) if inputs is not None else None
-        self.proposed: frozenset = frozenset()
-        if assignment is not None:
-            plan = tuple(assignment)
-            if len(plan) != n:
-                raise SpecError(f"the assignment has {len(plan)} entries for n={n}")
-            if self.inputs is not None and not agreement_holds(
-                plan, n, k, ell, validity, self.inputs
-            ):
-                raise SpecError("the assignment violates the oracle contract")
-            self.plan = plan
-        elif self.inputs is None:
-            raise SpecError("the oracle needs the input vector or an assignment")
-        else:
-            self.plan = plan_worst_case_split(n, k, self.inputs)
-
-    def propose(self, pid: int, value: int) -> int:
-        if pid in self.proposed:
-            raise ModelViolationError(f"process {pid} proposed twice to the oracle")
-        self.proposed = self.proposed | {pid}
-        if self.inputs is not None and value != self.inputs[pid]:
-            raise SpecError(
-                f"process {pid} proposed {value} but the oracle was planned for {self.inputs[pid]}"
-            )
-        return self.plan[pid]
-
-    def assignment(self) -> tuple:
-        return self.plan
-
-    def clone(self) -> "PartialAgreementOracle":
-        new = object.__new__(PartialAgreementOracle)
-        new.inputs = self.inputs
-        new.plan = self.plan
-        new.proposed = self.proposed
-        return new
-
-    def key(self):
-        return ("oracle", self.plan, self.proposed)
+    if not 1 <= k <= n:
+        raise SpecError(f"the first phase needs 1 <= k <= n, got k={k}, n={n}")
+    if assignment is None:
+        return plan_worst_case_split(n, k, inputs)
+    plan = tuple(assignment)
+    if len(plan) != n:
+        raise SpecError(f"the assignment has {len(plan)} entries for n={n}")
+    if not agreement_holds(plan, n, k, ell, inputs):
+        raise SpecError("the assignment violates the first-phase contract")
+    return plan

@@ -171,7 +171,9 @@ class AsyncRun:
     registers make the value immutable), and reads of cells whose owner
     crashed before writing (permanently empty). Those steps commute with
     every other enabled step, so folding them never changes the reachable
-    decision outcomes; it only collapses equivalent interleavings.
+    decision outcomes; it only collapses equivalent interleavings. A write
+    or a propose is never committed eagerly, as what a reader or a later
+    proposer observes depends on its order.
     """
 
     __slots__ = (
@@ -294,8 +296,6 @@ class AsyncRun:
             if act.index < len(self.regs[act.owner]):
                 return True  # write-once cell: the value can never change
             return self.crashed[act.owner]  # permanently unwritten
-        if kind is Propose:
-            return self.objects[act.obj].commutes
         return False
 
     def _settle_all(self) -> None:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import BudgetExceededError, ProblemSpec, SpecError
+from .core import ProblemSpec, SpecError
 from .shmem import Decide
 
 
@@ -194,23 +194,6 @@ def run_sync(
     )
 
 
-def count_crash_patterns(n: int, t: int, rounds: int, *, canonical: bool = False) -> int:
-    """Closed-form pattern count for budget display (matches the enumerator)."""
-    total = 0
-    budget = min(t, n)
-    for victims in _victim_sets(n, budget):
-        if not canonical:
-            total += (rounds * 2**n) ** len(victims)
-            continue
-        for rnds in itertools.product(range(1, rounds + 1), repeat=len(victims)):
-            prod = 1
-            for i in range(len(victims)):
-                dead = sum(1 for j in range(len(victims)) if rnds[j] <= rnds[i])
-                prod *= 2 ** (n - dead)
-            total += prod
-    return total
-
-
 def _victim_sets(n, budget):
     for size in range(budget + 1):
         yield from itertools.combinations(range(n), size)
@@ -222,7 +205,6 @@ def enumerate_crash_patterns(
     rounds: int,
     *,
     canonical: bool = False,
-    cap: int | None = None,
 ) -> Iterator[CrashPattern]:
     """Yield every crash pattern with at most min(t, n) victims.
 
@@ -230,13 +212,11 @@ def enumerate_crash_patterns(
     canonical=True restricts recipients to processes still alive when the
     partial delivery lands (the victim itself and processes already dead by
     that round never observe the delivery, so those subsets are no-op
-    duplicates); verdicts are unaffected. Raises BudgetExceededError past
-    ``cap`` yields.
+    duplicates); verdicts are unaffected.
     """
     if rounds < 1:
         raise SpecError(f"rounds must be >= 1, got {rounds}")
     budget = min(t, n)
-    yielded = 0
     for victims in _victim_sets(n, budget):
         for rnds in itertools.product(range(1, rounds + 1), repeat=len(victims)):
             pools = []
@@ -248,11 +228,6 @@ def enumerate_crash_patterns(
                     pool = list(range(n))
                 pools.append(_subsets(pool))
             for combo in itertools.product(*pools):
-                yielded += 1
-                if cap is not None and yielded > cap:
-                    raise BudgetExceededError(
-                        f"pattern enumeration exceeded cap {cap}", yielded
-                    )
                 yield CrashPattern(
                     tuple((pid, rnds[i], combo[i]) for i, pid in enumerate(victims))
                 )

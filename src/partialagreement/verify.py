@@ -115,8 +115,8 @@ class ExploreBudget:
 
     mode "auto" enumerates exhaustively and fails soft (partial report)
     past the caps; mode "sample" replaces schedule/pattern enumeration with
-    ``samples`` seeded random runs per cell. The caps and ``samples`` must
-    be positive (SpecError otherwise).
+    ``samples`` seeded random runs per cell. Every field but ``mode`` is an
+    int, and the caps and ``samples`` are positive (SpecError otherwise).
     """
 
     max_runs: int = 500_000
@@ -128,9 +128,17 @@ class ExploreBudget:
     max_recorded_violations: int = 25
 
     def __post_init__(self):
+        for name in (
+            "max_runs", "max_states", "max_input_vectors", "samples", "seed",
+            "max_recorded_violations",
+        ):
+            if type(getattr(self, name)) is not int:
+                raise SpecError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("max_runs", "max_states", "max_input_vectors", "samples"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.mode not in ("auto", "sample"):
+            raise SpecError(f"mode must be 'auto' or 'sample', got {self.mode!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -445,8 +453,8 @@ def _orbit(entry, inputs, assignment) -> tuple:
     entry's declared symmetry. A plain cell is keyed by its input vector,
     up to pid symmetry and monotone value relabelling; an oracle cell by
     its set of proposed values and its assignment up to pid symmetry, as the
-    programs read the input only through the oracle and the verdict reads
-    it only as that set."""
+    programs never read the input and the verdict reads it only as that
+    set."""
     if assignment is None:
         return _canonical_pattern(_least(inputs, entry.symmetry))
     return frozenset(inputs), _least(assignment, entry.symmetry)

@@ -77,6 +77,23 @@ def test_run_seeded_max_wait_and_replay(capsys):
     assert second["trace"] == first["trace"]
 
 
+def test_run_seeded_reduction_reports_its_first_phase(capsys):
+    # The replay line carries the first-phase answers the run was built
+    # from, here the worst-case split, and replays to the same trace.
+    code, out, _ = run_cli(
+        capsys,
+        "run", "--alg", "reduce-binary", "--n", "4", "--validity", "strong",
+        "--inputs", "0,0,1,1", "--seed", "3", "--format", "json",
+    )
+    assert code == 0
+    first = json.loads(out)
+    assert first["replay"]["assignment"] == [0, 0, 0, 1]
+    assert first["trace"]["decisions"] == [0, None, 0, 0]
+    code, out, _ = run_cli(capsys, "run", "--replay", json.dumps(first["replay"]), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["trace"] == first["trace"]
+
+
 def test_run_smg_composition(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,4 +1,4 @@
-"""Consensus object and agreement oracle tests."""
+"""Consensus object and first-phase tests."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ import pytest
 from partialagreement import (
     ConsensusObject,
     ModelViolationError,
-    PartialAgreementOracle,
     ProblemSpec,
     SpecError,
     check_agreement,
     compliant_assignments,
+    first_phase,
 )
 from partialagreement.objects import agreement_holds
 
@@ -83,30 +83,27 @@ def test_linearizability_all_returns_equal_first_proposal():
     assert returns == [3, 3, 3, 3]
 
 
-# --- agreement oracle --------------------------------------------------------
+# --- first phase --------------------------------------------------------------
 
 
 def test_worst_case_split_two_blocks():
-    oracle = PartialAgreementOracle(4, 3, inputs=(0, 0, 1, 1))
-    plan = [oracle.propose(pid, v) for pid, v in enumerate((0, 0, 1, 1))]
+    plan = first_phase(4, 3, 1, (0, 0, 1, 1))
     counts = Counter(plan)
     assert counts[0] == 3 and counts[1] == 1
-    # post hoc: the assignment meets the oracle's own contract at k=3 and
-    # fails one notch higher
+    # post hoc: the assignment meets the first phase's own contract at k=3
+    # and fails one notch higher
     assert check_agreement(Outcome(plan, (0, 0, 1, 1)), ProblemSpec(n=4, m=2, t=1, k=3)).passed
     assert not check_agreement(Outcome(plan, (0, 0, 1, 1)), ProblemSpec(n=4, m=2, t=1, k=4)).passed
 
 
 def test_worst_case_split_five_processes():
-    oracle = PartialAgreementOracle(5, 3, inputs=(0, 0, 0, 1, 1))
-    plan = oracle.assignment()
+    plan = first_phase(5, 3, 1, (0, 0, 0, 1, 1))
     counts = Counter(plan)
     assert counts[0] == 3 and counts[1] == 2
 
 
 def test_worst_case_split_unanimous_inputs():
-    oracle = PartialAgreementOracle(4, 3, inputs=(1, 1, 1, 1))
-    assert oracle.assignment() == (1, 1, 1, 1)
+    assert first_phase(4, 3, 1, (1, 1, 1, 1)) == (1, 1, 1, 1)
 
 
 def test_worst_case_split_evenness_bound():
@@ -115,8 +112,7 @@ def test_worst_case_split_evenness_bound():
         distinct = len(set(inputs))
         if distinct < 2:
             continue
-        oracle = PartialAgreementOracle(5, 2, inputs=inputs)
-        counts = Counter(oracle.assignment())
+        counts = Counter(first_phase(5, 2, 1, inputs))
         witness = min(set(inputs))  # the split always elects the smallest value
         bound = -(-(5 - 2) // (distinct - 1))
         for v, c in counts.items():
@@ -124,28 +120,17 @@ def test_worst_case_split_evenness_bound():
                 assert c <= bound
 
 
-def test_oracle_double_propose_rejected():
-    oracle = PartialAgreementOracle(3, 2, inputs=(0, 1, 1))
-    oracle.propose(0, 0)
-    with pytest.raises(ModelViolationError):
-        oracle.propose(0, 0)
-
-
 def test_fixed_assignment_must_be_compliant():
     with pytest.raises(SpecError):
-        PartialAgreementOracle(4, 3, inputs=(0, 0, 1, 1), assignment=(0, 0, 1, 1))
-    with pytest.raises(SpecError):
-        PartialAgreementOracle(4, 3)  # neither inputs to plan from nor an assignment
-    oracle = PartialAgreementOracle(4, 3, inputs=(0, 0, 1, 1), assignment=(0, 0, 0, 1))
-    assert [oracle.propose(pid, v) for pid, v in enumerate((0, 0, 1, 1))] == [0, 0, 0, 1]
+        first_phase(4, 3, 1, (0, 0, 1, 1), assignment=(0, 0, 1, 1))
+    assert first_phase(4, 3, 1, (0, 0, 1, 1), assignment=(0, 0, 0, 1)) == (0, 0, 0, 1)
 
 
 def test_oracle_compliance_checked_for_all_inputs_n4():
     # the planned worst-case split passes the post-hoc check
     spec = ProblemSpec(n=4, m=2, t=1, k=3, validity="strong")
     for inputs in itertools.product(range(2), repeat=4):
-        oracle = PartialAgreementOracle(4, 3, inputs=inputs)
-        outcome = Outcome(oracle.assignment(), inputs)
+        outcome = Outcome(first_phase(4, 3, 1, inputs), inputs)
         assert check_agreement(outcome, spec).passed, inputs
 
 
@@ -155,29 +140,19 @@ def test_oracle_compliance_checked_for_all_inputs_n4():
 def test_compliant_assignment_count_matches_hand_count():
     # n=4, k=3, values {0,1}: vectors with at least three equal entries:
     # 2 * (1 + 4) = 10
-    got = list(compliant_assignments(4, 3, 1, "strong", (0, 0, 1, 1)))
+    got = list(compliant_assignments(4, 3, 1, (0, 0, 1, 1)))
     assert len(got) == 10
     assert len(set(got)) == 10
     for a in got:
-        assert agreement_holds(a, 4, 3, 1, "strong", (0, 0, 1, 1))
+        assert agreement_holds(a, 4, 3, 1, (0, 0, 1, 1))
 
 
 def test_compliant_assignments_strong_validity_restricts_domain():
-    got = set(compliant_assignments(3, 2, 1, "strong", (0, 0, 0)))
+    got = set(compliant_assignments(3, 2, 1, (0, 0, 0)))
     assert got == {(0, 0, 0)}
-
-
-def test_compliant_assignments_weak_validity_needs_m():
-    with pytest.raises(SpecError):
-        list(compliant_assignments(3, 2, 1, "weak", (0, 1, 0)))
-    got = list(compliant_assignments(3, 3, 1, "weak", (0, 1, 0), m=3))
-    # all three must share one proposed value: (0,0,0) and (1,1,1)
-    assert set(got) == {(0, 0, 0), (1, 1, 1)}
 
 
 def test_assignment_of_wrong_length_is_refused():
     for assignment in [(0, 0, 0), (0, 0, 0, 1, 1)]:
         with pytest.raises(SpecError):
-            PartialAgreementOracle(4, 3, 1, "strong", inputs=(0, 0, 1, 1), assignment=assignment)
-        with pytest.raises(SpecError):
-            PartialAgreementOracle(4, 3, 1, "strong", assignment=assignment)
+            first_phase(4, 3, 1, (0, 0, 1, 1), assignment=assignment)

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partialagreement import (
-    BudgetExceededError,
     CrashPattern,
     ProblemSpec,
     SpecError,
     build_algorithm,
     check_agreement,
-    count_crash_patterns,
     enumerate_crash_patterns,
     run_sync,
 )
@@ -140,7 +138,7 @@ def test_pattern_token_roundtrip_random(victims):
 def test_enumeration_count_example():
     # n=2, t=1, rounds=1: no-crash plus 2 victims x 4 recipient subsets
     patterns = list(enumerate_crash_patterns(2, 1, 1))
-    assert len(patterns) == 9 == count_crash_patterns(2, 1, 1)
+    assert len(patterns) == 9
 
 
 def test_enumeration_no_crash_only_when_t_zero():
@@ -152,13 +150,7 @@ def test_enumeration_deterministic_and_duplicate_free():
     a = list(enumerate_crash_patterns(3, 2, 2, canonical=True))
     b = list(enumerate_crash_patterns(3, 2, 2, canonical=True))
     assert a == b
-    assert len(set(a)) == len(a)
-    assert count_crash_patterns(3, 2, 2, canonical=True) == len(a)
-
-
-def test_enumeration_cap():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_crash_patterns(3, 2, 2, cap=5))
+    assert len(set(a)) == len(a) == 97
 
 
 def test_canonical_mode_preserves_reachable_outcomes():

@@ -195,6 +195,21 @@ def test_explore_budget_partial_report():
     assert report.executions_checked == 5
 
 
+def test_a_malformed_budget_is_refused():
+    # A misspelt mode once ran an exhaustive search, and a string cap ended
+    # in a TypeError.
+    import json
+
+    from partialagreement import SpecError
+
+    spec = ProblemSpec(n=3, m=2, t=1, k=2)
+    encoding = json.loads(explore("max-wait", spec, "all", ExploreBudget(max_runs=5)).replay_encoding())
+    for name, value in [("mode", "smaple"), ("max_runs", "5"), ("seed", 1.5), ("samples", True)]:
+        bad = {**encoding, "budget": {**encoding["budget"], name: value}}
+        with pytest.raises(SpecError):
+            explore_from_replay(bad)
+
+
 def test_explore_input_cap_raises():
     from partialagreement import BudgetExceededError
 
@@ -451,13 +466,17 @@ def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
     assert with_orbits == symmetric
 
 
+def _violating_reduce_set():
+    spec = ProblemSpec(n=4, m=3, t=2, k=4, ell=1)
+    budget = ExploreBudget(max_recorded_violations=1000)
+    return explore("reduce-set", spec, [(0, 1, 2, 2)], budget)
+
+
 def test_a_violating_orbit_is_searched_cell_by_cell():
     # Pinned from the unfolded explorer: all 528 violations, in their order.
     import hashlib
 
-    spec = ProblemSpec(n=4, m=3, t=2, k=4, ell=1)
-    budget = ExploreBudget(max_recorded_violations=1000)
-    report = explore("reduce-set", spec, [(0, 1, 2, 2)], budget)
+    report = _violating_reduce_set()
     assert (report.states_explored, report.executions_checked, report.violations_total) == (
         5400, 1269, 528,
     )
@@ -466,7 +485,25 @@ def test_a_violating_orbit_is_searched_cell_by_cell():
     assert len({tuple(v["assignment"]) for v in report.violations}) == 12
     assert len(report.violations) == 528 and report.cells_folded == 9
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "bab05ca10d06d5c8788769b0b0603f4e41ae8aa8dddd13ed5f9cf7db8fd58b9d"
+    assert digest == "220d6dd5a474686846b681b3c54a393f004ac7b22e73a45d51f626bc77da8cd5"
+
+
+def test_every_recorded_reduction_violation_replays(capsys):
+    # Each recorded violation, its first-phase assignment included, is a
+    # replay token: the run it names fails with the recorded verdict.
+    import json
+
+    from partialagreement import cli
+
+    violations = _violating_reduce_set().violations
+    assert len(violations) == 528
+    for violation in violations:
+        code = cli.main(["run", "--replay", json.dumps(violation), "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["verdict"] == violation["verdict"]
+        assert out["replay"]["assignment"] == violation["assignment"]
+        assert out["replay"]["schedule"] == violation["schedule"]
 
 
 PARTIAL_REPORT = (
