@@ -101,13 +101,18 @@ def plan_worst_case_split(n: int, k: int, inputs) -> tuple:
     return tuple(plan)
 
 
+def check_contract(n: int, k: int) -> None:
+    """SpecError unless a first phase of n processes can promise k: 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise SpecError(f"the first phase needs 1 <= k <= n, got k={k}, n={n}")
+
+
 def first_phase(n: int, k: int, ell: int, inputs, assignment=None) -> tuple:
     """The answers of a first phase meeting the (n, k, ell) contract on
     ``inputs``, one per process: ``assignment`` when given (SpecError unless
     it has n entries and meets the contract), else the worst-case split.
     """
-    if not 1 <= k <= n:
-        raise SpecError(f"the first phase needs 1 <= k <= n, got k={k}, n={n}")
+    check_contract(n, k)
     if assignment is None:
         return plan_worst_case_split(n, k, inputs)
     plan = tuple(assignment)

@@ -11,6 +11,14 @@ A sync behavior is a pure state machine: ``state0``,
 ``round_send(state, rnd) -> (state, payload)``,
 ``round_recv(state, rnd, inbox) -> state`` with ``inbox = {src: payload}``
 in ascending src order, and ``finalize(state) -> Decide``.
+
+``sync_round`` runs one round from a configuration; ``run_sync`` chains it
+over every round and logs every message. The explorer
+(``verify.explore``) chains it through a memo keyed by (round,
+configuration, round victims), and finalizes each distinct last
+configuration once. That is sound only because ``round_send``,
+``round_recv`` and ``finalize`` are pure: a program that kept hidden state
+or read anything else would make the memo replay a stale round.
 """
 
 from __future__ import annotations
@@ -58,8 +66,9 @@ class CrashPattern:
     def crash_round(self) -> dict[int, int]:
         return {p: r for p, r, _ in self.victims}
 
-    def reached(self) -> dict[int, frozenset]:
-        return {p: rcpts for p, _, rcpts in self.victims}
+    def in_round(self, rnd: int) -> tuple:
+        """The victims of round ``rnd``, as ``((pid, recipients_reached), ...)``."""
+        return tuple((p, rcpts) for p, r, rcpts in self.victims if r == rnd)
 
     def encode(self) -> str:
         items = [
@@ -131,51 +140,41 @@ class RoundTrace:
         return "\n".join(lines)
 
 
-def run_sync(
-    programs,
-    inputs,
-    pattern: CrashPattern,
-    rounds: int,
-    *,
-    spec: ProblemSpec | None = None,
-    log: bool = True,
-) -> RoundTrace:
-    """Execute exactly ``rounds`` lockstep rounds under ``pattern``. With
-    ``spec``, ``spec.check_inputs`` checks the inputs."""
-    inputs = tuple(inputs) if spec is None else spec.check_inputs(inputs)
-    n = len(inputs)
-    if rounds < 1:
-        raise SpecError(f"rounds must be >= 1, got {rounds}")
-    pattern.validate(n, n if spec is None else spec.t, rounds)
+def sync_round(programs, config, rnd: int, victims):
+    """Run round ``rnd`` from ``config``; return the next configuration and
+    the payloads sent, ``{src: payload}`` in ascending src order.
 
-    crash_round = pattern.crash_round()
-    reached = pattern.reached()
-    states = [programs[pid].state0 for pid in range(n)]
-    alive = [pid for pid in range(n) if crash_round.get(pid, rounds + 1) >= 1]
-    trace_rounds = []
+    A configuration is ``(states, alive)``: the per-pid states, None for a
+    crashed pid, and the tuple of live pids. ``victims`` is the round's
+    ``((pid, recipients_reached), ...)``, as ``CrashPattern.in_round`` gives.
+    """
+    states, alive = config
+    states = list(states)
+    reached = dict(victims)
+    payloads = {}
+    for pid in alive:
+        states[pid], payloads[pid] = programs[pid].round_send(states[pid], rnd)
+    survivors = tuple(pid for pid in alive if pid not in reached)
+    for dst in survivors:
+        states[dst] = programs[dst].round_recv(states[dst], rnd, _inbox(payloads, reached, dst))
+    for pid in reached:
+        states[pid] = None
+    return (tuple(states), survivors), payloads
 
-    for rnd in range(1, rounds + 1):
-        payloads = {}
-        for pid in alive:
-            states[pid], payloads[pid] = programs[pid].round_send(states[pid], rnd)
-        victims = {pid: reached[pid] for pid in alive if crash_round.get(pid) == rnd}
-        survivors = [pid for pid in alive if pid not in victims]
-        delivered = []
-        for dst in survivors:
-            inbox = {
-                src: payload
-                for src, payload in payloads.items()
-                if src not in victims or dst in victims[src]
-            }
-            states[dst] = programs[dst].round_recv(states[dst], rnd, inbox)
-            if log:
-                delivered.extend((src, dst, payload) for src, payload in inbox.items())
-        alive = survivors
-        if log:
-            sent = [(src, dst, payload) for src, payload in payloads.items() for dst in range(n)]
-            trace_rounds.append((tuple(sent), tuple(sorted(delivered))))
 
-    decisions = [None] * n
+def _inbox(payloads, reached, dst) -> dict:
+    return {
+        src: payload
+        for src, payload in payloads.items()
+        if src not in reached or dst in reached[src]
+    }
+
+
+def sync_decisions(programs, config) -> tuple:
+    """Finalize every live process of the last configuration: returns the
+    pid-indexed decisions (None for a crashed pid) and the union of flags."""
+    states, alive = config
+    decisions = [None] * len(states)
     flags: set = set()
     for pid in alive:
         outcome = programs[pid].finalize(states[pid])
@@ -183,13 +182,46 @@ def run_sync(
             raise SpecError(f"finalize for process {pid} must return a Decide")
         decisions[pid] = outcome.value
         flags.update(outcome.flags)
+    return tuple(decisions), frozenset(flags)
 
+
+def run_sync(
+    programs,
+    inputs,
+    pattern: CrashPattern,
+    rounds: int,
+    *,
+    spec: ProblemSpec | None = None,
+) -> RoundTrace:
+    """Execute exactly ``rounds`` lockstep rounds under ``pattern``, logging
+    every message. With ``spec``, ``spec.check_inputs`` checks the inputs."""
+    inputs = tuple(inputs) if spec is None else spec.check_inputs(inputs)
+    n = len(inputs)
+    if rounds < 1:
+        raise SpecError(f"rounds must be >= 1, got {rounds}")
+    pattern.validate(n, n if spec is None else spec.t, rounds)
+
+    config = (tuple(programs[pid].state0 for pid in range(n)), tuple(range(n)))
+    trace_rounds = []
+    for rnd in range(1, rounds + 1):
+        victims = pattern.in_round(rnd)
+        config, payloads = sync_round(programs, config, rnd, victims)
+        reached = dict(victims)
+        sent = tuple((src, dst, payload) for src, payload in payloads.items() for dst in range(n))
+        delivered = sorted(
+            (src, dst, payload)
+            for dst in config[1]
+            for src, payload in _inbox(payloads, reached, dst).items()
+        )
+        trace_rounds.append((sent, tuple(delivered)))
+
+    decisions, flags = sync_decisions(programs, config)
     return RoundTrace(
         inputs=inputs,
         rounds=tuple(trace_rounds),
-        decisions=tuple(decisions),
-        crashed=dict(sorted(crash_round.items())),
-        flags=frozenset(flags),
+        decisions=decisions,
+        crashed=dict(sorted(pattern.crash_round().items())),
+        flags=flags,
         pattern=pattern,
     )
 

@@ -19,8 +19,9 @@ from typing import NamedTuple
 
 from .algorithms import get_algorithm
 from .core import BudgetExceededError, ProblemSpec, SpecError, VALIDITY_STRONG, evaluate_bounds
+from .objects import check_contract
 from .shmem import AsyncRun
-from .syncmp import CrashPattern, enumerate_crash_patterns, run_sync
+from .syncmp import CrashPattern, enumerate_crash_patterns, sync_decisions, sync_round
 
 
 @dataclass(frozen=True)
@@ -431,13 +432,34 @@ def _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report):
         )
     else:
         patterns = enumerate_crash_patterns(spec.n, crash_budget, rounds, canonical=True)
+    # (round, configuration, round victims) -> next configuration, and last
+    # configuration -> outcome. Sync programs are pure, so this is only a
+    # cache; it is cleared whenever the victim pids change, which bounds it
+    # while the enumeration yields each victim set's patterns together.
+    memo: dict = {}
+    outcomes: dict = {}
+    victim_pids = None
+    start = (tuple(built.programs[pid].state0 for pid in range(spec.n)), tuple(range(spec.n)))
     for pattern in patterns:
-        trace = run_sync(built.programs, inputs, pattern, rounds, log=False)
+        pattern.validate(spec.n, crash_budget, rounds)
+        pids = frozenset(p for p, _, _ in pattern.victims)
+        if pids != victim_pids:
+            memo.clear()
+            outcomes.clear()
+            victim_pids = pids
+        config = start
+        for rnd in range(1, rounds + 1):
+            victims = pattern.in_round(rnd)
+            key = (rnd, config, victims)
+            nxt = memo.get(key)
+            if nxt is None:
+                nxt = memo[key] = sync_round(built.programs, config, rnd, victims)[0]
+            config = nxt
+        outcome = outcomes.get(config)
+        if outcome is None:
+            decisions, flags = sync_decisions(built.programs, config)
+            outcome = outcomes[config] = _Outcome(inputs, decisions, pids, flags, False)
         report.states_explored += 1
-        outcome = _Outcome(
-            trace.inputs, trace.decisions, frozenset(trace.crashed), trace.flags,
-            trace.nonterminating,
-        )
         agg.record(outcome, base, "pattern", pattern)
 
 
@@ -495,6 +517,8 @@ def explore(
     search stops on the same run.
     """
     entry = get_algorithm(algorithm)
+    if entry.uses_oracle:
+        check_contract(spec.n, entry.oracle_contract(spec)[0])
     budget = budget or ExploreBudget()
     report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
     agg = _Aggregator(spec, budget, report)

@@ -297,6 +297,7 @@ def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys, monkeypatch):
         ["explore", "--alg", "no-comm", "--n", "2", "--t", "1", "--max-runs", "0"],
         ["explore", "--alg", "no-comm", "--n", "2", "--t", "1", "--max-runs", "-1"],
         ["explore", "--alg", "no-comm", "--n", "2", "--t", "1", "--sample", "--samples", "0"],
+        ["explore", "--alg", "reduce-sync", "--n", "3", "--t", "3"],
         ["table", "--out", str(tmp_path)],
     ]
     for argv in invocations:

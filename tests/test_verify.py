@@ -540,9 +540,11 @@ def test_a_partial_search_stops_on_the_same_run(max_runs, max_states, runs, stat
 
 MAX_WAIT_4 = ("max-wait", ProblemSpec(n=4, m=4, t=1, k=2), "canonical")
 NO_COMM_6 = ("no-comm", ProblemSpec(n=6, m=2, t=1, k=4), "all")
+MIN_FLOOD_5 = ("min-flood", ProblemSpec(n=5, m=5, t=3, k=5, model="sync-mp"), [tuple(range(5))])
+MIN_FLOOD_4 = ("min-flood", ProblemSpec(n=4, m=3, t=2, k=2, model="sync-mp"), "all")
 
-# (config, max_runs, max_states, digest of to_json, cells searched and
-# folded), the digests pinned from the explorer without input-vector folds.
+# (config, budget, digest of to_json, cells searched and folded), the
+# digests pinned from the explorer without input-vector folds.
 # Each of the 75 canonical max-wait vectors has 616 states and 213 runs;
 # (0, 0, 0, 1) is the first vector whose orbit has more members, and
 # (0, 0, 1, 0), the third vector, is the first a fold could cover. 426 runs
@@ -550,31 +552,113 @@ NO_COMM_6 = ("no-comm", ProblemSpec(n=6, m=2, t=1, k=4), "all")
 # reach the cap, so the vector is searched. 17,000 states fall inside
 # (1, 0, 0, 1), the 28th vector and a later member of the orbit of
 # (0, 0, 1, 1), which is searched for the same reason. In no-comm, the
-# orbits whose first vector violates are searched vector by vector.
+# orbits whose first vector violates are searched vector by vector. The
+# min-flood digests are pinned from the explorer that replayed every crash
+# pattern from the first round: 3,000 runs stop inside the single cell,
+# and a sampled search never folds.
 PLAIN_FOLDS = [
-    (MAX_WAIT_4, 500_000, 4_000_000,
+    (MAX_WAIT_4, ExploreBudget(),
      "5ab67e6b9d5667804f43871499b1d99d4bb0d530734c584423154d83b09064f0", (20, 55)),
-    (MAX_WAIT_4, 426, 4_000_000,
+    (MAX_WAIT_4, ExploreBudget(max_runs=426),
      "bde3ecfb2898927d3bbd34af4e782685d833bd439585a6aba4e9f1df09b97bf9", (2, 0)),
-    (MAX_WAIT_4, 639, 4_000_000,
+    (MAX_WAIT_4, ExploreBudget(max_runs=639),
      "90aed6fe7225866e4cd5b674f149bfa3535d2a287e073307f99c49e38d23be6b", (3, 0)),
-    (MAX_WAIT_4, 500_000, 17_000,
+    (MAX_WAIT_4, ExploreBudget(max_states=17_000),
      "5af8a6d6db016c6bb6dce40f0075a44444782299299e3ec59cf355aad7388e26", (21, 7)),
-    (NO_COMM_6, 500_000, 4_000_000,
+    (NO_COMM_6, ExploreBudget(),
      "12c8badcd8f936debddd874047838a1f4c3085738891639ffa6e6f2cef32fd50", (25, 39)),
+    (MIN_FLOOD_5, ExploreBudget(max_runs=3000),
+     "42cfbedc61cf78028048e204eb737138b2b647de93dedb80a341947a2802a53b", (1, 0)),
+    (MIN_FLOOD_4, ExploreBudget(mode="sample", samples=50, seed=3),
+     "d8c73b6d0f3daf982294dc08f1355ce1ce12cace3d6eaea2cd003b04bb96c65c", (81, 0)),
 ]
 
 
 @pytest.mark.parametrize(
-    "config, max_runs, max_states, digest, cells", PLAIN_FOLDS,
+    "config, budget, digest, cells", PLAIN_FOLDS,
     ids=["max-wait", "max-wait-426-runs", "max-wait-639-runs", "max-wait-17000-states",
-         "no-comm"],
+         "no-comm", "min-flood-3000-runs", "min-flood-sampled"],
 )
-def test_a_folded_input_vector_keeps_the_report(config, max_runs, max_states, digest, cells):
+def test_a_folded_input_vector_keeps_the_report(config, budget, digest, cells):
     import hashlib
 
     alg, spec, inputs = config
-    budget = ExploreBudget(max_runs=max_runs, max_states=max_states)
     report = explore(alg, spec, inputs, budget)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
     assert (report.cells_explored, report.cells_folded) == cells
+
+
+# --- the sync explorer --------------------------------------------------------
+
+
+def _min_flood_one_round_short(monkeypatch):
+    import dataclasses
+
+    from partialagreement import algorithms
+
+    entry = algorithms.CATALOG["min-flood"]
+
+    def build(spec, inputs, assignment=None, full_scan=False):
+        built = entry.build(spec, inputs)
+        return dataclasses.replace(built, rounds=built.rounds - 1)
+
+    monkeypatch.setitem(algorithms.CATALOG, "min-flood", dataclasses.replace(entry, build=build))
+
+
+# (n, t, violations, digest of to_json), pinned from the explorer that
+# replayed every crash pattern from the first round.
+SHORT_FLOODS = [
+    (3, 1, 2, "964da46a95a7505e2b351b2c12e48114fdd08f36c2d997b93b704f1826d5a542"),
+    (4, 2, 6, "422e69b5bb24d99204397b4b33b1d18fc41966185fd78091684f2d25a33c7cec"),
+]
+
+
+@pytest.mark.parametrize("n, t, violations, digest", SHORT_FLOODS)
+def test_min_flood_one_round_short_violates_and_replays(monkeypatch, n, t, violations, digest):
+    # C5's mutant: every violation the memoised rounds record is a crash
+    # pattern that run_sync, which runs every round, replays to the same
+    # decisions and verdict.
+    import hashlib
+
+    from partialagreement import CrashPattern, build_algorithm, run_sync
+
+    _min_flood_one_round_short(monkeypatch)
+    spec = ProblemSpec(n=n, m=n, t=t, k=n, ell=1, model="sync-mp")
+    inputs = tuple(range(n))
+    report = explore("min-flood", spec, [inputs])
+    assert report.exhaustive and report.violations_total == len(report.violations) == violations
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    built = build_algorithm("min-flood", spec, inputs)
+    for violation in report.violations:
+        assert violation["rounds"] == built.rounds == t
+        pattern = CrashPattern.decode(violation["pattern"])
+        trace = run_sync(built.programs, violation["inputs"], pattern, built.rounds, spec=spec)
+        decided = Counter(v for v in trace.decisions if v is not None)
+        assert sorted(decided.items()) == [tuple(d) for d in violation["verdict"]["details"]]
+        assert check_agreement(trace, spec).to_dict() == violation["verdict"]
+
+
+def test_the_sync_explorer_runs_each_round_once_per_configuration(monkeypatch):
+    # A count, not a time: run_sync pays one round_recv per survivor per
+    # round per pattern, and the explorer one per survivor per distinct
+    # (round, configuration, round victims) within a victim set.
+    from partialagreement import algorithms, enumerate_crash_patterns
+
+    calls = []
+    round_recv = algorithms.MinFlood.round_recv
+
+    def counting(self, pref, rnd, inbox):
+        calls.append(rnd)
+        return round_recv(self, pref, rnd, inbox)
+
+    monkeypatch.setattr(algorithms.MinFlood, "round_recv", counting)
+    spec = ProblemSpec(n=6, m=6, t=2, k=3, ell=2, model="sync-mp")
+    report = explore("min-flood", spec, [tuple(range(6))])
+    assert report.exhaustive and report.executions_checked == 23_425
+    per_pattern = sum(
+        sum(1 for p in range(6) if pattern.crash_round().get(p, 3) > rnd)
+        for pattern in enumerate_crash_patterns(6, 2, 2, canonical=True)
+        for rnd in (1, 2)
+    )
+    assert per_pattern == 211_404
+    assert len(calls) == 50_223 < per_pattern // 4
