@@ -284,18 +284,37 @@ class CatalogEntry:
     ``symmetry`` declares the pid relabellings the entry commutes with:
     "rotation" (p -> p+r), "any" (every permutation) or None. Relabelling
     pids by a group element maps each run onto a run of the relabelled
-    input vector (and first-phase assignment), and together with monotone
-    value relabelling this lets an exhaustive explore fold each orbit onto
-    one search (see ``explore``). Why each declaration holds:
+    input vector (and first-phase assignment), and together with value
+    relabelling this lets an exhaustive explore fold each orbit onto one
+    search (see ``explore``). Why each declaration holds:
 
-    - ``MaxWait``: rotation, as ``_next_other`` scans cyclically from pid+1,
-      and its max rule commutes with monotone value relabelling.
+    - ``MaxWait``: rotation, as ``_next_other`` scans cyclically from pid+1.
     - ``NoComm``, ``MinFlood``, ``BroadcastMajority``: any permutation, as
       every process runs the same program and the crash patterns are
       enumerated over all pids.
     - ``OracleThenQuorum``: rotation, as every scan starts at pid+1 and runs
       cyclically.
     - ``smg-comp``: none, as its pids hold distinct roles.
+
+    ``value_symmetry`` declares the value relabellings the entry commutes
+    with: bijections from the proposed values of one cell onto those of
+    another, applied to the inputs and the first-phase answers alike.
+    Whether a run passes, and the empirical k and ell, read its decisions
+    only as counts per proposed value, so a relabelling that commutes with
+    every decision rule maps each run onto a run of the relabelled cell.
+    Why each declaration holds:
+
+    - "monotone" (order-preserving bijections), the default: ``NoComm``
+      never compares values, ``MaxWait``'s max, ``MinFlood``'s min and
+      ``most_repeated_max`` (reduce-set's mode-max rule) pick by order,
+      and an order-preserving map keeps every such pick.
+    - "any" (every bijection) for the strict-majority reductions
+      (reduce-binary, reduce-smg, reduce-sync): ``strict_majority`` picks
+      the value held by more than half of those seen, which no relabelling
+      changes. Only its flagged fallback on a tie picks by order, the
+      smallest value, so ``explore`` searches every cell that it reaches
+      from a cell with a flagged run only through a non-monotone
+      relabelling.
     """
 
     name: str
@@ -306,6 +325,7 @@ class CatalogEntry:
     default_ell: Callable = lambda spec: spec.ell
     oracle_contract: Callable | None = None  # spec -> (k, ell)
     symmetry: str | None = None  # "rotation" | "any" | None
+    value_symmetry: str = "monotone"  # "monotone" | "any"
 
     @property
     def uses_oracle(self) -> bool:
@@ -479,6 +499,7 @@ CATALOG: dict[str, CatalogEntry] = {
         default_k=lambda spec: spec.n,
         oracle_contract=_binary_contract,
         symmetry="rotation",
+        value_symmetry="any",
     ),
     "reduce-set": CatalogEntry(
         name="reduce-set",
@@ -498,6 +519,7 @@ CATALOG: dict[str, CatalogEntry] = {
         default_k=lambda spec: spec.n,
         oracle_contract=_sync_contract,
         symmetry="any",
+        value_symmetry="any",
     ),
     "reduce-smg": CatalogEntry(
         name="reduce-smg",
@@ -507,6 +529,7 @@ CATALOG: dict[str, CatalogEntry] = {
         default_k=lambda spec: spec.n,
         oracle_contract=_smg_contract,
         symmetry="rotation",
+        value_symmetry="any",
     ),
 }
 

@@ -381,7 +381,8 @@ def cmd_explore(args) -> int:
         cells = report.cells_explored + report.cells_folded
         lines.append(
             f"{what}: {cells} ({report.cells_explored} explored, "
-            f"{report.cells_folded} folded by pid {group})"
+            f"{report.cells_folded} folded by pid {group} and "
+            f"{entry.value_symmetry} value relabelling)"
         )
     lines += [f"note: {n}" for n in report.notes]
     for v in report.violations[:5]:

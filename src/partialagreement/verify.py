@@ -170,8 +170,8 @@ class ExplorationReport:
     empirical_ell: int | None = None
     exhaustive: bool = True
     notes: list = field(default_factory=list)
-    # Cells searched and folded by pid symmetry (see explore); not
-    # serialised, because folding leaves the report unchanged.
+    # Cells searched and folded by pid symmetry and value relabelling (see
+    # explore); not serialised, because folding leaves the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
 
@@ -463,23 +463,43 @@ def _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report):
         agg.record(outcome, base, "pattern", pattern)
 
 
-def _least(vector, symmetry) -> tuple:
-    """The least image of ``vector`` under the pid ``symmetry`` group."""
+def _canonical(vector, symmetry, values, relabel) -> tuple:
+    """A key that ``vector`` shares with exactly the vectors of its orbit
+    under the pid ``symmetry`` group and the bijections from ``values`` onto
+    0, 1, ... that ``relabel`` allows: the order-preserving one for
+    "monotone", every one for "any"."""
+    n = len(vector)
+    if relabel == "monotone":
+        rank = {v: i for i, v in enumerate(sorted(values))}
+        vector = tuple(rank[v] for v in vector)
+        if symmetry == "any":
+            return tuple(sorted(vector))
+        return min(vector[r:] + vector[:r] for r in range(n))
     if symmetry == "any":
-        return tuple(sorted(vector))
-    return min(vector[r:] + vector[:r] for r in range(len(vector)))
+        # up to pid permutation a vector is its count per value, and up to
+        # value bijection the sorted counts
+        return tuple(sorted(Counter(vector).values()))
+    images = []
+    for r in range(n):
+        names: dict = {}
+        images.append(tuple(names.setdefault(v, len(names)) for v in vector[r:] + vector[:r]))
+    return min(images)
 
 
 def _orbit(entry, inputs, assignment) -> tuple:
-    """The key shared by every cell whose search is the same up to the
-    entry's declared symmetry. A plain cell is keyed by its input vector,
-    up to pid symmetry and monotone value relabelling; an oracle cell by
-    its set of proposed values and its assignment up to pid symmetry, as the
-    programs never read the input and the verdict reads it only as that
-    set."""
-    if assignment is None:
-        return _canonical_pattern(_least(inputs, entry.symmetry))
-    return frozenset(inputs), _least(assignment, entry.symmetry)
+    """Two keys, each shared by every cell whose search is the same up to
+    the entry's declared symmetries: the first up to pid symmetry and
+    monotone value relabelling, the second up to pid symmetry and the
+    entry's ``value_symmetry`` (the same key when that is monotone). A plain
+    cell is keyed by its input vector; an oracle cell by its set of proposed
+    values and its assignment, as the programs never read the input and the
+    verdict reads it only as that set."""
+    values = set(inputs)
+    vector = inputs if assignment is None else assignment
+    orbit = len(values), _canonical(vector, entry.symmetry, values, "monotone")
+    if entry.value_symmetry == "monotone":
+        return orbit, orbit
+    return orbit, (len(values), _canonical(vector, entry.symmetry, values, entry.value_symmetry))
 
 
 def _tally(report) -> tuple:
@@ -508,11 +528,15 @@ def explore(
 
     A cell is one input vector with, for a reduction, one oracle
     assignment. An exhaustive search folds the cells by the entry's declared
-    ``CatalogEntry.symmetry``, across input vectors: a cell in the orbit
-    (see ``_orbit``) of an earlier cell with no violation adds that cell's
-    states, runs and flagged runs instead of being searched. This is sound
-    because the verdict and the empirical k and ell read decisions only as
-    a multiset, and commute with monotone value relabelling. The cell is
+    ``CatalogEntry.symmetry`` and ``value_symmetry``, across input vectors:
+    a cell in the orbit (see ``_orbit``) of an earlier cell with no
+    violation adds that cell's states, runs and flagged runs instead of
+    being searched. This is sound because the verdict and the empirical k
+    and ell read decisions only as counts per proposed value, and the
+    entry's decision rules commute with the declared relabellings. A
+    flagged run (a strict-majority tie, broken to the smaller value) does
+    not carry over a non-monotone relabelling, so a cell reached only
+    through one from a cell with a flagged run is searched. The cell is
     searched anyway when the addition would reach a cap, so a partial
     search stops on the same run.
     """
@@ -525,14 +549,17 @@ def explore(
     vectors = _input_vectors(spec, inputs_mode, budget)
     fold = entry.symmetry is not None and budget.mode != "sample"
     # orbit -> tally of its first cell; None if that cell recorded a
-    # violation, so the recorded list keeps its cells and order
+    # violation, so the recorded list keeps its cells and order. wide holds
+    # the same per orbit under the declared value relabelling, and None also
+    # if that cell had a flagged run, as a tie is broken by value order.
     tallies: dict = {}
+    wide: dict = {}
     try:
         for inputs in vectors:
             cells = entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None]
             for assignment in cells:
-                orbit = _orbit(entry, inputs, assignment) if fold else None
-                tally = tallies.get(orbit)
+                orbit, wide_orbit = _orbit(entry, inputs, assignment) if fold else (None, None)
+                tally = tallies[orbit] if orbit in tallies else wide.get(wide_orbit)
                 if (
                     tally is not None
                     and report.states_explored + tally[0] <= budget.max_states
@@ -551,9 +578,11 @@ def explore(
                     )
                 else:
                     _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report)
-                if fold and orbit not in tallies:
+                if fold:
                     delta = tuple(a - b for a, b in zip(_tally(report), before))
-                    tallies[orbit] = None if delta[3] else delta[:3]
+                    tally = None if delta[3] else delta[:3]
+                    tallies.setdefault(orbit, tally)
+                    wide.setdefault(wide_orbit, None if delta[2] else tally)
     except _BudgetStop:
         report.exhaustive = False
     if budget.mode == "sample":

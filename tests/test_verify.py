@@ -347,20 +347,22 @@ def test_every_entry_point_checks_inputs_against_the_spec():
     assert async_spec.check_inputs([0, 1, 1]) == (0, 1, 1)
 
 
-# --- cells folded by the declared pid symmetry -------------------------------------
+# --- cells folded by the declared symmetries -------------------------------------
 
 # Small exhaustive configurations of every entry with a declared symmetry.
 # The n=3 binary and smg contracts admit only unanimous assignments, whose
 # orbits span input vectors only, so those entries also get n=4
 # configurations, on a few vectors to keep the suite fast; (0, 1, 0, 1) is
-# not rotation-invariant. The reduce-set configuration with k=4 and ell=1,
-# both max-wait configurations and no-comm (at its default k=n) have
-# violations: there a broken pid symmetry shows in the violation counts
-# even where the state and run counts stay equal.
+# not rotation-invariant, and the unanimous vectors have different proposed
+# values, which a value relabelling joins. The reduce-set configuration
+# with k=4 and ell=1, both max-wait configurations and no-comm (at its
+# default k=n) have violations: there a broken symmetry shows in the
+# violation counts even where the state and run counts stay equal.
 FEW = [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1)]
 FOLD_CONFIGS = [
     ("reduce-binary", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all"),
     ("reduce-binary", ProblemSpec(n=4, m=2, t=1, validity="strong"), FEW),
+    ("reduce-binary", ProblemSpec(n=4, m=2, t=1, validity="strong"), [(0, 0, 0, 0), (1, 1, 1, 1)]),
     ("reduce-set", ProblemSpec(n=3, m=3, t=2, ell=2, validity="strong"), "all"),
     ("reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), [(0, 1, 2, 2), (0, 1, 0, 2)]),
     ("reduce-smg", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all"),
@@ -396,29 +398,32 @@ def _least(values):
     return min(values) if values else None
 
 
-def _images(vector, symmetry):
-    """Every relabelling of ``vector`` by a pid permutation of the group."""
+def _images(vector, symmetry, values, relabel):
+    """Every image of ``vector`` under a pid permutation of the group and a
+    bijection from ``values`` onto 0, 1, ...: the order-preserving one when
+    ``relabel`` is "monotone", every one when it is "any"."""
     n = len(vector)
     if symmetry == "rotation":
         group = [[(p + r) % n for p in range(n)] for r in range(n)]
     else:
-        group = itertools.permutations(range(n))
-    return frozenset(tuple(vector[g[p]] for p in range(n)) for g in group)
-
-
-def _ranks(vector):
-    """``vector`` with each value replaced by its rank among the values."""
-    values = sorted(set(vector))
-    return tuple(values.index(v) for v in vector)
+        group = list(itertools.permutations(range(n)))
+    ordered = sorted(values)
+    names = [dict(zip(ordered, perm)) for perm in itertools.permutations(range(len(ordered)))]
+    if relabel == "monotone":
+        names = names[:1]
+    return frozenset(tuple(name[vector[g[p]]] for p in range(n)) for g in group for name in names)
 
 
 def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
     # The soundness fact behind the fold, checked directly: the cells of one
-    # orbit have equal tallies. A plain cell's orbit is its input vector up
-    # to the pid group and monotone value relabelling; an oracle cell's is
-    # its set of proposed values and its assignment up to the pid group.
-    # The folded explore must also equal the sum over every cell, i.e. the
-    # unfolded explorer.
+    # orbit have equal tallies. A cell's orbit is its input vector (a plain
+    # cell) or its assignment (an oracle cell) up to the pid group and a
+    # value bijection from its proposed values, applied to both: monotone
+    # ones, and every one the entry declares. Under a non-monotone
+    # bijection a flagged run (a strict-majority tie) may not carry over, so
+    # an orbit whose first cell has one need not have equal tallies; its
+    # cells with equal monotone orbits still must. The folded explore must
+    # also equal the sum over every cell, i.e. the unfolded explorer.
     from partialagreement import CATALOG
 
     assert CATALOG["smg-comp"].symmetry is None
@@ -428,29 +433,37 @@ def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
     for alg, spec, vectors in FOLD_CONFIGS:
         entry = CATALOG[alg]
         tallies = []
-        foldable = 0
         if vectors == "all":
             vectors = list(itertools.product(range(spec.m), repeat=spec.n))
         orbits: dict = {}
         for inputs in vectors:
-            if entry.uses_oracle:
-                keys = [
-                    (cell, (frozenset(inputs), _images(cell, entry.symmetry)))
-                    for cell in entry.oracle_assignments(spec, inputs)
-                ]
-            else:
-                images = {_ranks(image) for image in _images(inputs, entry.symmetry)}
-                keys = [(None, frozenset(images))]
-            for cell, orbit in keys:
+            values = set(inputs)
+            for cell in entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None]:
+                vector = inputs if cell is None else cell
+                fine, wide = (
+                    (len(values), _images(vector, entry.symmetry, values, relabel))
+                    for relabel in ("monotone", entry.value_symmetry)
+                )
                 tally = _cell_tally(entry, spec, inputs, cell)
                 tallies.append(tally)
-                orbits.setdefault(orbit, []).append(((inputs, cell), tally))
+                orbits.setdefault(wide, []).append((fine, (inputs, cell), tally))
+        # explore folds a cell into the first cell of its monotone orbit, or
+        # else of its wide orbit, when that first cell has no violation and,
+        # for the wide orbit, no flagged run
+        foldable = 0
         for members in orbits.values():
-            assert len({tally for _, tally in members}) == 1, (alg, members)
+            first_flagged = members[0][2][3] > 0
+            assert first_flagged or len({tally for _, _, tally in members}) == 1, (alg, members)
             if len(members) > 1:
                 with_orbits.add(alg)
-                if members[0][1][2] == 0:
-                    foldable += len(members) - 1
+            firsts: dict = {}
+            for fine, _, tally in members:
+                if fine in firsts:
+                    assert tally == firsts[fine], (alg, members)
+                    foldable += firsts[fine][2] == 0
+                else:
+                    foldable += bool(firsts) and members[0][2][2:4] == (0, 0)
+                    firsts[fine] = tally
 
         report = explore(alg, spec, vectors)
         assert report.cells_folded == foldable
@@ -464,6 +477,45 @@ def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
         assert report.empirical_k_all_runs == _least(ks_all)
         assert report.empirical_ell == max(ells)
     assert with_orbits == symmetric
+
+
+def test_a_flagged_cell_keeps_its_swap_images_searched(monkeypatch):
+    # A mutant first phase promising k=4 of n=6 leaves some receivers of
+    # reduce-sync a 2-2 tie, which strict_majority breaks to 0 and flags.
+    # So the cells with two 1s read empirical k over all runs 6, and their
+    # 0-1 swap images, with four 1s, read 4: folding one into the other
+    # would change the report. Their monotone and pid images still fold.
+    import dataclasses
+
+    from partialagreement import algorithms
+
+    def contract(spec):
+        return (4, 1)
+
+    entry = algorithms.CATALOG["reduce-sync"]
+    monkeypatch.setattr(algorithms, "_sync_contract", contract)
+    entry = dataclasses.replace(entry, oracle_contract=contract)
+    monkeypatch.setitem(algorithms.CATALOG, "reduce-sync", entry)
+    spec = ProblemSpec(n=6, m=2, t=2, k=3, validity="strong", model="sync-mp")
+    inputs = (0, 0, 0, 1, 1, 1)
+    # Every pid permutation of a cell has its tally (the orbit test guards
+    # that), so each cell is searched here as its sorted image.
+    cells = Counter(tuple(sorted(cell)) for cell in entry.oracle_assignments(spec, inputs))
+    tallies = {cell: _cell_tally(entry, spec, inputs, cell) for cell in cells}
+    by_ones = {sum(cell): tally for cell, tally in tallies.items()}
+    assert by_ones[2][3] > 0 and (by_ones[2][5], by_ones[4][5]) == (6, 4)
+
+    report = explore("reduce-sync", spec, [inputs])
+    total = [sum(tally[i] * cells[cell] for cell, tally in tallies.items()) for i in range(4)]
+    states, runs, violations, flagged, ks, ks_all, ells = zip(*tallies.values())
+    assert (
+        report.states_explored, report.executions_checked, report.violations_total,
+        report.flagged_executions, report.empirical_k, report.empirical_k_all_runs,
+        report.empirical_ell,
+    ) == (*total, _least(ks), _least(ks_all), max(ells))
+    # 6 cells searched and 38 folded by pid permutation alone
+    assert report.cells_explored + report.cells_folded == sum(cells.values()) == 44
+    assert report.cells_folded >= 38
 
 
 def _violating_reduce_set():
