@@ -64,6 +64,9 @@ class NoComm:
 
     __slots__ = ("value",)
     state0 = _INIT
+    # the attributes naming the objects it proposes to: its states hold no
+    # pid and no value, so ``roles`` may relabel it
+    role_objects = ()
 
     def __init__(self, value: int):
         self.value = value
@@ -161,6 +164,8 @@ class ProposeThenDecide:
 
     __slots__ = ("obj", "value")
     state0 = _INIT
+    # see NoComm.role_objects
+    role_objects = ("obj",)
 
     def __init__(self, obj: str, value: int):
         self.obj = obj
@@ -180,6 +185,8 @@ class ProposeRelayDecide:
 
     __slots__ = ("first", "relay", "value")
     state0 = _INIT
+    # see NoComm.role_objects
+    role_objects = ("first", "relay")
 
     def __init__(self, first: str, relay: str, value: int):
         self.first = first
@@ -294,7 +301,12 @@ class CatalogEntry:
       enumerated over all pids.
     - ``OracleThenQuorum``: rotation, as every scan starts at pid+1 and runs
       cyclically.
-    - ``smg-comp``: none, as its pids hold distinct roles.
+    - ``smg-comp``: none across cells, as its pids hold distinct roles.
+      Inside a cell, ``explore`` searches up to the relabellings that map
+      the cell onto itself (``roles``). That is sound because the program
+      states hold no pid or value, ``ConsensusObject`` treats values as
+      opaque, the crash hints read role state only, and the root is fixed
+      by construction.
 
     ``value_symmetry`` declares the value relabellings the entry commutes
     with: bijections from the proposed values of one cell onto those of

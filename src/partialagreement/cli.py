@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -384,6 +385,13 @@ def cmd_explore(args) -> int:
             f"{report.cells_folded} folded by pid {group} and "
             f"{entry.value_symmetry} value relabelling)"
         )
+    if report.group_order > 1:
+        order = report.group_order
+        group = f"group of {order}" if report.cells_explored == 1 else f"groups of up to {order}"
+        lines.append(
+            f"states: {report.states_explored} "
+            f"({report.states_searched} searched up to role symmetry, {group})"
+        )
     lines += [f"note: {n}" for n in report.notes]
     for v in report.violations[:5]:
         lines.append(f"violation: {json.dumps(v, sort_keys=True)}")
@@ -395,10 +403,15 @@ def cmd_explore(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         handler = {
             "bounds": cmd_bounds,
             "table": cmd_table,

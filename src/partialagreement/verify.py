@@ -171,9 +171,12 @@ class ExplorationReport:
     exhaustive: bool = True
     notes: list = field(default_factory=list)
     # Cells searched and folded by pid symmetry and value relabelling (see
-    # explore); not serialised, because folding leaves the report unchanged.
+    # explore), states searched and the largest role group searched under
+    # (see _search_async); not serialised, as they leave the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
+    states_searched: int = 0
+    group_order: int = 1
 
     def to_dict(self) -> dict:
         mode = self.inputs_mode
@@ -248,13 +251,14 @@ class _Aggregator:
         self.report = report
         self.verdicts: dict = {}
 
-    def record(self, outcome: _Outcome, base: dict, token_key: str, token) -> None:
-        """Count one finished run; ``token`` (a schedule or crash pattern) is
-        encoded under ``token_key`` only if the run is recorded as a violation."""
+    def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
+        """Count ``weight`` finished runs (a role orbit); ``token`` (a schedule
+        or crash pattern) is encoded under ``token_key`` only if the run is
+        recorded as a violation."""
         rep = self.report
-        rep.executions_checked += 1
+        rep.executions_checked += weight
         if outcome.flags:
-            rep.flagged_executions += 1
+            rep.flagged_executions += weight
         verdict = self.verdicts.get(outcome)
         if verdict is None:
             verdict = self.verdicts[outcome] = check_agreement(outcome, self.spec)
@@ -262,7 +266,7 @@ class _Aggregator:
             # one fold per distinct outcome gives the same values
             self._fold_thresholds(outcome)
         if not verdict.passed:
-            rep.violations_total += 1
+            rep.violations_total += weight
             if len(rep.violations) < self.budget.max_recorded_violations:
                 rep.violations.append({
                     "algorithm": rep.algorithm,
@@ -350,20 +354,37 @@ def _explore_async_cell(entry, spec, inputs, assignment, agg, budget, report, fu
         return
 
     root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
+    if any(getattr(prog, "role_objects", None) for prog in built.programs.values()):
+        from . import roles  # loaded by the first such cell
+
+        return roles.search(built, inputs, root, crash_budget, base, agg)
+    _search_async(root, None, crash_budget, base, agg)
+
+
+def _search_async(root, keys, crash_budget, base, agg):
+    """DFS of the configurations reachable from ``root``, one per
+    ``AsyncRun.key``, or one per role orbit (``roles.RoleKeys``) counted
+    with the orbit's size, so every count, k and ell stays exact."""
+    report, budget = agg.report, agg.budget
     seen = set()
     stack = [root]
     while stack:
         run = stack.pop()
-        size = len(seen)
-        seen.add(run.key())
-        if len(seen) == size:
+        if keys:
+            weight = keys.visit(run, seen)
+        else:
+            size = len(seen)
+            seen.add(run.key())
+            weight = len(seen) - size
+        if not weight:
             continue
-        report.states_explored += 1
+        report.states_searched += 1
+        report.states_explored += weight
         if report.states_explored > budget.max_states:
             raise _BudgetStop
         live = run.live_undecided()
         if run.nonterminating or not live:
-            agg.record(_async_outcome(run), base, "schedule", run.schedule_so_far())
+            agg.record(_async_outcome(run), base, "schedule", run.schedule_so_far(), weight)
             continue
         children = []
         if sum(run.crashed) < crash_budget:

@@ -269,11 +269,21 @@ PINNED_SEARCHES = [
      (740, 34, 0)),
     ("min-flood", ProblemSpec(n=4, m=4, t=2, k=4, model="sync-mp"), [tuple(range(4))],
      (1537, 1537, 0)),
+    ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=6, model="sm-g", g=4), [tuple(range(8))],
+     (22048, 244, 0)),
 ]
 
 
+def _search_id(index):
+    """An algorithm's first pinned search is named by the algorithm; a later
+    one adds its n."""
+    alg, spec = PINNED_SEARCHES[index][:2]
+    earlier = [search[0] for search in PINNED_SEARCHES[:index]]
+    return f"{alg}-n{spec.n}" if alg in earlier else alg
+
+
 @pytest.mark.parametrize(
-    "alg, spec, inputs, sizes", PINNED_SEARCHES, ids=[search[0] for search in PINNED_SEARCHES]
+    "alg, spec, inputs, sizes", PINNED_SEARCHES, ids=map(_search_id, range(len(PINNED_SEARCHES)))
 )
 def test_search_size_is_pinned(alg, spec, inputs, sizes):
     report = explore(alg, spec, inputs)
@@ -714,3 +724,137 @@ def test_the_sync_explorer_runs_each_round_once_per_configuration(monkeypatch):
     )
     assert per_pattern == 211_404
     assert len(calls) == 50_223 < per_pattern // 4
+
+
+# Every smg-comp configuration of the suite: C6's three, the pinned n=6
+# search, the tight-rules k=7 one, and two "all" sweeps (case 2 n=4 g=2,
+# case 1 n=4 g=4) whose input vectors repeat values; and a case 1 n=10 cell
+# whose 10! candidate pid permutations leave a group of 288, the limit.
+ROLE_CONFIGS = [
+    (ProblemSpec(n=8, m=2, t=8, k=6, model="sm-g", g=4), [(0, 1, 0, 1, 0, 1, 0, 1)]),
+    (ProblemSpec(n=8, m=8, t=8, k=6, model="sm-g", g=4), [tuple(range(8))]),
+    (ProblemSpec(n=4, m=2, t=0, k=4, model="sm-g", g=4), "all"),
+    (ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))]),
+    (ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))]),
+    (ProblemSpec(n=4, m=4, t=4, k=3, model="sm-g", g=2), "all"),
+    (ProblemSpec(n=4, m=4, t=4, k=4, model="sm-g", g=4), "all"),
+    (ProblemSpec(n=10, m=4, t=10, k=10, model="sm-g", g=10), [(0, 1, 1, 2, 2, 2, 3, 3, 3, 3)]),
+]
+
+
+def _described(prog, objects=None, values=None):
+    """A role program as (class, objects it proposes to, value), its objects
+    renamed by ``objects`` and its value mapped by ``values``."""
+    from partialagreement.algorithms import NoComm, ProposeRelayDecide, ProposeThenDecide
+
+    uses = {
+        NoComm: (),
+        ProposeThenDecide: ("obj",),
+        ProposeRelayDecide: ("first", "relay"),
+    }[type(prog)]
+    names = tuple(getattr(prog, attr) for attr in uses)
+    if objects is not None:
+        names = tuple(objects[name] for name in names)
+    return type(prog), names, prog.value if values is None else values[prog.value]
+
+
+def test_the_role_group_maps_each_cell_onto_itself():
+    from partialagreement import build_algorithm
+    from partialagreement.roles import role_group
+
+    orders = set()
+    for spec, vectors in ROLE_CONFIGS:
+        if vectors == "all":
+            vectors = list(itertools.product(range(spec.m), repeat=spec.n))
+        for inputs in vectors:
+            built = build_algorithm("smg-comp", spec, inputs)
+            group = role_group(built, inputs)
+            orders.add(len(group))
+            assert len({(pids, tuple(sorted(objects.items()))) for pids, objects, _ in group}) == (
+                len(group)
+            )
+            for pids, objects, values in group:
+                assert sorted(pids) == list(range(spec.n))
+                assert sorted(objects.values()) == sorted(built.objects)
+                assert sorted(values.values()) == sorted(set(inputs))
+                for name, image in objects.items():
+                    assert built.objects[image].capacity == built.objects[name].capacity
+                for p, q in enumerate(pids):
+                    assert inputs[q] == values[inputs[p]]
+                    assert _described(built.programs[q]) == (
+                        _described(built.programs[p], objects, values)
+                    )
+    assert {1, 2, 4, 8, 24, 32, 288} <= orders
+
+
+def test_the_role_group_limit_counts_elements_not_candidates(monkeypatch):
+    from partialagreement import build_algorithm, roles
+
+    def order(n, g, inputs):
+        spec = ProblemSpec(n=n, m=max(inputs) + 1, t=n, k=n, model="sm-g", g=g)
+        return len(roles.role_group(build_algorithm("smg-comp", spec, inputs), inputs))
+
+    assert roles.ROLE_GROUP_LIMIT == 288
+    assert order(10, 10, (0, 1, 1, 2, 2, 2, 3, 3, 3, 3)) == 288  # of 10! candidates
+    assert order(10, 5, tuple(range(10))) == 288
+    assert order(6, 6, tuple(range(6))) == 1  # 720 elements
+    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 287)
+    assert order(10, 5, tuple(range(10))) == 1
+
+
+def _role_tally(report):
+    return (
+        report.exhaustive, report.states_explored, report.executions_checked,
+        report.violations_total, report.flagged_executions, report.empirical_k,
+        report.empirical_k_all_runs, report.empirical_ell,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, vectors", ROLE_CONFIGS,
+    ids=[f"n{spec.n}-m{spec.m}-t{spec.t}-k{spec.k}-g{spec.g}" for spec, _ in ROLE_CONFIGS],
+)
+def test_the_role_reduced_search_counts_like_the_unreduced_one(monkeypatch, spec, vectors):
+    from partialagreement import roles
+
+    reduced = explore("smg-comp", spec, vectors)
+    assert reduced.states_searched < reduced.states_explored
+    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)  # the identity group only
+    unreduced = explore("smg-comp", spec, vectors)
+    assert unreduced.states_searched == unreduced.states_explored
+    assert _role_tally(reduced) == _role_tally(unreduced)
+
+
+def test_every_recorded_role_reduced_violation_replays(capsys):
+    # One violation is recorded per violating orbit searched, and each is
+    # the run the search reached, so it replays.
+    import json
+
+    from partialagreement import cli
+
+    spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
+    report = explore("smg-comp", spec, [tuple(range(8))])
+    assert (report.violations_total, len(report.violations)) == (244, 21)
+    for violation in report.violations:
+        code = cli.main(["run", "--replay", json.dumps(violation), "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["verdict"] == violation["verdict"]
+        assert out["replay"]["schedule"] == violation["schedule"]
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [ExploreBudget(max_runs=100), ExploreBudget(max_states=5000), ExploreBudget(max_runs=244)],
+    ids=["100-runs", "5000-states", "244-runs"],
+)
+def test_a_capped_role_search_stops_on_the_same_run(monkeypatch, budget):
+    # A cap the role-reduced search reaches is reached by the unreduced one
+    # too, which it then becomes: the partial report stays byte-identical.
+    from partialagreement import roles
+
+    spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
+    reduced = explore("smg-comp", spec, [tuple(range(8))], budget)
+    assert not reduced.exhaustive
+    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
+    assert reduced.to_json() == explore("smg-comp", spec, [tuple(range(8))], budget).to_json()
