@@ -48,10 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_spec_flags(p, *, need_t=True, required=True):
+def _add_spec_flags(p, *, required=True):
     p.add_argument("--n", type=int, required=required)
     p.add_argument("--m", type=int, default=None, help="value domain size; inferred from --inputs when omitted")
-    p.add_argument("--t", type=int, default=1 if need_t else 0)
+    p.add_argument("--t", type=int, default=1)
     p.add_argument("--k", type=int, default=None)
     p.add_argument(
         "--ell", type=int, default=None,

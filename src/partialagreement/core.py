@@ -40,6 +40,21 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def best_witness(counts: dict, proposed, ell: int) -> tuple:
+    """The <= ell proposed values covering the most decisions, given the
+    decision count per value.
+
+    Candidates are ranked by decision count (descending) then value
+    (ascending); zero-count values are never chosen, so a run with no
+    decisions gets the empty witness by convention.
+    """
+    ranked = sorted(
+        (v for v in proposed if counts.get(v, 0) > 0),
+        key=lambda v: (-counts[v], v),
+    )
+    return tuple(sorted(ranked[:ell]))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """The tuple a run is judged against.

@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from typing import Iterator
 
-from .core import ModelViolationError, SpecError
+from .core import ModelViolationError, SpecError, best_witness
 
 
 class ConsensusObject:
@@ -61,8 +61,7 @@ def agreement_holds(assignment, n, k, ell, inputs) -> bool:
     counts = Counter(assignment)
     if any(v not in proposed for v in counts):
         return False
-    witness = sorted(counts, key=lambda v: (-counts[v], v))[:ell]
-    covered = sum(counts[v] for v in witness)
+    covered = sum(counts[v] for v in best_witness(counts, proposed, ell))
     return n - covered <= n - k
 
 

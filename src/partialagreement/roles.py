@@ -2,11 +2,11 @@
 (``smg-comp``'s).
 
 ``role_group`` finds the relabellings of pids, objects and values that map
-a built cell onto itself, ``RoleKeys`` keys the cell's async
-configurations up to them, and ``search`` runs the explorer's DFS
-(``verify._search_async``) with those keys. ``verify`` imports this module
-when it first searches a cell where some program proposes to an object
-it declares in ``role_objects``.
+a built cell onto itself, and ``RoleKeys`` keys the cell's async
+configurations up to them. The explorer (``verify._explore_cell``) asks
+``role_keys`` for the keys of a cell and runs its DFS with them; it
+imports this module when it first searches a cell where some program
+proposes to an object it declares in ``role_objects``.
 
 Why a relabelling maps the runs of the cell onto its runs: it maps pids,
 objects and values together, and each program onto the program at the
@@ -33,7 +33,6 @@ from collections import Counter
 from operator import itemgetter
 
 from .shmem import Propose
-from .verify import _BudgetStop, _search_async
 
 # A cell whose group has more elements is searched unreduced: each
 # configuration the search meets is relabelled by every element, at about
@@ -134,28 +133,6 @@ def role_keys(built, inputs):
         return None
     group = role_group(built, inputs)
     return RoleKeys(built, inputs, group) if len(group) > 1 else None
-
-
-def search(built, inputs, root, crash_budget, base, agg) -> None:
-    """Search the cell from ``root`` up to its role group, one
-    configuration per orbit, or unreduced when the group is the identity
-    or the reduced search reaches a cap. That search reaches a cap only if
-    the unreduced one does, and the unreduced one then starts from the
-    report as it was, so a partial search stops on the same run."""
-    keys = role_keys(built, inputs)
-    if keys is not None:
-        report = agg.report
-        saved, verdicts = dict(vars(report)), dict(agg.verdicts)
-        recorded = len(report.violations)
-        try:
-            _search_async(root, keys, crash_budget, base, agg)
-            report.group_order = max(report.group_order, len(keys.elements))
-            return
-        except _BudgetStop:
-            vars(report).update(saved)
-            agg.verdicts = verdicts
-            del report.violations[recorded:]
-    _search_async(root, None, crash_budget, base, agg)
 
 
 class RoleKeys:

@@ -197,7 +197,7 @@ class AsyncRun:
         "memo",
     )
 
-    def __init__(self, progs, inputs, objects=None, eager=False, log=False, step_bound=None):
+    def __init__(self, progs, inputs, objects=None, eager=False, log=False):
         self.n = len(inputs)
         self.progs = progs
         self.inputs = tuple(inputs)
@@ -212,7 +212,7 @@ class AsyncRun:
         self.objects = dict(objects) if objects else {}
         self.flags = frozenset()
         self.steps_taken = 0
-        self.step_bound = step_bound if step_bound is not None else default_step_bound(self.n)
+        self.step_bound = default_step_bound(self.n)
         self.nonterminating = False
         self.eager = eager
         self.events = [] if log else None
@@ -393,7 +393,7 @@ def run_async(
     if step_bound is None:
         step_bound = default_step_bound(n)
 
-    run = AsyncRun(programs, inputs, objects=objects, log=True, step_bound=step_bound)
+    run = AsyncRun(programs, inputs, objects=objects, log=True)
     crash_at = schedule.crash_at()
     pos = 0
     nonterminating = False

@@ -112,10 +112,6 @@ class RoundTrace:
     pattern: CrashPattern
     nonterminating: bool = False
 
-    @property
-    def distinct_inputs(self) -> int:
-        return len(set(self.inputs))
-
     def to_dict(self) -> dict:
         return {
             "inputs": list(self.inputs),

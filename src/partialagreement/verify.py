@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .algorithms import get_algorithm
-from .core import BudgetExceededError, ProblemSpec, SpecError, VALIDITY_STRONG, evaluate_bounds
+from .core import (
+    BudgetExceededError, ProblemSpec, SpecError, VALIDITY_STRONG, best_witness, evaluate_bounds,
+)
 from .objects import check_contract
 from .shmem import AsyncRun
 from .syncmp import CrashPattern, enumerate_crash_patterns, sync_decisions, sync_round
@@ -57,20 +59,6 @@ class Verdict:
             "flags": list(self.flags),
             "passed": self.passed,
         }
-
-
-def best_witness(counts: Counter, proposed, ell: int) -> tuple:
-    """The <= ell proposed values covering the most decisions.
-
-    Candidates are ranked by decision count (descending) then value
-    (ascending); zero-count values are never chosen, so a run with no
-    decisions gets the empty witness by convention.
-    """
-    ranked = sorted(
-        (v for v in proposed if counts.get(v, 0) > 0),
-        key=lambda v: (-counts[v], v),
-    )
-    return tuple(sorted(ranked[:ell]))
 
 
 def check_agreement(trace, spec: ProblemSpec) -> Verdict:
@@ -172,11 +160,55 @@ class ExplorationReport:
     notes: list = field(default_factory=list)
     # Cells searched and folded by pid symmetry and value relabelling (see
     # explore), states searched and the largest role group searched under
-    # (see _search_async); not serialised, as they leave the report unchanged.
+    # (see _explore_cell), and the verdict per distinct outcome (see record);
+    # not serialised, as they leave the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
     states_searched: int = 0
     group_order: int = 1
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
+        """Count ``weight`` finished runs (a role orbit); ``token`` (a schedule
+        or crash pattern) is encoded under ``token_key`` only if the run is
+        recorded as a violation."""
+        self.executions_checked += weight
+        if outcome.flags:
+            self.flagged_executions += weight
+        verdict = self.verdicts.get(outcome)
+        if verdict is None:
+            verdict = self.verdicts[outcome] = check_agreement(outcome, self.spec)
+            # empirical thresholds are maxima and minima over outcomes, so
+            # one fold per distinct outcome gives the same values
+            self._fold_thresholds(outcome)
+        if not verdict.passed:
+            self.violations_total += weight
+            if len(self.violations) < self.budget.max_recorded_violations:
+                self.violations.append({
+                    "algorithm": self.algorithm,
+                    "spec": self.spec.to_dict(),
+                    **base,
+                    token_key: token.encode(),
+                    "verdict": verdict.to_dict(),
+                })
+        if self.executions_checked >= self.budget.max_runs:
+            raise _BudgetStop
+
+    def _fold_thresholds(self, outcome: _Outcome) -> None:
+        decided = [v for v in outcome.decisions if v is not None]
+        undecided = self.spec.n - len(decided)
+        counts = Counter(decided)
+        if decided:
+            self.empirical_ell = max(self.empirical_ell or 0, len(counts))
+            top_all = max(counts.values()) + undecided
+        else:
+            top_all = undecided
+        if self.empirical_k_all_runs is None or top_all < self.empirical_k_all_runs:
+            self.empirical_k_all_runs = top_all
+        if undecided == 0:
+            top = max(counts.values())
+            if self.empirical_k is None or top < self.empirical_k:
+                self.empirical_k = top
 
     def to_dict(self) -> dict:
         mode = self.inputs_mode
@@ -244,58 +276,6 @@ class _Outcome(NamedTuple):
     nonterminating: bool
 
 
-class _Aggregator:
-    def __init__(self, spec: ProblemSpec, budget: ExploreBudget, report: ExplorationReport):
-        self.spec = spec
-        self.budget = budget
-        self.report = report
-        self.verdicts: dict = {}
-
-    def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
-        """Count ``weight`` finished runs (a role orbit); ``token`` (a schedule
-        or crash pattern) is encoded under ``token_key`` only if the run is
-        recorded as a violation."""
-        rep = self.report
-        rep.executions_checked += weight
-        if outcome.flags:
-            rep.flagged_executions += weight
-        verdict = self.verdicts.get(outcome)
-        if verdict is None:
-            verdict = self.verdicts[outcome] = check_agreement(outcome, self.spec)
-            # empirical thresholds are maxima and minima over outcomes, so
-            # one fold per distinct outcome gives the same values
-            self._fold_thresholds(outcome)
-        if not verdict.passed:
-            rep.violations_total += weight
-            if len(rep.violations) < self.budget.max_recorded_violations:
-                rep.violations.append({
-                    "algorithm": rep.algorithm,
-                    "spec": self.spec.to_dict(),
-                    **base,
-                    token_key: token.encode(),
-                    "verdict": verdict.to_dict(),
-                })
-        if rep.executions_checked >= self.budget.max_runs:
-            raise _BudgetStop
-
-    def _fold_thresholds(self, outcome: _Outcome) -> None:
-        rep = self.report
-        decided = [v for v in outcome.decisions if v is not None]
-        undecided = self.spec.n - len(decided)
-        counts = Counter(decided)
-        if decided:
-            rep.empirical_ell = max(rep.empirical_ell or 0, len(counts))
-            top_all = max(counts.values()) + undecided
-        else:
-            top_all = undecided
-        if rep.empirical_k_all_runs is None or top_all < rep.empirical_k_all_runs:
-            rep.empirical_k_all_runs = top_all
-        if undecided == 0:
-            top = max(counts.values())
-            if rep.empirical_k is None or top < rep.empirical_k:
-                rep.empirical_k = top
-
-
 def _canonical_pattern(vector) -> tuple:
     rank = {v: i for i, v in enumerate(sorted(set(vector)))}
     return tuple(rank[v] for v in vector)
@@ -337,35 +317,77 @@ def _async_outcome(run) -> _Outcome:
     )
 
 
-def _explore_async_cell(entry, spec, inputs, assignment, agg, budget, report, full_scan=False):
-    built = entry.build(spec, inputs, assignment=assignment, full_scan=full_scan)
+def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
+    """Search one cell into ``report``: its crash patterns (sync), its
+    ``samples`` random runs (sample mode), or the DFS of the configurations
+    reachable from its start, one per ``AsyncRun.key``. With ``role_orbits``,
+    a cell whose programs declare ``role_objects`` is searched one
+    configuration per role orbit (``roles.RoleKeys``) counted with the
+    orbit's size, so every count, k and ell stays exact."""
+    spec, budget = report.spec, report.budget
+    built = entry.build(spec, inputs, assignment=assignment, full_scan=report.full_scan)
     crash_budget = min(entry.fault_budget(spec), spec.n)
     base = {"inputs": list(inputs)}
+    if entry.flavor == "sync":
+        base["rounds"] = built.rounds
     if assignment is not None:
         base["assignment"] = list(assignment)
+    rng = random.Random(f"{budget.seed}|{inputs}|{assignment}") if budget.mode == "sample" else None
 
-    if budget.mode == "sample":
-        rng = random.Random(f"{budget.seed}|{inputs}|{assignment}")
-        template = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
-        for _ in range(budget.samples):
-            run = template.clone()
-            report.states_explored += random_walk(run, rng, crash_budget)
-            agg.record(_async_outcome(run), base, "schedule", run.schedule_so_far())
+    if entry.flavor == "sync":
+        rounds = built.rounds
+        if rng:
+            patterns = (
+                random_pattern(rng, spec.n, crash_budget, rounds) for _ in range(budget.samples)
+            )
+        else:
+            patterns = enumerate_crash_patterns(spec.n, crash_budget, rounds, canonical=True)
+        # (round, configuration, round victims) -> next configuration, and
+        # last configuration -> outcome. Sync programs are pure, so this is
+        # only a cache; it is cleared whenever the victim pids change, which
+        # bounds it while the enumeration yields each victim set's patterns
+        # together.
+        memo: dict = {}
+        outcomes: dict = {}
+        victim_pids = None
+        start = (tuple(built.programs[pid].state0 for pid in range(spec.n)), tuple(range(spec.n)))
+        for pattern in patterns:
+            pattern.validate(spec.n, crash_budget, rounds)
+            pids = frozenset(p for p, _, _ in pattern.victims)
+            if pids != victim_pids:
+                memo.clear()
+                outcomes.clear()
+                victim_pids = pids
+            config = start
+            for rnd in range(1, rounds + 1):
+                victims = pattern.in_round(rnd)
+                key = (rnd, config, victims)
+                nxt = memo.get(key)
+                if nxt is None:
+                    nxt = memo[key] = sync_round(built.programs, config, rnd, victims)[0]
+                config = nxt
+            outcome = outcomes.get(config)
+            if outcome is None:
+                decisions, flags = sync_decisions(built.programs, config)
+                outcome = outcomes[config] = _Outcome(inputs, decisions, pids, flags, False)
+            report.states_explored += 1
+            report.record(outcome, base, "pattern", pattern)
         return
 
     root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
-    if any(getattr(prog, "role_objects", None) for prog in built.programs.values()):
+    if rng:
+        for _ in range(budget.samples):
+            run = root.clone()
+            report.states_explored += random_walk(run, rng, crash_budget)
+            report.record(_async_outcome(run), base, "schedule", run.schedule_so_far())
+        return
+    keys = None
+    if role_orbits and any(getattr(prog, "role_objects", None) for prog in built.programs.values()):
         from . import roles  # loaded by the first such cell
 
-        return roles.search(built, inputs, root, crash_budget, base, agg)
-    _search_async(root, None, crash_budget, base, agg)
-
-
-def _search_async(root, keys, crash_budget, base, agg):
-    """DFS of the configurations reachable from ``root``, one per
-    ``AsyncRun.key``, or one per role orbit (``roles.RoleKeys``) counted
-    with the orbit's size, so every count, k and ell stays exact."""
-    report, budget = agg.report, agg.budget
+        keys = roles.role_keys(built, inputs)
+        if keys:
+            report.group_order = max(report.group_order, len(keys.elements))
     seen = set()
     stack = [root]
     while stack:
@@ -384,7 +406,7 @@ def _search_async(root, keys, crash_budget, base, agg):
             raise _BudgetStop
         live = run.live_undecided()
         if run.nonterminating or not live:
-            agg.record(_async_outcome(run), base, "schedule", run.schedule_so_far(), weight)
+            report.record(_async_outcome(run), base, "schedule", run.schedule_so_far(), weight)
             continue
         children = []
         if sum(run.crashed) < crash_budget:
@@ -438,52 +460,6 @@ def random_pattern(rng, n, t, rounds) -> CrashPattern:
     return CrashPattern(tuple(chosen))
 
 
-def _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report):
-    built = entry.build(spec, inputs, assignment=assignment)
-    rounds = built.rounds
-    crash_budget = min(entry.fault_budget(spec), spec.n)
-    base = {"inputs": list(inputs), "rounds": rounds}
-    if assignment is not None:
-        base["assignment"] = list(assignment)
-
-    if budget.mode == "sample":
-        rng = random.Random(f"{budget.seed}|{inputs}|{assignment}")
-        patterns = (
-            random_pattern(rng, spec.n, crash_budget, rounds) for _ in range(budget.samples)
-        )
-    else:
-        patterns = enumerate_crash_patterns(spec.n, crash_budget, rounds, canonical=True)
-    # (round, configuration, round victims) -> next configuration, and last
-    # configuration -> outcome. Sync programs are pure, so this is only a
-    # cache; it is cleared whenever the victim pids change, which bounds it
-    # while the enumeration yields each victim set's patterns together.
-    memo: dict = {}
-    outcomes: dict = {}
-    victim_pids = None
-    start = (tuple(built.programs[pid].state0 for pid in range(spec.n)), tuple(range(spec.n)))
-    for pattern in patterns:
-        pattern.validate(spec.n, crash_budget, rounds)
-        pids = frozenset(p for p, _, _ in pattern.victims)
-        if pids != victim_pids:
-            memo.clear()
-            outcomes.clear()
-            victim_pids = pids
-        config = start
-        for rnd in range(1, rounds + 1):
-            victims = pattern.in_round(rnd)
-            key = (rnd, config, victims)
-            nxt = memo.get(key)
-            if nxt is None:
-                nxt = memo[key] = sync_round(built.programs, config, rnd, victims)[0]
-            config = nxt
-        outcome = outcomes.get(config)
-        if outcome is None:
-            decisions, flags = sync_decisions(built.programs, config)
-            outcome = outcomes[config] = _Outcome(inputs, decisions, pids, flags, False)
-        report.states_explored += 1
-        agg.record(outcome, base, "pattern", pattern)
-
-
 def _canonical(vector, symmetry, values, relabel) -> tuple:
     """A key that ``vector`` shares with exactly the vectors of its orbit
     under the pid ``symmetry`` group and the bijections from ``values`` onto
@@ -532,6 +508,41 @@ def _tally(report) -> tuple:
     )
 
 
+def _explore_cells(entry, vectors, report, role_orbits) -> None:
+    """Search or fold every cell of ``vectors`` into ``report`` (see explore)."""
+    spec, budget = report.spec, report.budget
+    fold = entry.symmetry is not None and budget.mode != "sample"
+    # orbit -> tally of its first cell; None if that cell recorded a
+    # violation, so the recorded list keeps its cells and order. wide holds
+    # the same per orbit under the declared value relabelling, and None also
+    # if that cell had a flagged run, as a tie is broken by value order.
+    tallies: dict = {}
+    wide: dict = {}
+    for inputs in vectors:
+        cells = entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None]
+        for assignment in cells:
+            orbit, wide_orbit = _orbit(entry, inputs, assignment) if fold else (None, None)
+            tally = tallies[orbit] if orbit in tallies else wide.get(wide_orbit)
+            if (
+                tally is not None
+                and report.states_explored + tally[0] <= budget.max_states
+                and report.executions_checked + tally[1] < budget.max_runs
+            ):
+                report.states_explored += tally[0]
+                report.executions_checked += tally[1]
+                report.flagged_executions += tally[2]
+                report.cells_folded += 1
+                continue
+            before = _tally(report)
+            report.cells_explored += 1
+            _explore_cell(entry, inputs, assignment, report, role_orbits)
+            if fold:
+                delta = tuple(a - b for a, b in zip(_tally(report), before))
+                tally = None if delta[3] else delta[:3]
+                tallies.setdefault(orbit, tally)
+                wide.setdefault(wide_orbit, None if delta[2] else tally)
+
+
 def explore(
     algorithm: str,
     spec: ProblemSpec,
@@ -560,52 +571,28 @@ def explore(
     through one from a cell with a flagged run is searched. The cell is
     searched anyway when the addition would reach a cap, so a partial
     search stops on the same run.
+
+    Within a cell, programs that declare ``role_objects`` (``smg-comp``'s)
+    are searched up to their role symmetry (see ``roles``), one
+    configuration per orbit counted with the orbit's size. As every count
+    stays exact, that search reaches a cap only where the unreduced one
+    does; an explore that reaches a cap after some cell was searched under
+    a role group is redone with role orbits off, so a partial report is
+    the unreduced search's.
     """
     entry = get_algorithm(algorithm)
     if entry.uses_oracle:
         check_contract(spec.n, entry.oracle_contract(spec)[0])
     budget = budget or ExploreBudget()
-    report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
-    agg = _Aggregator(spec, budget, report)
     vectors = _input_vectors(spec, inputs_mode, budget)
-    fold = entry.symmetry is not None and budget.mode != "sample"
-    # orbit -> tally of its first cell; None if that cell recorded a
-    # violation, so the recorded list keeps its cells and order. wide holds
-    # the same per orbit under the declared value relabelling, and None also
-    # if that cell had a flagged run, as a tie is broken by value order.
-    tallies: dict = {}
-    wide: dict = {}
-    try:
-        for inputs in vectors:
-            cells = entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None]
-            for assignment in cells:
-                orbit, wide_orbit = _orbit(entry, inputs, assignment) if fold else (None, None)
-                tally = tallies[orbit] if orbit in tallies else wide.get(wide_orbit)
-                if (
-                    tally is not None
-                    and report.states_explored + tally[0] <= budget.max_states
-                    and report.executions_checked + tally[1] < budget.max_runs
-                ):
-                    report.states_explored += tally[0]
-                    report.executions_checked += tally[1]
-                    report.flagged_executions += tally[2]
-                    report.cells_folded += 1
-                    continue
-                before = _tally(report)
-                report.cells_explored += 1
-                if entry.flavor == "async":
-                    _explore_async_cell(
-                        entry, spec, inputs, assignment, agg, budget, report, full_scan
-                    )
-                else:
-                    _explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report)
-                if fold:
-                    delta = tuple(a - b for a, b in zip(_tally(report), before))
-                    tally = None if delta[3] else delta[:3]
-                    tallies.setdefault(orbit, tally)
-                    wide.setdefault(wide_orbit, None if delta[2] else tally)
-    except _BudgetStop:
-        report.exhaustive = False
+    for role_orbits in (True, False):
+        report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
+        try:
+            _explore_cells(entry, vectors, report, role_orbits)
+        except _BudgetStop:
+            report.exhaustive = False
+        if report.exhaustive or report.group_order == 1:
+            break
     if budget.mode == "sample":
         report.exhaustive = False
     if entry.uses_oracle:

@@ -389,13 +389,8 @@ def _cell_tally(entry, spec, inputs, assignment):
     """Everything one cell adds to a report, searched on its own."""
     from partialagreement import verify
 
-    budget = ExploreBudget()
-    report = verify.ExplorationReport(entry.name, spec, [inputs], budget)
-    agg = verify._Aggregator(spec, budget, report)
-    if entry.flavor == "async":
-        verify._explore_async_cell(entry, spec, inputs, assignment, agg, budget, report)
-    else:
-        verify._explore_sync_cell(entry, spec, inputs, assignment, agg, budget, report)
+    report = verify.ExplorationReport(entry.name, spec, [inputs], ExploreBudget())
+    verify._explore_cell(entry, inputs, assignment, report, role_orbits=True)
     return (
         report.states_explored, report.executions_checked, report.violations_total,
         report.flagged_executions, report.empirical_k, report.empirical_k_all_runs,
@@ -858,3 +853,19 @@ def test_a_capped_role_search_stops_on_the_same_run(monkeypatch, budget):
     assert not reduced.exhaustive
     monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
     assert reduced.to_json() == explore("smg-comp", spec, [tuple(range(8))], budget).to_json()
+
+
+def test_a_capped_explore_is_redone_without_role_orbits(monkeypatch):
+    # The cap falls in a later cell, after earlier cells were searched under
+    # role groups: the whole explore is redone unreduced, so the partial
+    # report, its diagnostics included, is the unreduced search's.
+    from partialagreement import roles
+
+    spec = ProblemSpec(n=4, m=2, t=0, k=4, model="sm-g", g=4)
+    budget = ExploreBudget(max_states=200)
+    report = explore("smg-comp", spec, "all", budget)
+    assert not report.exhaustive
+    assert report.states_searched == report.states_explored
+    assert report.group_order == 1
+    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
+    assert report.to_json() == explore("smg-comp", spec, "all", budget).to_json()
