@@ -13,10 +13,11 @@ A sync behavior is a pure state machine: ``state0``,
 in ascending src order, and ``finalize(state) -> Decide``.
 
 ``sync_round`` runs one round from a configuration; ``run_sync`` chains it
-over every round and logs every message. The explorer
-(``verify.explore``) chains it through a memo keyed by (round,
-configuration, round victims), and finalizes each distinct last
-configuration once. That is sound only because ``round_send``,
+over every round and logs every message. ``pattern_groups`` enumerates the
+crash patterns a group at a time, one group per (victims, rounds), and
+``chain_patterns``, the explorer's walk, checks and splits each group once
+and chains its patterns' rounds through a memo keyed by (round,
+configuration, round victims). That is sound only because ``round_send``,
 ``round_recv`` and ``finalize`` are pure: a program that kept hidden state
 or read anything else would make the memo replay a stale round.
 """
@@ -69,6 +70,14 @@ class CrashPattern:
     def in_round(self, rnd: int) -> tuple:
         """The victims of round ``rnd``, as ``((pid, recipients_reached), ...)``."""
         return tuple((p, rcpts) for p, r, rcpts in self.victims if r == rnd)
+
+    def as_group(self) -> tuple:
+        """This pattern as a one-pattern group (see ``pattern_groups``)."""
+        return (
+            tuple(p for p, _, _ in self.victims),
+            tuple(r for _, r, _ in self.victims),
+            [(rcpts,) for _, _, rcpts in self.victims],
+        )
 
     def encode(self) -> str:
         items = [
@@ -227,6 +236,27 @@ def _victim_sets(n, budget):
         yield from itertools.combinations(range(n), size)
 
 
+def pattern_groups(n: int, t: int, rounds: int, *, canonical: bool = False):
+    """Yield the patterns of ``enumerate_crash_patterns`` a group at a time:
+    ``(victims, rnds, pools)`` with the victim pids in ascending order, the
+    round of each, and ``pools[i]`` the recipients_reached subsets of
+    ``victims[i]``. A group's patterns are ``itertools.product(*pools)``, in
+    that order, and the groups of one victims tuple come together."""
+    if rounds < 1:
+        raise SpecError(f"rounds must be >= 1, got {rounds}")
+    for victims in _victim_sets(n, min(t, n)):
+        for rnds in itertools.product(range(1, rounds + 1), repeat=len(victims)):
+            pools = []
+            for i, pid in enumerate(victims):
+                if canonical:
+                    dead = {victims[j] for j in range(len(victims)) if rnds[j] <= rnds[i]}
+                    pool = [q for q in range(n) if q not in dead]
+                else:
+                    pool = list(range(n))
+                pools.append(_subsets(pool))
+            yield victims, rnds, pools
+
+
 def enumerate_crash_patterns(
     n: int,
     t: int,
@@ -242,23 +272,9 @@ def enumerate_crash_patterns(
     that round never observe the delivery, so those subsets are no-op
     duplicates); verdicts are unaffected.
     """
-    if rounds < 1:
-        raise SpecError(f"rounds must be >= 1, got {rounds}")
-    budget = min(t, n)
-    for victims in _victim_sets(n, budget):
-        for rnds in itertools.product(range(1, rounds + 1), repeat=len(victims)):
-            pools = []
-            for i, pid in enumerate(victims):
-                if canonical:
-                    dead = {victims[j] for j in range(len(victims)) if rnds[j] <= rnds[i]}
-                    pool = [q for q in range(n) if q not in dead]
-                else:
-                    pool = list(range(n))
-                pools.append(_subsets(pool))
-            for combo in itertools.product(*pools):
-                yield CrashPattern(
-                    tuple((pid, rnds[i], combo[i]) for i, pid in enumerate(victims))
-                )
+    for victims, rnds, pools in pattern_groups(n, t, rounds, canonical=canonical):
+        for reached in itertools.product(*pools):
+            yield CrashPattern(tuple(zip(victims, rnds, reached)))
 
 
 def _subsets(pool):
@@ -266,3 +282,52 @@ def _subsets(pool):
     for size in range(len(pool) + 1):
         out.extend(frozenset(c) for c in itertools.combinations(pool, size))
     return out
+
+
+class _Token:
+    """A crash pattern's replay token, built only when encoded."""
+
+    __slots__ = ("victims", "rnds", "reached")
+
+    def __init__(self, victims, rnds, reached):
+        self.victims, self.rnds, self.reached = victims, rnds, reached
+
+    def encode(self) -> str:
+        return CrashPattern(tuple(zip(self.victims, self.rnds, self.reached))).encode()
+
+
+def chain_patterns(programs, n: int, t: int, rounds: int, groups):
+    """Run every pattern of ``groups`` (as ``pattern_groups`` yields them)
+    through ``rounds`` rounds; yield ``(crashed, config, token)`` per
+    pattern, in order: the victim pids as a frozenset (the same object while
+    they stay the same), the last configuration, and an object whose
+    ``encode()`` is the pattern's token.
+
+    Each group is checked once, as ``CrashPattern.validate`` checks every
+    pattern of it (SpecError), and its victims are split by round once. The
+    rounds are chained through a memo keyed by (round, configuration, round
+    victims); it is cleared whenever the victim pids change, which bounds it
+    while the groups of one victims tuple come together.
+    """
+    start = (tuple(programs[pid].state0 for pid in range(n)), tuple(range(n)))
+    memo: dict = {}
+    last = crashed = None
+    for victims, rnds, pools in groups:
+        reach = (frozenset().union(*pool) for pool in pools)
+        CrashPattern(tuple(zip(victims, rnds, reach))).validate(n, t, rounds)
+        if victims != last:
+            memo.clear()
+            last, crashed = victims, frozenset(victims)
+        split = [
+            (rnd, [(victims[i], i) for i, r in enumerate(rnds) if r == rnd])
+            for rnd in range(1, rounds + 1)
+        ]
+        for reached in itertools.product(*pools):
+            config = start
+            for rnd, at in split:
+                key = (rnd, config, tuple([(pid, reached[i]) for pid, i in at]) if at else ())
+                nxt = memo.get(key)
+                if nxt is None:
+                    nxt = memo[key] = sync_round(programs, config, rnd, key[2])[0]
+                config = nxt
+            yield crashed, config, _Token(victims, rnds, reached)

@@ -23,7 +23,7 @@ from .core import (
 )
 from .objects import check_contract
 from .shmem import AsyncRun
-from .syncmp import CrashPattern, enumerate_crash_patterns, sync_decisions, sync_round
+from .syncmp import CrashPattern, chain_patterns, pattern_groups, sync_decisions
 
 
 @dataclass(frozen=True)
@@ -335,43 +335,28 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
     rng = random.Random(f"{budget.seed}|{inputs}|{assignment}") if budget.mode == "sample" else None
 
     if entry.flavor == "sync":
-        rounds = built.rounds
         if rng:
-            patterns = (
-                random_pattern(rng, spec.n, crash_budget, rounds) for _ in range(budget.samples)
+            groups = (
+                random_pattern(rng, spec.n, crash_budget, built.rounds).as_group()
+                for _ in range(budget.samples)
             )
         else:
-            patterns = enumerate_crash_patterns(spec.n, crash_budget, rounds, canonical=True)
-        # (round, configuration, round victims) -> next configuration, and
-        # last configuration -> outcome. Sync programs are pure, so this is
-        # only a cache; it is cleared whenever the victim pids change, which
-        # bounds it while the enumeration yields each victim set's patterns
-        # together.
-        memo: dict = {}
+            groups = pattern_groups(spec.n, crash_budget, built.rounds, canonical=True)
+        # last configuration -> outcome, cleared whenever the victim pids change
         outcomes: dict = {}
         victim_pids = None
-        start = (tuple(built.programs[pid].state0 for pid in range(spec.n)), tuple(range(spec.n)))
-        for pattern in patterns:
-            pattern.validate(spec.n, crash_budget, rounds)
-            pids = frozenset(p for p, _, _ in pattern.victims)
-            if pids != victim_pids:
-                memo.clear()
+        for crashed, config, token in chain_patterns(
+            built.programs, spec.n, crash_budget, built.rounds, groups
+        ):
+            if crashed is not victim_pids:
                 outcomes.clear()
-                victim_pids = pids
-            config = start
-            for rnd in range(1, rounds + 1):
-                victims = pattern.in_round(rnd)
-                key = (rnd, config, victims)
-                nxt = memo.get(key)
-                if nxt is None:
-                    nxt = memo[key] = sync_round(built.programs, config, rnd, victims)[0]
-                config = nxt
+                victim_pids = crashed
             outcome = outcomes.get(config)
             if outcome is None:
                 decisions, flags = sync_decisions(built.programs, config)
-                outcome = outcomes[config] = _Outcome(inputs, decisions, pids, flags, False)
+                outcome = outcomes[config] = _Outcome(inputs, decisions, crashed, flags, False)
             report.states_explored += 1
-            report.record(outcome, base, "pattern", pattern)
+            report.record(outcome, base, "pattern", token)
         return
 
     root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+import partialagreement
 from partialagreement import (
     CrashPattern,
     ProblemSpec,
@@ -14,6 +18,7 @@ from partialagreement import (
     enumerate_crash_patterns,
     run_sync,
 )
+from partialagreement.syncmp import chain_patterns, pattern_groups
 
 
 def flood(spec, inputs):
@@ -151,6 +156,75 @@ def test_enumeration_deterministic_and_duplicate_free():
     b = list(enumerate_crash_patterns(3, 2, 2, canonical=True))
     assert a == b
     assert len(set(a)) == len(a) == 97
+
+
+# A grid point with more patterns than this compares its first ones only:
+# the whole grid below holds 12.9 million patterns.
+PATTERNS_COMPARED = 10_000
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_the_pattern_groups_flatten_to_the_enumerator(canonical):
+    # The explorer walks pattern_groups; the enumerator is its flattening,
+    # so both give the same patterns in the same order.
+    for n, t, rounds in itertools.product(range(2, 6), range(4), range(1, 4)):
+        groups = list(pattern_groups(n, t, rounds, canonical=canonical))
+        flat = list(itertools.islice(
+            (
+                CrashPattern(tuple(zip(victims, rnds, reached)))
+                for victims, rnds, pools in groups
+                for reached in itertools.product(*pools)
+            ),
+            PATTERNS_COMPARED,
+        ))
+        enumerated = enumerate_crash_patterns(n, t, rounds, canonical=canonical)
+        assert flat == list(itertools.islice(enumerated, PATTERNS_COMPARED)), (n, t, rounds)
+        total = sum(math.prod(map(len, pools)) for _, _, pools in groups)
+        if total <= PATTERNS_COMPARED:
+            assert len(flat) == total and next(enumerated, None) is None
+        if not canonical:
+            # each victim picks a round and any subset of the n pids
+            assert total == sum(
+                math.comb(n, size) * (rounds * 2**n) ** size for size in range(min(t, n) + 1)
+            )
+    assert "pattern_groups" not in partialagreement.__all__
+
+
+@pytest.mark.parametrize(
+    "pattern, t",
+    [
+        (CrashPattern(((0, 1, frozenset()), (0, 2, frozenset()))), 2),
+        (CrashPattern(((0, 3, frozenset()),)), 1),
+        (CrashPattern(((0, 1, frozenset({7})),)), 1),
+        (CrashPattern(((0, 1, frozenset()), (1, 1, frozenset()))), 1),
+    ],
+    ids=["repeated-victim", "round-outside", "recipient-outside", "over-budget"],
+)
+def test_a_bad_group_is_refused_before_any_round(pattern, t):
+    # test_pattern_validation's cases (n=2, rounds=2), as a one-pattern group
+    # and with an empty reach set first in each pool, where a bad recipient
+    # is only in the group's second pattern: the group's check covers every
+    # pattern of it, and comes before its first round.
+    calls = []
+
+    class Counting:
+        state0 = 0
+
+        def round_send(self, state, rnd):
+            calls.append(rnd)
+            return state, state
+
+        def round_recv(self, state, rnd, inbox):
+            calls.append(rnd)
+            return state
+
+    victims, rnds, pools = pattern.as_group()
+    for group in ((victims, rnds, pools), (victims, rnds, [(frozenset(),) + p for p in pools])):
+        walk = chain_patterns({0: Counting(), 1: Counting()}, 2, t, 2, [group])
+        with pytest.raises(SpecError):
+            next(walk)
+    assert calls == []
+    assert "chain_patterns" not in partialagreement.__all__
 
 
 def test_canonical_mode_preserves_reachable_outcomes():

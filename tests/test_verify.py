@@ -662,16 +662,28 @@ def _min_flood_one_round_short(monkeypatch):
     monkeypatch.setitem(algorithms.CATALOG, "min-flood", dataclasses.replace(entry, build=build))
 
 
-# (n, t, violations, digest of to_json), pinned from the explorer that
-# replayed every crash pattern from the first round.
+# (n, t, max_recorded_violations, violations, digest of to_json): the first
+# two pinned from the explorer that replayed every crash pattern from the
+# first round, the capped one from the explorer that walked the patterns one
+# by one, before they were walked by group. It pins which violations are
+# recorded first, and in what order.
 SHORT_FLOODS = [
-    (3, 1, 2, "964da46a95a7505e2b351b2c12e48114fdd08f36c2d997b93b704f1826d5a542"),
-    (4, 2, 6, "422e69b5bb24d99204397b4b33b1d18fc41966185fd78091684f2d25a33c7cec"),
+    (3, 1, 25, 2, "964da46a95a7505e2b351b2c12e48114fdd08f36c2d997b93b704f1826d5a542"),
+    (4, 2, 25, 6, "422e69b5bb24d99204397b4b33b1d18fc41966185fd78091684f2d25a33c7cec"),
+    (4, 2, 2, 6, "6e6bc942ca945b250422ab69ee08d88053f23141cbd290b66f5643e4bd603277"),
 ]
 
 
-@pytest.mark.parametrize("n, t, violations, digest", SHORT_FLOODS)
-def test_min_flood_one_round_short_violates_and_replays(monkeypatch, n, t, violations, digest):
+@pytest.mark.parametrize(
+    "n, t, recorded, violations, digest", SHORT_FLOODS,
+    ids=[
+        f"{n}-{t}-{v}-{d}" + (f"-first-{r}" if r < v else "")
+        for n, t, r, v, d in SHORT_FLOODS
+    ],
+)
+def test_min_flood_one_round_short_violates_and_replays(
+    monkeypatch, n, t, recorded, violations, digest
+):
     # C5's mutant: every violation the memoised rounds record is a crash
     # pattern that run_sync, which runs every round, replays to the same
     # decisions and verdict.
@@ -682,8 +694,9 @@ def test_min_flood_one_round_short_violates_and_replays(monkeypatch, n, t, viola
     _min_flood_one_round_short(monkeypatch)
     spec = ProblemSpec(n=n, m=n, t=t, k=n, ell=1, model="sync-mp")
     inputs = tuple(range(n))
-    report = explore("min-flood", spec, [inputs])
-    assert report.exhaustive and report.violations_total == len(report.violations) == violations
+    report = explore("min-flood", spec, [inputs], ExploreBudget(max_recorded_violations=recorded))
+    assert report.exhaustive and report.violations_total == violations
+    assert len(report.violations) == min(recorded, violations)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
     built = build_algorithm("min-flood", spec, inputs)
     for violation in report.violations:
