@@ -174,6 +174,15 @@ class AsyncRun:
     decision outcomes; it only collapses equivalent interleavings. A write
     or a propose is never committed eagerly, as what a reader or a later
     proposer observes depends on its order.
+
+    Whether a process's step is fixed reads only its pending action and
+    the row and crashed flag of the owner it reads, and a committed read or
+    decide writes neither. So once settled, a process stays unfixed until
+    it steps itself, or until the owner of its pending Read writes or
+    crashes. After ``step(p)`` only p, and the readers of p's row when p
+    wrote, are settled; after ``crash(p)`` only those readers; each in pid
+    order, as a scan of every process would commit them. The path, every
+    token and every key() are the full scan's.
     """
 
     __slots__ = (
@@ -219,7 +228,7 @@ class AsyncRun:
         self.path = None
         self.crash_log = ()
         if eager:
-            self._settle_all()
+            self._settle(range(self.n))
 
     def clone(self) -> "AsyncRun":
         new = object.__new__(AsyncRun)
@@ -276,35 +285,44 @@ class AsyncRun:
         if self.events is not None:
             self.events.append((self.steps_taken, pid, "crash", None))
         if self.eager:
-            self._settle_all()
+            self._settle(self._readers(pid))
 
     def step(self, pid: int) -> None:
         if self.crashed[pid]:
             raise SpecError(f"crashed process {pid} cannot step")
         if self.decided[pid] is not None:
             raise ModelViolationError(f"process {pid} acted after deciding")
+        wrote = type(self.actions[pid]) is Write
         self._advance(pid)
         if self.eager:
-            self._settle_all()
+            self._settle(self._readers(pid, pid) if wrote else (pid,))
 
-    def _fixed(self, pid: int) -> bool:
-        act = self.actions[pid]
-        kind = type(act)
-        if kind is Decide:
-            return True
-        if kind is Read:
-            if act.index < len(self.regs[act.owner]):
-                return True  # write-once cell: the value can never change
-            return self.crashed[act.owner]  # permanently unwritten
-        return False
+    def _readers(self, owner: int, also: int = -1) -> list[int]:
+        """The pids whose pending action reads ``owner``'s row, and ``also``."""
+        actions = self.actions
+        return [
+            pid
+            for pid in range(self.n)
+            if pid == also or (type(actions[pid]) is Read and actions[pid].owner == owner)
+        ]
 
-    def _settle_all(self) -> None:
-        for pid in range(self.n):
-            while (
-                not self.crashed[pid]
-                and self.decided[pid] is None
-                and self._fixed(pid)
-            ):
+    def _settle(self, pids) -> None:
+        """Commit the fixed steps of ``pids``, each to its first unfixed one.
+        A committed read or decide writes no register, so ``regs`` holds."""
+        actions, crashed, regs = self.actions, self.crashed, self.regs
+        for pid in pids:
+            if crashed[pid]:
+                continue
+            while True:
+                act = actions[pid]
+                kind = type(act)
+                if kind is Read:
+                    # a written cell never changes, and a crashed owner's
+                    # unwritten cell stays empty
+                    if act.index >= len(regs[act.owner]) and not crashed[act.owner]:
+                        break
+                elif kind is not Decide:
+                    break  # a write, a propose, or decided (no action)
                 if self.steps_taken >= self.step_bound:
                     self.nonterminating = True
                     return
@@ -353,6 +371,10 @@ class AsyncRun:
         if out is None:
             out = self.memo[key] = self.progs[pid].step(state, obs)
         return out
+
+    def encode(self) -> str:
+        """The replay token of the run so far, built only when asked."""
+        return self.schedule_so_far().encode()
 
     def schedule_so_far(self) -> AsyncSchedule:
         steps = []

@@ -169,9 +169,11 @@ class ExplorationReport:
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
-        """Count ``weight`` finished runs (a role orbit); ``token`` (a schedule
-        or crash pattern) is encoded under ``token_key`` only if the run is
-        recorded as a violation."""
+        """Count ``weight`` finished runs (a role orbit). ``token`` is the
+        finished run itself (an ``AsyncRun``) or its crash pattern's token
+        (see ``syncmp.chain_patterns``); its ``encode()``, the replay
+        schedule or pattern, is called and stored under ``token_key`` only
+        if the run is recorded as a violation."""
         self.executions_checked += weight
         if outcome.flags:
             self.flagged_executions += weight
@@ -364,7 +366,7 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
         for _ in range(budget.samples):
             run = root.clone()
             report.states_explored += random_walk(run, rng, crash_budget)
-            report.record(_async_outcome(run), base, "schedule", run.schedule_so_far())
+            report.record(_async_outcome(run), base, "schedule", run)
         return
     keys = None
     if role_orbits and any(getattr(prog, "role_objects", None) for prog in built.programs.values()):
@@ -391,7 +393,7 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
             raise _BudgetStop
         live = run.live_undecided()
         if run.nonterminating or not live:
-            report.record(_async_outcome(run), base, "schedule", run.schedule_so_far(), weight)
+            report.record(_async_outcome(run), base, "schedule", run, weight)
             continue
         children = []
         if sum(run.crashed) < crash_budget:
@@ -419,16 +421,18 @@ def random_walk(run, rng, crash_budget: int) -> int:
     Returns the number of configurations visited, the start included.
     """
     visited = 1
+    crashes = sum(run.crashed)
     while not run.nonterminating:
         live = run.live_undecided()
         if not live:
             break
-        options = len(live) * (2 if sum(run.crashed) < crash_budget else 1)
+        options = len(live) * (2 if crashes < crash_budget else 1)
         pick = rng.randrange(options)
         if pick < len(live):
             run.step(live[pick])
         else:
             run.crash(live[pick - len(live)])
+            crashes += 1
         visited += 1
     return visited
 

@@ -19,16 +19,20 @@ def load_layers():
 
 def test_tracer_wraps_async_run_and_restores():
     # A renamed or deleted name that the tracer binds fails at install().
+    # An explore builds a run's schedule only for a recorded violation, so
+    # the max-wait explore, which records some, calls schedule_so_far.
     tracer = load_layers().Tracer()
     try:
         tracer.install()
         spec = pa.ProblemSpec(n=3, m=2, t=1, k=3, validity="strong")
         report = pa.explore("reduce-binary", spec, [(0, 0, 1)])
+        violating = pa.explore("max-wait", pa.ProblemSpec(n=3, m=2, t=1, k=3), "all")
     finally:
         restored = tracer.restore()
     assert restored
     assert report.violations_total == 0
+    assert violating.violations
     for layer in ("shmem.step", "shmem.clone", "shmem.key", "shmem.schedule_so_far"):
         assert tracer.counts[layer] > 0, layer
-    assert tracer.counts["verify.explore"] == 1
+    assert tracer.counts["verify.explore"] == 2
     assert tracer.counts["objects.compliant_assignments"] > 0

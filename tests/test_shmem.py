@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from partialagreement import (
     AsyncSchedule,
@@ -218,3 +218,99 @@ def test_trace_exports():
     assert doc["decisions"] == list(trace.decisions)
     assert doc["distinct_inputs"] == 3
     assert AsyncSchedule.decode(doc["schedule"]) == trace.schedule
+
+
+# --- eager settling ---------------------------------------------------------
+
+
+def fixed(run, pid):
+    """Whether ``pid``'s pending step has one outcome whenever it is taken."""
+    act = run.actions[pid]
+    if type(act) is Decide:
+        return True
+    if type(act) is Read:
+        return act.index < len(run.regs[act.owner]) or run.crashed[act.owner]
+    return False
+
+
+def settle_by_full_scan(run):
+    """Commit every fixed step, scanning every process in pid order."""
+    for pid in range(run.n):
+        while not run.crashed[pid] and run.decided[pid] is None and fixed(run, pid):
+            if run.steps_taken >= run.step_bound:
+                run.nonterminating = True
+                return
+            run._advance(pid)
+
+
+class Looper:
+    """Write once, then read another process's first cell forever."""
+
+    state0 = ("i",)
+
+    def __init__(self, pid, n):
+        self.pid, self.other = pid, (pid + 1) % n
+
+    def step(self, state, obs):
+        if state == ("i",):
+            return ("r",), Write(self.pid)
+        return state, Read(self.other, 0)
+
+
+@st.composite
+def settle_cases(draw):
+    """(programs, inputs, objects, crash budget, step bound) of one run to drive."""
+    from partialagreement import get_algorithm
+
+    alg = draw(st.sampled_from(
+        ["no-comm", "max-wait", "smg-comp", "reduce-binary", "reduce-set", "reduce-smg", "loop"]
+    ))
+    n = draw(st.integers(2, 5))
+    if alg == "loop":
+        progs = {pid: Looper(pid, n) for pid in range(n)}
+        return progs, tuple(range(n)), None, draw(st.integers(0, n)), draw(st.integers(n, 4 * n))
+    m = 2 if alg in ("reduce-binary", "reduce-smg") else draw(st.integers(2, min(3, n)))
+    t = draw(st.integers(m - 1 if alg == "reduce-set" else 1 if alg == "reduce-smg" else 0, n - 1))
+    g = draw(st.integers(1, n)) if alg == "smg-comp" else None
+    spec = ProblemSpec(n=n, m=m, t=t, model="sm-g" if g else "async-rw", g=g)
+    entry = get_algorithm(alg)
+    inputs = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    assignment = None
+    if entry.uses_oracle:
+        cells = list(entry.oracle_assignments(spec, inputs))
+        assume(cells)
+        assignment = draw(st.sampled_from(cells))
+    built = build_algorithm(alg, spec, inputs, assignment=assignment)
+    return built.programs, inputs, built.objects, entry.fault_budget(spec), None
+
+
+@settings(max_examples=300)
+@given(settle_cases(), st.data())
+def test_eager_settling_matches_a_full_scan(case, data):
+    # After a step, only the stepped process and the readers of a row it
+    # wrote can have a fixed step; after a crash, only the crashed process's
+    # readers. Settling just those gives the full scan's run.
+    progs, inputs, objects, crash_budget, step_bound = case
+    eager = AsyncRun(progs, inputs, objects=objects, eager=True)
+    reference = AsyncRun(progs, inputs, objects=objects)
+    settle_by_full_scan(reference)
+    if step_bound is not None:
+        eager.step_bound = reference.step_bound = step_bound
+
+    def same():
+        assert eager.key() == reference.key()
+        assert eager.schedule_so_far() == reference.schedule_so_far()
+        assert eager.nonterminating == reference.nonterminating
+
+    same()
+    for _ in range(40):
+        live = reference.live_undecided()
+        if reference.nonterminating or not live:
+            break
+        crashable = [p for p in range(len(inputs)) if not reference.crashed[p]]
+        crash = sum(reference.crashed) < crash_budget and data.draw(st.booleans())
+        pid = data.draw(st.sampled_from(crashable if crash else live))
+        for run in (eager, reference):
+            (run.crash if crash else run.step)(pid)
+        settle_by_full_scan(reference)
+        same()

@@ -563,6 +563,41 @@ def test_every_recorded_reduction_violation_replays(capsys):
         assert out["replay"]["schedule"] == violation["schedule"]
 
 
+def test_a_schedule_is_built_only_for_a_recorded_violation(monkeypatch, capsys):
+    # The explorers hand record() the finished run, and record() encodes it
+    # only when it keeps the violation; each recorded token replays.
+    import json
+
+    from partialagreement import cli
+    from partialagreement.shmem import AsyncRun
+
+    calls = []
+    schedule_so_far = AsyncRun.schedule_so_far
+
+    def counted(run):
+        calls.append(run)
+        return schedule_so_far(run)
+
+    monkeypatch.setattr(AsyncRun, "schedule_so_far", counted)
+    report = explore("max-wait", ProblemSpec(n=4, m=2, t=1, k=3), "all")
+    assert (report.violations_total, len(report.violations)) == (188, 25)
+    assert len(calls) == len(report.violations)
+    calls.clear()
+    clean = explore("max-wait", ProblemSpec(n=4, m=2, t=1, k=2), "all")
+    sampled = explore(
+        "max-wait", ProblemSpec(n=4, m=2, t=1, k=2), "all", ExploreBudget(mode="sample", samples=5)
+    )
+    assert clean.violations_total == sampled.violations_total == 0
+    assert clean.executions_checked and sampled.executions_checked
+    assert not calls
+    for violation in report.violations:
+        code = cli.main(["run", "--replay", json.dumps(violation), "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["verdict"] == violation["verdict"]
+        assert out["replay"]["schedule"] == violation["schedule"]
+
+
 PARTIAL_REPORT = (
     '{"algorithm": "reduce-binary", "budget": {"max_input_vectors": 4096, '
     '"max_recorded_violations": 25, "max_runs": %d, "max_states": %d, "mode": "auto", '
