@@ -73,7 +73,14 @@ class NoComm:
         self.value = value
 
     def step(self, state, obs):
-        return state, Decide(self.value)
+        return state, self.decide_on(0)
+
+    def basis(self, state):
+        # it reads no register
+        return 0
+
+    def decide_on(self, basis):
+        return Decide(self.value)
 
     def no_more_visible(self, state):
         return True
@@ -109,9 +116,16 @@ class MaxWait:
         if last >= 0 and obs is not None:
             mask |= 1 << last
         if mask.bit_count() >= self.quorum:
-            best = max(self.inputs[o] for o in range(self.n) if mask >> o & 1)
-            return (cursor, -1, mask), Decide(best)
+            return (cursor, -1, mask), self.decide_on(mask)
         return (_next_other(cursor, self.pid, self.n), cursor, mask), Read(cursor, 0)
+
+    def basis(self, state):
+        # a decision keeps the owners it read in its state
+        return state[2]
+
+    def decide_on(self, basis):
+        """Decide the max of the inputs of the owners in ``basis``."""
+        return Decide(max(self.inputs[o] for o in range(self.n) if basis >> o & 1))
 
 
 class OracleThenQuorum:
@@ -159,10 +173,23 @@ class OracleThenQuorum:
             mask |= 1 << last
         at_boundary = cursor == self.start and last >= 0
         if mask.bit_count() >= self.quorum and (not self.full_scan or at_boundary):
-            seen = tuple(sorted(self.answers[o] for o in range(self.n) if mask >> o & 1))
-            return state, _decision(self.rule, seen)
+            return state, self.decide_on(mask)
         nxt, read = self.scan[cursor]
         return (nxt, cursor, mask), read
+
+    def basis(self, state):
+        """The owners whose answers a decision in ``state`` saw, without
+        full_scan: a decision keeps the state before its last read, and
+        it follows the write (``last`` -1) or a read that saw its cell, as
+        the quorum is checked after every read and a read that sees
+        nothing adds no owner."""
+        cursor, last, mask = state
+        return mask | 1 << last if last >= 0 else mask
+
+    def decide_on(self, basis):
+        """Apply the rule to the answers of the owners in ``basis``."""
+        seen = tuple(sorted(self.answers[o] for o in range(self.n) if basis >> o & 1))
+        return _decision(self.rule, seen)
 
 
 @functools.cache
@@ -350,6 +377,23 @@ class CatalogEntry:
       smallest value, so ``explore`` searches every cell that it reaches
       from a cell with a flagged run only through a non-monotone
       relabelling.
+
+    A program that declares ``basis(state)`` and ``decide_on(basis)``
+    (``NoComm``, ``MaxWait``, ``OracleThenQuorum``) asserts that it never
+    branches on a value and writes only its own fixed value: its steps read
+    an observation only as "seen" or "nothing", and it decides
+    ``decide_on(basis(state))``, where the basis is the set of owners whose
+    values it read, as a bitmask. Then two cells of one explore (same n,
+    quorum and fault budget) differ only in the values written and decided,
+    so their configurations map one to one, with equal ``AsyncRun.key``
+    equalities (a key holds values only where the value-free part of the
+    configuration fixes them), equal crash hints and equal eager steps: the
+    DFS meets the same configurations in the same order, and each finished
+    run keeps its bases, crashed pids and nontermination. ``explore``
+    therefore searches one cell and resolves the others from its runs (see
+    ``verify.explore``). An entry qualifies when every program of its cells
+    declares both, so ``smg-comp``, whose proposers observe a winner
+    value, never does.
     """
 
     name: str

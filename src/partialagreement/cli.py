@@ -29,9 +29,9 @@ from .core import (
     SpecError,
     evaluate_bounds,
 )
-from .shmem import AsyncRun, AsyncSchedule, run_async
-from .syncmp import CrashPattern, run_sync
-from .verify import ExploreBudget, check_agreement, explore, random_pattern, random_walk
+from .shmem import AsyncRun, AsyncSchedule, random_walk, run_async
+from .syncmp import CrashPattern, random_pattern, run_sync
+from .verify import ExploreBudget, check_agreement, explore
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -384,6 +384,13 @@ def cmd_explore(args) -> int:
             f"{what}: {cells} ({report.cells_explored} explored, "
             f"{report.cells_folded} folded by pid {group} and "
             f"{entry.value_symmetry} value relabelling)"
+        )
+    if report.cells_resolved:
+        searched = report.cells_explored - report.cells_resolved
+        lines.append(
+            f"searches: {searched} cell{'s' * (searched > 1)} searched "
+            f"({report.states_searched} states), {report.cells_resolved} resolved from "
+            f"{'it' if searched == 1 else 'the first'}"
         )
     if report.group_order > 1:
         order = report.group_order

@@ -8,6 +8,7 @@ each report names the rule that produced it so tables can be cross-referenced.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -34,6 +35,12 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, count: int):
         super().__init__(message)
         self.count = count
+
+
+def _order_pattern(vector) -> tuple:
+    """``vector`` with each value replaced by its rank among its values."""
+    rank = {v: i for i, v in enumerate(sorted(set(vector)))}
+    return tuple(rank[v] for v in vector)
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -111,6 +118,30 @@ class ProblemSpec:
             if type(v) is not int or not 0 <= v < self.m:
                 raise SpecError(f"value {v!r} outside value domain 0..{self.m - 1}")
         return vec
+
+    def input_vectors(self, inputs_mode, cap: int) -> list:
+        """The input vectors of ``inputs_mode``: every one ("all"), one per
+        order pattern ("canonical"), or the given vectors, each checked.
+        BudgetExceededError if "all" or "canonical" has more than ``cap``
+        vectors to choose from."""
+        if not isinstance(inputs_mode, str):
+            return [self.check_inputs(vec) for vec in inputs_mode]
+        if inputs_mode not in ("all", "canonical"):
+            raise SpecError(f"inputs_mode must be 'all', 'canonical', or vectors, got {inputs_mode!r}")
+        total = self.m**self.n
+        if total > cap:
+            raise BudgetExceededError(
+                f"{total} input assignments exceed the cap {cap}; "
+                "pass explicit vectors or raise the budget",
+                total,
+            )
+        vectors = itertools.product(range(self.m), repeat=self.n)
+        if inputs_mode == "canonical":
+            # Order-isomorphism representatives: sound for the catalog since
+            # every algorithm and the verdict commute with monotone
+            # injective value relabelings.
+            return sorted({_order_pattern(v) for v in vectors})
+        return list(vectors)
 
     def to_dict(self) -> dict:
         return {

@@ -6,7 +6,8 @@ is a pure state machine: ``prog.state0`` plus ``prog.step(state, obs)`` which
 returns ``(new_state, action)``. The observation passed to a step is the
 result of the process's previous action (a read's value, a propose's winner,
 else None), so a scan is one register read per scheduled step and the
-adversary can interleave inside it.
+adversary can interleave inside it. ``random_walk`` is the one random
+adversary, for sampled explores and seeded CLI runs.
 """
 
 from __future__ import annotations
@@ -384,6 +385,30 @@ class AsyncRun:
             steps.append(pid)
         steps.reverse()
         return AsyncSchedule(tuple(steps), frozenset(self.crash_log))
+
+
+def random_walk(run, rng, crash_budget: int) -> int:
+    """Drive an AsyncRun to its end by random choices: each step picks,
+    uniformly, a live undecided process to step or, while fewer than
+    ``crash_budget`` processes have crashed, to crash.
+
+    Returns the number of configurations visited, the start included.
+    """
+    visited = 1
+    crashes = sum(run.crashed)
+    while not run.nonterminating:
+        live = run.live_undecided()
+        if not live:
+            break
+        options = len(live) * (2 if crashes < crash_budget else 1)
+        pick = rng.randrange(options)
+        if pick < len(live):
+            run.step(live[pick])
+        else:
+            run.crash(live[pick - len(live)])
+            crashes += 1
+        visited += 1
+    return visited
 
 
 def default_step_bound(n: int) -> int:

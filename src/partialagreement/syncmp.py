@@ -20,6 +20,8 @@ and chains its patterns' rounds through a memo keyed by (round,
 configuration, round victims). That is sound only because ``round_send``,
 ``round_recv`` and ``finalize`` are pure: a program that kept hidden state
 or read anything else would make the memo replay a stale round.
+``random_pattern`` draws one pattern, for sampled explores and seeded CLI
+runs.
 """
 
 from __future__ import annotations
@@ -331,3 +333,15 @@ def chain_patterns(programs, n: int, t: int, rounds: int, groups):
                     nxt = memo[key] = sync_round(programs, config, rnd, key[2])[0]
                 config = nxt
             yield crashed, config, _Token(victims, rnds, reached)
+
+
+def random_pattern(rng, n, t, rounds) -> CrashPattern:
+    """A random crash pattern with at most ``t`` victims (none without rounds)."""
+    count = rng.randint(0, t) if rounds >= 1 else 0
+    victims = sorted(rng.sample(range(n), count))
+    chosen = []
+    for pid in victims:
+        rnd = rng.randint(1, rounds)
+        reached = frozenset(q for q in range(n) if rng.random() < 0.5)
+        chosen.append((pid, rnd, reached))
+    return CrashPattern(tuple(chosen))

@@ -6,24 +6,28 @@ assignments x schedules (async, via full-state-deduplicated DFS over the
 execution tree) or crash patterns (sync), checking every complete run and
 aggregating empirical thresholds. Oracle-backed reductions are additionally
 driven across every contract-compliant first-phase assignment.
+
+A cell (one input vector, with one first-phase assignment for a reduction)
+is searched, folded onto an earlier cell of its symmetry orbit, or, for
+programs that declare a decision basis, resolved from the runs of the one
+cell an exhaustive async explore searches (see explore).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .algorithms import get_algorithm
 from .core import (
-    BudgetExceededError, ProblemSpec, SpecError, VALIDITY_STRONG, best_witness, evaluate_bounds,
+    ProblemSpec, SpecError, VALIDITY_STRONG, best_witness, evaluate_bounds,
 )
 from .objects import check_contract
-from .shmem import AsyncRun
-from .syncmp import CrashPattern, chain_patterns, pattern_groups, sync_decisions
+from .shmem import AsyncRun, Decide, random_walk
+from .syncmp import chain_patterns, pattern_groups, random_pattern, sync_decisions
 
 
 @dataclass(frozen=True)
@@ -130,15 +134,7 @@ class ExploreBudget:
             raise SpecError(f"mode must be 'auto' or 'sample', got {self.mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "max_runs": self.max_runs,
-            "max_states": self.max_states,
-            "max_input_vectors": self.max_input_vectors,
-            "samples": self.samples,
-            "mode": self.mode,
-            "seed": self.seed,
-            "max_recorded_violations": self.max_recorded_violations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -158,12 +154,14 @@ class ExplorationReport:
     empirical_ell: int | None = None
     exhaustive: bool = True
     notes: list = field(default_factory=list)
-    # Cells searched and folded by pid symmetry and value relabelling (see
+    # Cells searched or resolved, cells folded by pid symmetry and value
+    # relabelling, and cells resolved from the shared search's runs (see
     # explore), states searched and the largest role group searched under
-    # (see _explore_cell), and the verdict per distinct outcome (see record);
-    # not serialised, as they leave the report unchanged.
+    # (see _explore_cell), and the verdict per distinct outcome (see
+    # verdict); not serialised, as they leave the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
+    cells_resolved: int = 0
     states_searched: int = 0
     group_order: int = 1
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
@@ -177,12 +175,7 @@ class ExplorationReport:
         self.executions_checked += weight
         if outcome.flags:
             self.flagged_executions += weight
-        verdict = self.verdicts.get(outcome)
-        if verdict is None:
-            verdict = self.verdicts[outcome] = check_agreement(outcome, self.spec)
-            # empirical thresholds are maxima and minima over outcomes, so
-            # one fold per distinct outcome gives the same values
-            self._fold_thresholds(outcome)
+        verdict = self.verdict(outcome)
         if not verdict.passed:
             self.violations_total += weight
             if len(self.violations) < self.budget.max_recorded_violations:
@@ -195,6 +188,16 @@ class ExplorationReport:
                 })
         if self.executions_checked >= self.budget.max_runs:
             raise _BudgetStop
+
+    def verdict(self, outcome: _Outcome) -> Verdict:
+        """The verdict of ``outcome``, checked once per distinct outcome."""
+        verdict = self.verdicts.get(outcome)
+        if verdict is None:
+            verdict = self.verdicts[outcome] = check_agreement(outcome, self.spec)
+            # empirical thresholds are maxima and minima over outcomes, so
+            # one fold per distinct outcome gives the same values
+            self._fold_thresholds(outcome)
+        return verdict
 
     def _fold_thresholds(self, outcome: _Outcome) -> None:
         decided = [v for v in outcome.decisions if v is not None]
@@ -278,32 +281,6 @@ class _Outcome(NamedTuple):
     nonterminating: bool
 
 
-def _canonical_pattern(vector) -> tuple:
-    rank = {v: i for i, v in enumerate(sorted(set(vector)))}
-    return tuple(rank[v] for v in vector)
-
-
-def _input_vectors(spec: ProblemSpec, inputs_mode, budget: ExploreBudget) -> list:
-    if isinstance(inputs_mode, str):
-        if inputs_mode not in ("all", "canonical"):
-            raise SpecError(f"inputs_mode must be 'all', 'canonical', or vectors, got {inputs_mode!r}")
-        total = spec.m**spec.n
-        if total > budget.max_input_vectors:
-            raise BudgetExceededError(
-                f"{total} input assignments exceed the cap "
-                f"{budget.max_input_vectors}; pass explicit vectors or raise the budget",
-                total,
-            )
-        vectors = itertools.product(range(spec.m), repeat=spec.n)
-        if inputs_mode == "canonical":
-            # Order-isomorphism representatives: sound for the catalog since
-            # every algorithm and the verdict commute with monotone
-            # injective value relabelings.
-            return sorted({_canonical_pattern(v) for v in vectors})
-        return list(vectors)
-    return [spec.check_inputs(vec) for vec in inputs_mode]
-
-
 def _crash_can_matter(run, pid) -> bool:
     hint = getattr(run.progs[pid], "no_more_visible", None)
     return hint is None or not hint(run.states[pid])
@@ -319,15 +296,84 @@ def _async_outcome(run) -> _Outcome:
     )
 
 
-def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
+_UNDECIDED = Decide(None)
+
+
+def _class_width(n) -> int:
+    """The bytes of a run class (see _run_class): 1 + n(n + 2) bits."""
+    return n * (n + 2) // 8 + 1
+
+
+def _run_class(run) -> bytes:
+    """The class of a finished run (see explore), an int in
+    ``_class_width(n)`` little-endian bytes: its nonterminating bit, then
+    per pid n + 2 bits: its decision basis, whether it decided and whether
+    it crashed."""
+    n = run.n
+    cls = run.nonterminating
+    for pid in range(n):
+        bits = run.crashed[pid] << n + 1
+        if run.decided[pid] is not None:
+            bits |= 1 << n | run.progs[pid].basis(run.states[pid])
+        cls |= bits << 1 + pid * (n + 2)
+    return cls.to_bytes(_class_width(n), "little")
+
+
+def _class_outcomes(entry, spec, inputs, assignment, runs) -> list:
+    """Each class among the run classes ``runs`` (see explore), packed one
+    after another, with its count, as its outcome in this cell: decided by
+    the cell's own programs."""
+    progs = entry.build(spec, inputs, assignment=assignment).programs
+    n = len(inputs)
+    width = _class_width(n)
+    classes = (int.from_bytes(runs[i:i + width], "little") for i in range(0, len(runs), width))
+    outcomes = []
+    for cls, count in Counter(classes).items():
+        decides = []
+        for pid in range(n):
+            bits = cls >> 1 + pid * (n + 2)
+            decided = bits >> n & 1
+            decides.append(progs[pid].decide_on(bits & (1 << n) - 1) if decided else _UNDECIDED)
+        outcome = _Outcome(
+            inputs,
+            tuple(decide.value for decide in decides),
+            frozenset(p for p in range(n) if cls >> (p + 1) * (n + 2) & 1),
+            frozenset().union(*(decide.flags for decide in decides)),
+            bool(cls & 1),
+        )
+        outcomes.append((outcome, count))
+    return outcomes
+
+
+def _resolve(entry, inputs, assignment, report, shared) -> bool:
+    """Count a cell from the shared search's states, runs and run classes
+    (see explore): each class's outcome here recorded with its count, then
+    the states. Counts nothing and returns False, for the cell to be
+    searched, if a class fails its verdict here."""
+    states, _, classes = shared
+    outcomes = _class_outcomes(entry, report.spec, inputs, assignment, classes)
+    if not all(report.verdict(outcome).passed for outcome, _ in outcomes):
+        return False
+    for outcome, count in outcomes:
+        report.record(outcome, None, None, None, count)
+    report.states_explored += states
+    report.cells_resolved += 1
+    return True
+
+
+def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) -> None:
     """Search one cell into ``report``: its crash patterns (sync), its
     ``samples`` random runs (sample mode), or the DFS of the configurations
     reachable from its start, one per ``AsyncRun.key``. With ``role_orbits``,
     a cell whose programs declare ``role_objects`` is searched one
     configuration per role orbit (``roles.RoleKeys``) counted with the
-    orbit's size, so every count, k and ell stays exact."""
+    orbit's size, so every count, k and ell stays exact. A DFS whose
+    programs declare ``basis`` appends the class (``_run_class``) of each
+    finished run to the bytearray ``classes``, when given."""
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment=assignment, full_scan=report.full_scan)
+    if classes is not None and not all(hasattr(p, "basis") for p in built.programs.values()):
+        classes = None
     crash_budget = min(entry.fault_budget(spec), spec.n)
     base = {"inputs": list(inputs)}
     if entry.flavor == "sync":
@@ -394,6 +440,8 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
         live = run.live_undecided()
         if run.nonterminating or not live:
             report.record(_async_outcome(run), base, "schedule", run, weight)
+            if classes is not None:
+                classes += _run_class(run)
             continue
         children = []
         if sum(run.crashed) < crash_budget:
@@ -411,42 +459,6 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
             child.step(pid)
             children.append(child)
         stack.extend(reversed(children))
-
-
-def random_walk(run, rng, crash_budget: int) -> int:
-    """Drive an AsyncRun to its end by random choices: each step picks,
-    uniformly, a live undecided process to step or, while fewer than
-    ``crash_budget`` processes have crashed, to crash.
-
-    Returns the number of configurations visited, the start included.
-    """
-    visited = 1
-    crashes = sum(run.crashed)
-    while not run.nonterminating:
-        live = run.live_undecided()
-        if not live:
-            break
-        options = len(live) * (2 if crashes < crash_budget else 1)
-        pick = rng.randrange(options)
-        if pick < len(live):
-            run.step(live[pick])
-        else:
-            run.crash(live[pick - len(live)])
-            crashes += 1
-        visited += 1
-    return visited
-
-
-def random_pattern(rng, n, t, rounds) -> CrashPattern:
-    """A random crash pattern with at most ``t`` victims (none without rounds)."""
-    count = rng.randint(0, t) if rounds >= 1 else 0
-    victims = sorted(rng.sample(range(n), count))
-    chosen = []
-    for pid in victims:
-        rnd = rng.randint(1, rounds)
-        reached = frozenset(q for q in range(n) if rng.random() < 0.5)
-        chosen.append((pid, rnd, reached))
-    return CrashPattern(tuple(chosen))
 
 
 def _canonical(vector, symmetry, values, relabel) -> tuple:
@@ -488,6 +500,16 @@ def _orbit(entry, inputs, assignment) -> tuple:
     return orbit, (len(values), _canonical(vector, entry.symmetry, values, entry.value_symmetry))
 
 
+def _fits(report, tally) -> bool:
+    """Whether adding the states and runs of ``tally`` keeps ``report``
+    short of its caps."""
+    budget = report.budget
+    return (
+        report.states_explored + tally[0] <= budget.max_states
+        and report.executions_checked + tally[1] < budget.max_runs
+    )
+
+
 def _tally(report) -> tuple:
     return (
         report.states_explored,
@@ -501,6 +523,8 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
     """Search or fold every cell of ``vectors`` into ``report`` (see explore)."""
     spec, budget = report.spec, report.budget
     fold = entry.symmetry is not None and budget.mode != "sample"
+    share = fold and entry.flavor == "async" and not report.full_scan
+    shared = None  # the states, runs and run classes of the first cell searched
     # orbit -> tally of its first cell; None if that cell recorded a
     # violation, so the recorded list keeps its cells and order. wide holds
     # the same per orbit under the declared value relabelling, and None also
@@ -512,11 +536,7 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
         for assignment in cells:
             orbit, wide_orbit = _orbit(entry, inputs, assignment) if fold else (None, None)
             tally = tallies[orbit] if orbit in tallies else wide.get(wide_orbit)
-            if (
-                tally is not None
-                and report.states_explored + tally[0] <= budget.max_states
-                and report.executions_checked + tally[1] < budget.max_runs
-            ):
+            if tally is not None and _fits(report, tally):
                 report.states_explored += tally[0]
                 report.executions_checked += tally[1]
                 report.flagged_executions += tally[2]
@@ -524,7 +544,19 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
                 continue
             before = _tally(report)
             report.cells_explored += 1
-            _explore_cell(entry, inputs, assignment, report, role_orbits)
+            if not (
+                shared
+                and _fits(report, shared)
+                and _resolve(entry, inputs, assignment, report, shared)
+            ):
+                classes = bytearray() if share and not shared else None
+                _explore_cell(entry, inputs, assignment, report, role_orbits, classes)
+                if classes:
+                    shared = (
+                        report.states_explored - before[0],
+                        report.executions_checked - before[1],
+                        classes,
+                    )
             if fold:
                 delta = tuple(a - b for a, b in zip(_tally(report), before))
                 tally = None if delta[3] else delta[:3]
@@ -561,6 +593,23 @@ def explore(
     searched anyway when the addition would reach a cap, so a partial
     search stops on the same run.
 
+    Of the cells the fold leaves, an exhaustive async explore without
+    ``full_scan`` whose programs declare ``basis`` and ``decide_on`` (see
+    ``CatalogEntry``) searches only the first, and keeps the class of each
+    of its finished runs (``_run_class``): per pid its decision basis or
+    undecided, the crashed pids and nontermination. Every cell then has the
+    same runs up to values, so each later cell is resolved: each class is
+    decided by that cell's own programs (``_class_outcomes``) and recorded
+    with its count, and the first cell's states are added. The cell is
+    searched instead when a class fails its verdict there, so the recorded
+    violations keep their cells and order, or when the addition would reach
+    a cap, so a partial search stops on the same run. A resolved cell seeds
+    its orbit's tally as a searched one does. Sampled explores (one random
+    stream per cell), sync entries, ``smg-comp`` and ``full_scan`` explores
+    (a decision at a scan boundary may follow a read that saw nothing, so
+    the state does not hold its basis) are never resolved. The classes are
+    packed in one bytearray and dropped when the explore returns.
+
     Within a cell, programs that declare ``role_objects`` (``smg-comp``'s)
     are searched up to their role symmetry (see ``roles``), one
     configuration per orbit counted with the orbit's size. As every count
@@ -573,7 +622,7 @@ def explore(
     if entry.uses_oracle:
         check_contract(spec.n, entry.oracle_contract(spec)[0])
     budget = budget or ExploreBudget()
-    vectors = _input_vectors(spec, inputs_mode, budget)
+    vectors = spec.input_vectors(inputs_mode, budget.max_input_vectors)
     for role_orbits in (True, False):
         report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
         try:

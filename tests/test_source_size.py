@@ -16,9 +16,11 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "partialagreement"
 # verify.py at 3,901 tokens compiled at a peak of 1.32 MB, padded to 4,093
 # at 1.39 MB, and padded to 4,105 at 1.61 MB (Python 3.11, tracemalloc
 # around compile()). The sync pattern walk (syncmp.chain_patterns, about
-# 400 tokens) would take verify.py, now at 3,765, past the line and raise
-# peak_rss_mb on every workload. Split a module, or move code out of it,
-# before it crosses.
+# 400 tokens) would have taken verify.py past the line; so would cell
+# resolution (about 700 tokens), had the random adversaries not moved to
+# the executors they drive and the input vectors to ProblemSpec. verify.py
+# is now at 4,011. Split a module, or move code out of it, before it
+# crosses.
 TOKEN_LIMIT = 4096
 
 

@@ -391,6 +391,10 @@ def _cell_tally(entry, spec, inputs, assignment):
 
     report = verify.ExplorationReport(entry.name, spec, [inputs], ExploreBudget())
     verify._explore_cell(entry, inputs, assignment, report, role_orbits=True)
+    return _cell_counts(report)
+
+
+def _cell_counts(report):
     return (
         report.states_explored, report.executions_checked, report.violations_total,
         report.flagged_executions, report.empirical_k, report.empirical_k_all_runs,
@@ -678,6 +682,185 @@ def test_a_folded_input_vector_keeps_the_report(config, budget, digest, cells):
     report = explore(alg, spec, inputs, budget)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
     assert (report.cells_explored, report.cells_folded) == cells
+
+
+# --- cells resolved from one shared search -------------------------------------
+
+# The program classes that declare a decision basis (``basis`` and
+# ``decide_on``), and the entries all of whose programs are among them.
+BASIS_PROGRAMS = ("NoComm", "MaxWait", "OracleThenQuorum")
+BASIS_ENTRIES = {"no-comm", "max-wait", "reduce-binary", "reduce-set", "reduce-smg"}
+
+
+def _cells(entry, spec, vectors):
+    if vectors == "all":
+        vectors = list(itertools.product(range(spec.m), repeat=spec.n))
+    return [
+        (inputs, cell)
+        for inputs in vectors
+        for cell in (entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None])
+    ]
+
+
+def _resolution_mismatches(alg, spec, vectors):
+    """The cells whose tally, searched alone, differs from the tally that
+    their resolution from the search of the first cell gives."""
+    from partialagreement import CATALOG, verify
+
+    entry = CATALOG[alg]
+    cells = _cells(entry, spec, vectors)
+    shared = verify.ExplorationReport(alg, spec, vectors, ExploreBudget())
+    runs = bytearray()
+    verify._explore_cell(entry, *cells[0], shared, role_orbits=True, classes=runs)
+    assert len(runs) == shared.executions_checked * verify._class_width(spec.n) > 0
+    mismatches = []
+    for inputs, cell in cells:
+        # no violation is recorded, so none needs a schedule
+        budget = ExploreBudget(max_recorded_violations=0)
+        report = verify.ExplorationReport(alg, spec, [inputs], budget)
+        for outcome, count in verify._class_outcomes(entry, spec, inputs, cell, runs):
+            report.record(outcome, None, None, None, count)
+        report.states_explored += shared.states_explored
+        if _cell_counts(report) != _cell_tally(entry, spec, inputs, cell):
+            mismatches.append((inputs, cell))
+    return mismatches, len(cells)
+
+
+def test_the_basis_declarations_are_the_expected_ones():
+    from partialagreement import CATALOG, algorithms, build_algorithm
+
+    declared = {
+        name for name, cls in vars(algorithms).items()
+        if isinstance(cls, type) and "basis" in vars(cls)
+    }
+    assert declared == set(BASIS_PROGRAMS)
+    smg = ProblemSpec(n=4, m=4, t=4, model="sm-g", g=2)
+    for name, entry in CATALOG.items():
+        if entry.flavor == "async":
+            spec = smg if name == "smg-comp" else next(s for a, s, _ in FOLD_CONFIGS if a == name)
+            programs = build_algorithm(name, spec, (0,) * spec.n).programs.values()
+            assert all(hasattr(p, "basis") for p in programs) == (name in BASIS_ENTRIES), name
+
+
+# The fold configurations of every entry with a basis. Among them are the
+# violating reduce-set n=4 m=3 t=2 k=4 configuration, on (0, 1, 2, 2) and
+# (0, 1, 0, 2), and max-wait n=4 m=2 t=1 k=3 on every vector, whose
+# violating cells are searched by explore.
+RESOLVE_CONFIGS = [row for row in FOLD_CONFIGS if row[0] in BASIS_ENTRIES]
+
+
+@pytest.mark.parametrize(
+    "alg, spec, vectors", RESOLVE_CONFIGS,
+    ids=[f"{alg}-n{spec.n}-m{spec.m}-t{spec.t}-k{spec.k}-{i}"
+         for i, (alg, spec, _) in enumerate(RESOLVE_CONFIGS)],
+)
+def test_every_cell_resolves_to_its_own_search(alg, spec, vectors):
+    # The premise of resolution, checked directly: the programs never branch
+    # on a value and write only their own fixed value, so every cell of an
+    # explore has the same configuration graph up to values, and each cell
+    # searched alone has the tally that the first cell's run classes,
+    # decided by the cell's own programs, give. Violating cells included.
+    mismatches, cells = _resolution_mismatches(alg, spec, vectors)
+    assert cells > 1
+    assert mismatches == []
+
+
+def _without_basis(monkeypatch):
+    """Resolution switched off: no program declares a basis."""
+    from partialagreement import algorithms
+
+    for name in BASIS_PROGRAMS:
+        monkeypatch.delattr(getattr(algorithms, name), "basis")
+
+
+REDUCE_BINARY_4 = (
+    "reduce-binary", ProblemSpec(n=4, m=2, t=1, k=4, validity="strong"), [(0, 0, 1, 1)],
+)
+VIOLATING_REDUCE_SET = (
+    "reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), [(0, 1, 2, 2)],
+)
+# (config, budget, cells resolved): every PLAIN_FOLDS row and the two
+# reductions, each with and without resolution.
+RESOLVED_REPORTS = [
+    *((config, budget, resolved) for (config, budget, _, _), resolved in zip(
+        PLAIN_FOLDS, (19, 0, 1, 19, 4, 0, 0)
+    )),
+    (REDUCE_BINARY_4, ExploreBudget(), 1),
+    *((REDUCE_BINARY_4, ExploreBudget(max_runs=r, max_states=s), 1)
+      for r, s, _, _ in PARTIAL_SEARCHES),
+    (VIOLATING_REDUCE_SET, ExploreBudget(max_recorded_violations=1000), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "config, budget, resolved", RESOLVED_REPORTS,
+    ids=["max-wait", "max-wait-426-runs", "max-wait-639-runs", "max-wait-17000-states",
+         "no-comm", "min-flood-3000-runs", "min-flood-sampled", "reduce-binary",
+         *(f"reduce-binary-{r}-runs-{s}-states" for r, s, _, _ in PARTIAL_SEARCHES),
+         "reduce-set-violating"],
+)
+def test_a_resolved_cell_keeps_the_report(monkeypatch, config, budget, resolved):
+    alg, spec, inputs = config
+    report = explore(alg, spec, inputs, budget)
+    assert report.cells_resolved == resolved
+    _without_basis(monkeypatch)
+    searched = explore(alg, spec, inputs, budget)
+    assert searched.cells_resolved == 0
+    assert report.to_json() == searched.to_json()
+    assert (report.cells_explored, report.cells_folded) == (
+        searched.cells_explored, searched.cells_folded
+    )
+
+
+def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
+    # A mutant first phase promising k=2 of n=4 leaves reduce-smg's quorum
+    # of n - t = 2 a 1-1 tie, which strict_majority breaks to 0 and flags.
+    # A resolved class takes its flags from the cell's own decisions.
+    import dataclasses
+
+    from partialagreement import algorithms
+
+    def contract(spec):
+        return (2, 1)
+
+    entry = dataclasses.replace(algorithms.CATALOG["reduce-smg"], oracle_contract=contract)
+    monkeypatch.setattr(algorithms, "_smg_contract", contract)
+    monkeypatch.setitem(algorithms.CATALOG, "reduce-smg", entry)
+    spec = ProblemSpec(n=4, m=2, t=2, k=2, validity="strong")
+    mismatches, cells = _resolution_mismatches("reduce-smg", spec, [(0, 0, 1, 1)])
+    assert (mismatches, cells) == ([], 16)
+    report = explore("reduce-smg", spec, [(0, 0, 1, 1)])
+    assert (report.flagged_executions, report.violations_total, report.cells_resolved) == (
+        658, 0, 4,
+    )
+    _without_basis(monkeypatch)
+    assert explore("reduce-smg", spec, [(0, 0, 1, 1)]).to_json() == report.to_json()
+
+
+def test_the_resolution_check_catches_a_value_branching_program(monkeypatch):
+    # A mutant reduction that stops scanning once it has seen the answer 1
+    # branches on a value, so its cells' configuration graphs differ. The
+    # check above catches it, and an explore that trusted its declaration
+    # would report a search that never happened.
+    from partialagreement import algorithms
+
+    class StopsAtOne(algorithms.OracleThenQuorum):
+        __slots__ = ()
+
+        def step(self, state, obs):
+            if obs == 1:
+                cursor, last, mask = state
+                return state, self.decide_on(mask | 1 << last)
+            return super().step(state, obs)
+
+    monkeypatch.setattr(algorithms, "OracleThenQuorum", StopsAtOne)
+    spec = ProblemSpec(n=4, m=2, t=1, validity="strong")
+    mismatches, cells = _resolution_mismatches("reduce-binary", spec, FEW)
+    assert 0 < len(mismatches) < cells
+    report = explore("reduce-binary", spec, FEW)
+    assert report.cells_resolved
+    monkeypatch.delattr(StopsAtOne.__base__, "basis")
+    assert explore("reduce-binary", spec, FEW).to_json() != report.to_json()
 
 
 # --- the sync explorer --------------------------------------------------------
