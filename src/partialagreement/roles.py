@@ -36,14 +36,19 @@ from .shmem import Propose
 
 # A cell whose group has more elements is searched unreduced: each
 # configuration the search meets is relabelled by every element, at about
-# 5 us an image. Explores reduced against unreduced (2-CPU shared host,
-# Python 3.11.7): case 2 n=8 g=4 inputs 0..7 (32 elements) 0.22 against
-# 0.57 s; n=10 g=5 t=2 inputs 0..9 (288) 4.5 against 4.6 s, at a peak of
-# 18 against 163 MB. Case 1 searches are small and lose from 120 elements
-# on: n=5 g=5 (120) 3 against 1 ms, n=10 g=10 inputs with 1, 2, 3 and 4
-# copies of a value (288) 0.46 against 0.09 s, n=6 g=6 (720) 23 against
-# 3 ms, n=7 g=7 (5040) 218 against 8 ms.
+# 0.8 us an image. Explores reduced against unreduced (2-CPU shared host,
+# Python 3.11.7, best of 3): case 2 n=8 g=4 inputs 0..7 (32 elements) 0.13
+# against 0.82 s; n=10 g=5 t=2 inputs 0..9 (288) 1.9 against 7.2 s, at a
+# peak RSS of 17 against 140 MB. Case 1 searches are small and lose from
+# 120 elements on: n=5 g=5 (120) 4.5 against 1.1 ms, n=10 g=10 inputs with
+# 1, 2, 3 and 4 copies of a value (288) 0.22 against 0.11 s, n=6 g=6 (720)
+# 23 against 5 ms, n=7 g=7 (5040) 270 against 13 ms. A limit is part of
+# the search: raising it for case 2 would change which violations are
+# recorded, and that is left open (ROADMAP item 4).
 ROLE_GROUP_LIMIT = 288
+
+# Value codes and local-part ids of one cell, in one byte (see RoleKeys).
+CODE_LIMIT = 256
 
 
 def _role(prog):
@@ -128,8 +133,10 @@ def role_group(built, inputs) -> list:
 
 def role_keys(built, inputs):
     """A ``RoleKeys`` for the cell, or None when its group is the identity
-    or its objects or values do not fit the encoding."""
-    if len(built.objects) > 16 or len(set(inputs)) > 224:
+    or its value codes leave no byte for a local part (see ``RoleKeys``).
+    Objects take no code, so their number is not limited; a cell whose
+    local parts later outgrow the byte is left to ``RoleKeys.visit``."""
+    if len(set(inputs)) + 1 >= CODE_LIMIT:
         return None
     group = role_group(built, inputs)
     return RoleKeys(built, inputs, group) if len(group) > 1 else None
@@ -138,77 +145,98 @@ def role_keys(built, inputs):
 class RoleKeys:
     """Keys of a cell's async configurations up to its role group.
 
-    A configuration is encoded as bytes: per pid, its program state, its
-    pending action's kind, object and value, its decision and whether it
-    crashed; per object, its winner and one byte per pid that proposed to
-    it. That covers every field ``AsyncRun.key`` covers, since the rest is
-    fixed in every configuration of a role cell: no program writes a
-    register or decides with a flag, and an object keeps its capacity. Each
-    kind of byte takes its own range: objects 16.., values 32.. (None is
-    0), so one translate table per group element renames objects and
-    values, and one itemgetter moves the pid and object blocks.
+    A configuration is encoded as one byte per pid, then one per object:
+
+    - a pid's byte is the id of its local part (program state, pending
+      action, decision, crashed), assigned when that local part is first
+      seen;
+    - an object's byte is the code of its winner (None is 0, the input
+      values 1, 2, ... in order). The ids follow the value codes, and codes
+      and ids share one byte: up to ``CODE_LIMIT`` of them.
+
+    That covers every field ``AsyncRun.key`` covers. No program of a role
+    cell writes a register or decides with a flag, and an object keeps its
+    capacity. An object's proposers follow from the pid bytes: the program
+    at each pid is fixed, and its state with its pending action's kind says
+    which of its objects it has proposed to. Its winner does not: once both
+    A-relays of n=8 g=4 (pids 0 and 1) have relayed and decided C's winner,
+    no pid byte shows whether 0 or 1 won A, yet pids 2 and 3, which have not
+    proposed, will see that winner.
+
+    A group element acts as one 256-entry translate table, mapping each id
+    to the id of its local part's relabelled image and each value code to
+    its image's, then one itemgetter, moving the pid and object bytes. A new
+    local part gets the ids of its whole orbit at once, and every table its
+    entries for them, so each image is the encoding of the relabelled
+    configuration.
     """
 
     def __init__(self, built, inputs, group):
         n = len(inputs)
-        self.n = n
-        self.names = sorted(built.objects)
-        self.object = {name: 16 + i for i, name in enumerate(self.names)}
-        self.value = {v: 32 + i for i, v in enumerate(sorted(set(inputs)))}
-        self.value[None] = 0
-        self.states: dict = {}
-        self.blocks: dict = {}
+        names = list(built.objects)  # a run's objects keep this order
+        self.code = {v: i for i, v in enumerate([None, *sorted(set(inputs))])}
+        self.ids: dict = {}
+        self.relabels = []
         self.elements = []
-        slot = {name: 6 * n + j * (n + 1) for j, name in enumerate(self.names)}
         for pids, objects, values in group:
             table = bytearray(range(256))
             for v, image in values.items():
-                table[self.value[v]] = self.value[image]
-            source = [0] * (6 * n + len(self.names) * (n + 1))
+                table[self.code[v]] = self.code[image]
+            source = [0] * (n + len(names))
             for p, q in enumerate(pids):
-                source[6 * q:6 * q + 6] = range(6 * p, 6 * p + 6)
-            for name, image in objects.items():
-                table[self.object[name]] = self.object[image]
-                at, to = slot[name], slot[image]
-                source[to] = at
-                for p, q in enumerate(pids):
-                    source[to + 1 + q] = at + 1 + p
-            self.elements.append((itemgetter(*source), bytes(table)))
+                source[q] = p
+            for j, name in enumerate(names):
+                source[n + names.index(objects[name])] = n + j
+            self.relabels.append((objects, {None: None, **values}))
+            self.elements.append((itemgetter(*source), table))
 
-    def _block(self, state, action, decided, crashed) -> bytes:
-        code = self.states.setdefault(state, len(self.states))
-        if code >= 16:
-            raise ValueError("a role program has more than 16 states")
-        if action is None:
-            kind, obj, value = 0, 0, 0
-        elif type(action) is Propose:
-            kind, obj, value = 1, self.object[action.obj], self.value[action.value]
-        else:  # Decide
-            kind, obj, value = 2, 0, self.value[action.value]
-        return bytes((code, kind, obj, value, self.value[decided], crashed))
+    @staticmethod
+    def _image(local, objects, values):
+        """A pid's local part relabelled by one element's maps."""
+        state, action, decided, crashed = local
+        if type(action) is Propose:
+            action = Propose(objects[action.obj], values[action.value])
+        elif action is not None:  # Decide
+            action = action._replace(value=values[action.value])
+        return state, action, values[decided], crashed
 
-    def encode(self, run) -> bytes:
-        blocks = self.blocks
-        parts = []
-        for local in zip(run.states, run.actions, run.decided, run.crashed):
-            block = blocks.get(local)
-            if block is None:
-                block = blocks[local] = self._block(*local)
-            parts.append(block)
-        for name in self.names:
-            obj = run.objects[name]
-            row = bytearray(self.n + 1)
-            row[0] = self.value[obj.winner]
-            for pid in obj.proposers:
-                row[1 + pid] = 1
-            parts.append(row)
-        return b"".join(parts)
+    def _add_orbit(self, local) -> bool:
+        """Give ids to the orbit of a new local part and fill every table's
+        entries for them; False if they would pass ``CODE_LIMIT``."""
+        ids, image = self.ids, self._image
+        orbit = list(dict.fromkeys(image(local, *maps) for maps in self.relabels))
+        first = len(self.code) + len(ids)
+        if first + len(orbit) > CODE_LIMIT:
+            return False
+        for i, member in enumerate(orbit):
+            ids[member] = first + i
+        for maps, (_, table) in zip(self.relabels, self.elements):
+            for member in orbit:
+                table[ids[member]] = ids[image(member, *maps)]
+        return True
 
-    def visit(self, run, seen: set) -> int:
+    def encode(self, run) -> bytes | None:
+        """The configuration's bytes; None if its local parts would take
+        the ids past ``CODE_LIMIT``."""
+        ids = self.ids
+        parts = [ids.get(local) for local in zip(run.states, run.actions, run.decided, run.crashed)]
+        if None in parts:
+            for local in zip(run.states, run.actions, run.decided, run.crashed):
+                if local not in ids and not self._add_orbit(local):
+                    return None
+            return self.encode(run)
+        code = self.code
+        parts += [code[obj.winner] for obj in run.objects.values()]
+        return bytes(parts)
+
+    def visit(self, run, seen: set) -> int | None:
         """The size of ``run``'s orbit if no configuration of it is in
-        ``seen``, else 0. Adds the configuration and its orbit's least
-        image, the orbit's key."""
+        ``seen``, else 0; None if the cell outgrew its codes, for the
+        explore to be redone unreduced. Adds the configuration and its
+        orbit's least image, the orbit's key."""
         raw = self.encode(run)
+        if raw is None:
+            return None
         if raw in seen:
             return 0
         images = {bytes(move(raw.translate(table))) for move, table in self.elements}

@@ -254,13 +254,17 @@ class AsyncRun:
         return new
 
     def key(self):
+        """States, actions, decisions, crashed flags, register rows, object
+        keys and flags, unpacked into one flat tuple. The runs of one search
+        share n and their objects, so every field sits at the same position
+        in each key, and two keys are equal exactly when each field is."""
         return (
-            tuple(self.states),
-            tuple(self.actions),
-            tuple(self.decided),
-            tuple(self.crashed),
-            self.regs,
-            tuple([obj.key() for obj in self.objects.values()]),
+            *self.states,
+            *self.actions,
+            *self.decided,
+            *self.crashed,
+            *self.regs,
+            *[obj.key() for obj in self.objects.values()],
             self.flags,
         )
 

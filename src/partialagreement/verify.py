@@ -427,6 +427,8 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
         run = stack.pop()
         if keys:
             weight = keys.visit(run, seen)
+            if weight is None:  # the cell outgrew its codes: redo unreduced
+                raise _BudgetStop
         else:
             size = len(seen)
             seen.add(run.key())
@@ -616,7 +618,8 @@ def explore(
     stays exact, that search reaches a cap only where the unreduced one
     does; an explore that reaches a cap after some cell was searched under
     a role group is redone with role orbits off, so a partial report is
-    the unreduced search's.
+    the unreduced search's. So is one with a cell whose configurations
+    outgrow the role encoding's one-byte codes (``roles.CODE_LIMIT``).
     """
     entry = get_algorithm(algorithm)
     if entry.uses_oracle:

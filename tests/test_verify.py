@@ -1100,3 +1100,114 @@ def test_a_capped_explore_is_redone_without_role_orbits(monkeypatch):
     assert report.group_order == 1
     monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
     assert report.to_json() == explore("smg-comp", spec, "all", budget).to_json()
+
+
+def test_a_cell_that_outgrows_its_codes_is_redone_without_role_orbits(monkeypatch):
+    # 9 value codes leave 11 ids, fewer than the n=8 g=4 search's local
+    # parts: the search gives up mid-cell and the explore is redone
+    # unreduced, recorded violations included.
+    from partialagreement import roles
+
+    gave_up = []
+    visit = roles.RoleKeys.visit
+
+    def spy(self, run, seen):
+        weight = visit(self, run, seen)
+        gave_up.append(weight is None)
+        return weight
+
+    spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
+    monkeypatch.setattr(roles, "CODE_LIMIT", 20)
+    monkeypatch.setattr(roles.RoleKeys, "visit", spy)
+    report = explore("smg-comp", spec, [tuple(range(8))])
+    assert gave_up[-1] and not any(gave_up[:-1]) and len(gave_up) > 1
+    assert report.exhaustive and report.group_order == 1
+    assert report.states_searched == report.states_explored
+    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
+    assert report.to_json() == explore("smg-comp", spec, [tuple(range(8))]).to_json()
+
+
+def _relabelled(run, pids, objects, values):
+    """The configuration of ``run`` with pid p moved to ``pids[p]``, object
+    o renamed ``objects[o]`` and value v mapped to ``values[v]``."""
+    from partialagreement.shmem import Propose
+
+    image = run.clone()
+    for p, q in enumerate(pids):
+        action = run.actions[p]
+        if type(action) is Propose:
+            action = Propose(objects[action.obj], values[action.value])
+        elif action is not None:
+            action = action._replace(value=values[action.value])
+        image.states[q], image.actions[q], image.crashed[q] = run.states[p], action, run.crashed[p]
+        image.decided[q] = None if run.decided[p] is None else values[run.decided[p]]
+    image.objects = dict(run.objects)
+    for name, obj in run.objects.items():
+        moved = image.objects[objects[name]] = obj.clone()
+        moved.winner = None if obj.winner is None else values[obj.winner]
+        moved.proposers = frozenset(pids[p] for p in obj.proposers)
+    return image
+
+
+# smg-comp cells of both cases, with the configurations a DFS that may
+# crash at every point meets: case 2 with one relay per group, alone and
+# beside six fixed pids, case 2 with two relays per group (no crash), and
+# every case 1 n=4 vector with a group.
+ENCODED_CELLS = [
+    (ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))], 4450),
+    (ProblemSpec(n=12, m=12, t=12, k=3, model="sm-g", g=3), [tuple(range(12))], 4450),
+    (ProblemSpec(n=8, m=2, t=0, k=6, model="sm-g", g=4), [(0, 1, 0, 1, 0, 1, 0, 1)], 4369),
+    (ProblemSpec(n=4, m=4, t=4, k=4, model="sm-g", g=4), "all", 28476),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, vectors, configurations", ENCODED_CELLS,
+    ids=[f"n{spec.n}-m{spec.m}-t{spec.t}-g{spec.g}" for spec, _, _ in ENCODED_CELLS],
+)
+def test_the_role_encoding_is_the_key_and_each_image_the_relabelled_encoding(
+    spec, vectors, configurations
+):
+    # Every configuration reachable in the cell, crashing any live pid at
+    # any point up to t, and its image under each group element.
+    from partialagreement import build_algorithm
+    from partialagreement.roles import role_group, role_keys
+    from partialagreement.shmem import AsyncRun
+
+    if vectors == "all":
+        vectors = list(itertools.product(range(spec.m), repeat=spec.n))
+    met = 0
+    for inputs in vectors:
+        built = build_algorithm("smg-comp", spec, inputs)
+        keys = role_keys(built, inputs)
+        if keys is None:
+            continue
+        group = role_group(built, inputs)
+        seen, by_key, by_code = set(), {}, {}
+        stack = [AsyncRun(built.programs, inputs, objects=built.objects, eager=True)]
+        while stack:
+            run = stack.pop()
+            key = run.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            raw = keys.encode(run)
+            assert by_key.setdefault(key, raw) == raw
+            assert by_code.setdefault(raw, key) == key
+            for element, (move, table) in zip(group, keys.elements):
+                image = _relabelled(run, *element)
+                code = keys.encode(image)
+                assert bytes(move(raw.translate(table))) == code
+                assert by_code.setdefault(code, image.key()) == image.key()
+                assert by_key.setdefault(image.key(), code) == code
+            live = run.live_undecided()
+            if sum(run.crashed) < spec.t:
+                for pid in live:
+                    stack.append(run.clone())
+                    stack[-1].crash(pid)
+            for pid in live:
+                stack.append(run.clone())
+                stack[-1].step(pid)
+        met += len(seen)
+        assert len(keys.code) + len(keys.ids) <= 256
+    assert met == configurations
