@@ -134,8 +134,7 @@ class OracleThenQuorum:
 
     rule "majority" decides the strict majority (flagging if none exists);
     rule "mode-max" decides the largest among the most-repeated values.
-    With full_scan=True the quorum is only checked at scan boundaries, so a
-    decision reflects everything available during one whole pass.
+    The quorum is checked after every read.
 
     ``answers`` holds every process's first-phase answer, fixed at build
     time, and a process writes only its own, so a read of a written cell
@@ -147,17 +146,16 @@ class OracleThenQuorum:
     answers (``_decision``).
     """
 
-    __slots__ = ("pid", "n", "answers", "quorum", "rule", "full_scan", "start", "scan")
+    __slots__ = ("pid", "n", "answers", "quorum", "rule", "start", "scan")
 
     state0 = _INIT
 
-    def __init__(self, pid, n, answers, quorum, rule="majority", full_scan=False):
+    def __init__(self, pid, n, answers, quorum, rule="majority"):
         self.pid = pid
         self.n = n
         self.answers = answers
         self.quorum = quorum
         self.rule = rule
-        self.full_scan = full_scan
         self.start = (pid + 1) % n
         self.scan = _scan_table(pid, n)
 
@@ -171,18 +169,16 @@ class OracleThenQuorum:
         cursor, last, mask = state
         if last >= 0 and obs is not None:
             mask |= 1 << last
-        at_boundary = cursor == self.start and last >= 0
-        if mask.bit_count() >= self.quorum and (not self.full_scan or at_boundary):
+        if mask.bit_count() >= self.quorum:
             return state, self.decide_on(mask)
         nxt, read = self.scan[cursor]
         return (nxt, cursor, mask), read
 
     def basis(self, state):
-        """The owners whose answers a decision in ``state`` saw, without
-        full_scan: a decision keeps the state before its last read, and
-        it follows the write (``last`` -1) or a read that saw its cell, as
-        the quorum is checked after every read and a read that sees
-        nothing adds no owner."""
+        """The owners whose answers a decision in ``state`` saw: a decision
+        keeps the state before its last read, and it follows the write
+        (``last`` -1) or a read that saw its cell, as the quorum is checked
+        after every read and a read that sees nothing adds no owner."""
         cursor, last, mask = state
         return mask | 1 << last if last >= 0 else mask
 
@@ -414,11 +410,11 @@ class CatalogEntry:
         return compliant_assignments(spec.n, *self.oracle_contract(spec), inputs)
 
 
-def _build_no_comm(spec, inputs, assignment=None, full_scan=False):
+def _build_no_comm(spec, inputs, assignment=None):
     return Built({pid: NoComm(inputs[pid]) for pid in range(spec.n)})
 
 
-def _build_max_wait(spec, inputs, assignment=None, full_scan=False):
+def _build_max_wait(spec, inputs, assignment=None):
     q = spec.n - spec.t
     if q < 1:
         raise SpecError(f"max-wait needs n - t >= 1, got n={spec.n}, t={spec.t}")
@@ -429,7 +425,7 @@ def _build_max_wait(spec, inputs, assignment=None, full_scan=False):
     )
 
 
-def _build_min_flood(spec, inputs, assignment=None, full_scan=False):
+def _build_min_flood(spec, inputs, assignment=None):
     rounds = spec.t // spec.ell + 1
     return Built(
         {pid: MinFlood(inputs[pid]) for pid in range(spec.n)},
@@ -437,7 +433,7 @@ def _build_min_flood(spec, inputs, assignment=None, full_scan=False):
     )
 
 
-def _build_smg_comp(spec, inputs, assignment=None, full_scan=False):
+def _build_smg_comp(spec, inputs, assignment=None):
     if spec.model != MODEL_SM_G or spec.g is None:
         raise SpecError("smg-comp needs model sm-g with g set")
     n, g = spec.n, spec.g
@@ -474,13 +470,12 @@ def smg_guarantee(spec: ProblemSpec) -> int:
     return max(spec.g, 3 * (ghat // 2))
 
 
-def _build_reduction(spec, inputs, assignment, full_scan, contract, quorum, rule) -> Built:
+def _build_reduction(spec, inputs, assignment, contract, quorum, rule) -> Built:
     """An async reduction: the first phase answered at build time, then
     OracleThenQuorum with ``quorum`` and ``rule``."""
     answers = first_phase(spec.n, *contract(spec), inputs, assignment)
     programs = {
-        pid: OracleThenQuorum(pid, spec.n, answers, quorum, rule, full_scan)
-        for pid in range(spec.n)
+        pid: OracleThenQuorum(pid, spec.n, answers, quorum, rule) for pid in range(spec.n)
     }
     return Built(programs, meta={"quorum": quorum, "first_phase": answers})
 
@@ -489,23 +484,21 @@ def _binary_contract(spec):
     return (ceil_div(spec.n, 2) + 1, 1)
 
 
-def _build_reduce_binary(spec, inputs, assignment=None, full_scan=False):
+def _build_reduce_binary(spec, inputs, assignment=None):
     if spec.m != 2:
         raise SpecError("reduce-binary needs m=2")
-    return _build_reduction(
-        spec, inputs, assignment, full_scan, _binary_contract, spec.n - 1, "majority"
-    )
+    return _build_reduction(spec, inputs, assignment, _binary_contract, spec.n - 1, "majority")
 
 
 def _set_contract(spec):
     return (spec.n // spec.m + spec.n % spec.m + 1, 1)
 
 
-def _build_reduce_set(spec, inputs, assignment=None, full_scan=False):
+def _build_reduce_set(spec, inputs, assignment=None):
     if spec.m > spec.t + 1:
         raise SpecError(f"reduce-set needs m <= t+1, got m={spec.m}, t={spec.t}")
     return _build_reduction(
-        spec, inputs, assignment, full_scan, _set_contract, spec.n - (spec.m - 1), "mode-max"
+        spec, inputs, assignment, _set_contract, spec.n - (spec.m - 1), "mode-max"
     )
 
 
@@ -513,21 +506,19 @@ def _smg_contract(spec):
     return (ceil_div(spec.n + spec.t - 1, 2) + 1, 1)
 
 
-def _build_reduce_smg(spec, inputs, assignment=None, full_scan=False):
+def _build_reduce_smg(spec, inputs, assignment=None):
     if spec.m != 2:
         raise SpecError("reduce-smg needs m=2")
     if not spec.n > spec.t >= 1:
         raise SpecError(f"reduce-smg needs n > t >= 1, got n={spec.n}, t={spec.t}")
-    return _build_reduction(
-        spec, inputs, assignment, full_scan, _smg_contract, spec.n - spec.t, "majority"
-    )
+    return _build_reduction(spec, inputs, assignment, _smg_contract, spec.n - spec.t, "majority")
 
 
 def _sync_contract(spec):
     return (ceil_div(spec.n + spec.t + 1, 2), 1)
 
 
-def _build_reduce_sync(spec, inputs, assignment=None, full_scan=False):
+def _build_reduce_sync(spec, inputs, assignment=None):
     # The first phase is a black box answered before the broadcast round;
     # its round cost is accounting, not simulation. A victim of the single
     # round with no recipients models a crash inside the first phase.
@@ -621,5 +612,5 @@ def get_algorithm(name: str) -> CatalogEntry:
         raise SpecError(f"unknown algorithm {name!r}; known: {known}") from None
 
 
-def build_algorithm(name: str, spec: ProblemSpec, inputs, **kwargs) -> Built:
-    return get_algorithm(name).build(spec, inputs, **kwargs)
+def build_algorithm(name: str, spec: ProblemSpec, inputs, assignment=None) -> Built:
+    return get_algorithm(name).build(spec, inputs, assignment)

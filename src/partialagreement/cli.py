@@ -230,8 +230,8 @@ TABLE_COLUMNS = [
 
 def cmd_table(args) -> int:
     bounds = _ints(args.n_range, ":")
-    if len(bounds) != 2:
-        raise SpecError(f"--n-range must be lo:hi, got {args.n_range!r}")
+    if len(bounds) != 2 or bounds[0] > bounds[1]:
+        raise SpecError(f"--n-range must be lo:hi with lo <= hi, got {args.n_range!r}")
     lo, hi = bounds
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TABLE_COLUMNS)

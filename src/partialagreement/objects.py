@@ -6,8 +6,8 @@ ConsensusObject is a wait-free first-value-wins agreement object for up to
 reduction's first phase is a black-box protocol meeting an (n, k, ell)
 agreement contract under strong validity. It is not an object: its answers
 are an assignment over all n processes, fixed when the reduction is built
-(``first_phase``). Passing each assignment ``compliant_assignments`` yields
-lets an explorer drive every assignment the contract admits.
+(``first_phase``). ``compliant_assignments`` yields every assignment the
+contract admits, and an explorer builds the reduction once per assignment.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from .shmem import Propose
 # 1, 2, 3 and 4 copies of a value (288) 0.22 against 0.11 s, n=6 g=6 (720)
 # 23 against 5 ms, n=7 g=7 (5040) 270 against 13 ms. A limit is part of
 # the search: raising it for case 2 would change which violations are
-# recorded, and that is left open (ROADMAP item 4).
+# recorded, and that is left open (ROADMAP item 5).
 ROLE_GROUP_LIMIT = 288
 
 # Value codes and local-part ids of one cell, in one byte (see RoleKeys).

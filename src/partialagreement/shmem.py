@@ -275,9 +275,6 @@ class AsyncRun:
             if not self.crashed[pid] and self.decided[pid] is None
         ]
 
-    def all_settled(self) -> bool:
-        return not self.live_undecided()
-
     @property
     def decisions(self) -> tuple:
         return tuple(self.decided)
@@ -452,7 +449,7 @@ def run_async(
     while True:
         for pid in crash_at.get(pos, ()):
             run.crash(pid)
-        if run.all_settled():
+        if not run.live_undecided():
             break
         if pos < len(schedule.steps):
             pid = schedule.steps[pos]

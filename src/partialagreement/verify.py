@@ -137,13 +137,16 @@ class ExploreBudget:
         return asdict(self)
 
 
+# What an explore's replay encoding holds (see explore_from_replay).
+_REPLAY_KEYS = ("algorithm", "spec", "inputs_mode", "budget")
+
+
 @dataclass
 class ExplorationReport:
     algorithm: str
     spec: ProblemSpec
     inputs_mode: object
     budget: ExploreBudget
-    full_scan: bool = False
     executions_checked: int = 0
     states_explored: int = 0
     violations: list = field(default_factory=list)
@@ -220,12 +223,11 @@ class ExplorationReport:
         if not isinstance(mode, str):
             mode = [list(v) for v in mode]
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "algorithm": self.algorithm,
             "spec": self.spec.to_dict(),
             "inputs_mode": mode,
             "budget": self.budget.to_dict(),
-            "full_scan": self.full_scan,
             "executions_checked": self.executions_checked,
             "states_explored": self.states_explored,
             "violations": self.violations,
@@ -243,14 +245,17 @@ class ExplorationReport:
 
     def replay_encoding(self) -> str:
         d = self.to_dict()
-        return json.dumps(
-            {k: d[k] for k in ("algorithm", "spec", "inputs_mode", "budget", "full_scan")},
-            sort_keys=True,
-        )
+        return json.dumps({k: d[k] for k in _REPLAY_KEYS}, sort_keys=True)
 
 
 def explore_from_replay(encoding: str | dict) -> ExplorationReport:
+    """The explore that ``encoding``, a ``replay_encoding``, describes. Any
+    other key set to a true value, such as an explore option that is gone,
+    asks for a search this explorer cannot reproduce: SpecError."""
     d = json.loads(encoding) if isinstance(encoding, str) else encoding
+    extra = [k for k in d if d[k] and k not in _REPLAY_KEYS]
+    if extra:
+        raise SpecError(f"cannot replay an explore that sets {extra}")
     mode = d["inputs_mode"]
     if not isinstance(mode, str):
         mode = [tuple(v) for v in mode]
@@ -259,7 +264,6 @@ def explore_from_replay(encoding: str | dict) -> ExplorationReport:
         ProblemSpec.from_dict(d["spec"]),
         inputs_mode=mode,
         budget=ExploreBudget(**d["budget"]),
-        full_scan=d.get("full_scan", False),
     )
 
 
@@ -371,7 +375,7 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
     programs declare ``basis`` appends the class (``_run_class``) of each
     finished run to the bytearray ``classes``, when given."""
     spec, budget = report.spec, report.budget
-    built = entry.build(spec, inputs, assignment=assignment, full_scan=report.full_scan)
+    built = entry.build(spec, inputs, assignment)
     if classes is not None and not all(hasattr(p, "basis") for p in built.programs.values()):
         classes = None
     crash_budget = min(entry.fault_budget(spec), spec.n)
@@ -525,7 +529,7 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
     """Search or fold every cell of ``vectors`` into ``report`` (see explore)."""
     spec, budget = report.spec, report.budget
     fold = entry.symmetry is not None and budget.mode != "sample"
-    share = fold and entry.flavor == "async" and not report.full_scan
+    share = fold and entry.flavor == "async"
     shared = None  # the states, runs and run classes of the first cell searched
     # orbit -> tally of its first cell; None if that cell recorded a
     # violation, so the recorded list keeps its cells and order. wide holds
@@ -571,8 +575,6 @@ def explore(
     spec: ProblemSpec,
     inputs_mode="all",
     budget: ExploreBudget | None = None,
-    *,
-    full_scan: bool = False,
 ) -> ExplorationReport:
     """Check one catalog algorithm across adversary choices.
 
@@ -595,22 +597,20 @@ def explore(
     searched anyway when the addition would reach a cap, so a partial
     search stops on the same run.
 
-    Of the cells the fold leaves, an exhaustive async explore without
-    ``full_scan`` whose programs declare ``basis`` and ``decide_on`` (see
-    ``CatalogEntry``) searches only the first, and keeps the class of each
-    of its finished runs (``_run_class``): per pid its decision basis or
-    undecided, the crashed pids and nontermination. Every cell then has the
-    same runs up to values, so each later cell is resolved: each class is
-    decided by that cell's own programs (``_class_outcomes``) and recorded
-    with its count, and the first cell's states are added. The cell is
-    searched instead when a class fails its verdict there, so the recorded
-    violations keep their cells and order, or when the addition would reach
-    a cap, so a partial search stops on the same run. A resolved cell seeds
-    its orbit's tally as a searched one does. Sampled explores (one random
-    stream per cell), sync entries, ``smg-comp`` and ``full_scan`` explores
-    (a decision at a scan boundary may follow a read that saw nothing, so
-    the state does not hold its basis) are never resolved. The classes are
-    packed in one bytearray and dropped when the explore returns.
+    Of the cells the fold leaves, an exhaustive async explore whose programs
+    declare ``basis`` and ``decide_on`` (see ``CatalogEntry``) searches only
+    the first, and keeps the class of each of its finished runs
+    (``_run_class``): per pid its decision basis or undecided, the crashed
+    pids and nontermination. Every cell then has the same runs up to values,
+    so each later cell is resolved: each class is decided by that cell's own
+    programs (``_class_outcomes``) and recorded with its count, and the
+    first cell's states are added. The cell is searched instead when a class
+    fails its verdict there, so the recorded violations keep their cells and
+    order, or when the addition would reach a cap, so a partial search stops
+    on the same run. A resolved cell seeds its orbit's tally as a searched
+    one does. Sampled explores (one random stream per cell), sync entries
+    and ``smg-comp`` are never resolved. The classes are packed in one
+    bytearray and dropped when the explore returns.
 
     Within a cell, programs that declare ``role_objects`` (``smg-comp``'s)
     are searched up to their role symmetry (see ``roles``), one
@@ -627,7 +627,7 @@ def explore(
     budget = budget or ExploreBudget()
     vectors = spec.input_vectors(inputs_mode, budget.max_input_vectors)
     for role_orbits in (True, False):
-        report = ExplorationReport(algorithm, spec, inputs_mode, budget, full_scan=full_scan)
+        report = ExplorationReport(algorithm, spec, inputs_mode, budget)
         try:
             _explore_cells(entry, vectors, report, role_orbits)
         except _BudgetStop:

@@ -328,12 +328,21 @@ def test_verdict_memo_on_sync_runs(monkeypatch):
     assert report.empirical_ell == max(len(v.details) for v in verdicts)
 
 
-def test_full_scan_replay_is_byte_identical():
+def test_a_replay_encoding_with_full_scan_set_is_refused():
+    # An encoding that sets full_scan asks for a scan-boundary search this
+    # explorer does not have; one with full_scan absent or false replays.
+    import json
+
+    from partialagreement import SpecError
+
     spec = ProblemSpec(n=4, m=2, t=1, k=4, validity="strong")
-    report = explore("reduce-set", spec, [(0, 0, 1, 1)], full_scan=True)
-    assert report.full_scan and report.states_explored == 6540
-    replayed = explore_from_replay(report.replay_encoding())
-    assert replayed.to_json() == report.to_json()
+    report = explore("reduce-set", spec, [(0, 0, 1, 1)])
+    encoding = json.loads(report.replay_encoding())
+    assert "full_scan" not in encoding
+    with pytest.raises(SpecError):
+        explore_from_replay({**encoding, "full_scan": True})
+    for old in (encoding, {**encoding, "full_scan": False}):
+        assert explore_from_replay(json.dumps(old)).to_json() == report.to_json()
 
 
 def test_every_entry_point_checks_inputs_against_the_spec():
@@ -546,7 +555,7 @@ def test_a_violating_orbit_is_searched_cell_by_cell():
     assert len({tuple(v["assignment"]) for v in report.violations}) == 12
     assert len(report.violations) == 528 and report.cells_folded == 9
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "220d6dd5a474686846b681b3c54a393f004ac7b22e73a45d51f626bc77da8cd5"
+    assert digest == "69a60b6bd76b4013b4dee86a4e8140b0b9a541a9ca8514ac52703dadd8778335"
 
 
 def test_every_recorded_reduction_violation_replays(capsys):
@@ -607,8 +616,8 @@ PARTIAL_REPORT = (
     '"max_recorded_violations": 25, "max_runs": %d, "max_states": %d, "mode": "auto", '
     '"samples": 100, "seed": 0}, "empirical_ell": 1, "empirical_k": 4, '
     '"empirical_k_all_runs": 4, "executions_checked": %d, "exhaustive": false, '
-    '"flagged_executions": 0, "full_scan": false, "inputs_mode": [[0, 0, 1, 1]], '
-    '"notes": ["conditional construction verified against oracle"], "schema_version": 2, '
+    '"flagged_executions": 0, "inputs_mode": [[0, 0, 1, 1]], '
+    '"notes": ["conditional construction verified against oracle"], "schema_version": 3, '
     '"spec": {"ell": 1, "g": null, "k": 4, "m": 2, "model": "async-rw", "n": 4, "t": 1, '
     '"validity": "strong"}, "states_explored": %d, "violations": [], "violations_total": 0}'
 )
@@ -654,19 +663,19 @@ MIN_FLOOD_4 = ("min-flood", ProblemSpec(n=4, m=3, t=2, k=2, model="sync-mp"), "a
 # and a sampled search never folds.
 PLAIN_FOLDS = [
     (MAX_WAIT_4, ExploreBudget(),
-     "5ab67e6b9d5667804f43871499b1d99d4bb0d530734c584423154d83b09064f0", (20, 55)),
+     "19589e8d2696705f33d5d8c8702bd6c5670dbc1138630583725e829ac245af08", (20, 55)),
     (MAX_WAIT_4, ExploreBudget(max_runs=426),
-     "bde3ecfb2898927d3bbd34af4e782685d833bd439585a6aba4e9f1df09b97bf9", (2, 0)),
+     "da820bf3f63141445ea3af0c5de5faeab0965b890e9f6afc4eeb17e33911c824", (2, 0)),
     (MAX_WAIT_4, ExploreBudget(max_runs=639),
-     "90aed6fe7225866e4cd5b674f149bfa3535d2a287e073307f99c49e38d23be6b", (3, 0)),
+     "a59ce19a2839fa50797e0eff3df6c8ab972b8d432adfa03aaf5347fa942d477b", (3, 0)),
     (MAX_WAIT_4, ExploreBudget(max_states=17_000),
-     "5af8a6d6db016c6bb6dce40f0075a44444782299299e3ec59cf355aad7388e26", (21, 7)),
+     "794837d242c425686423ddb31649223624ccc0247408e0ca720418349a7ae003", (21, 7)),
     (NO_COMM_6, ExploreBudget(),
-     "12c8badcd8f936debddd874047838a1f4c3085738891639ffa6e6f2cef32fd50", (25, 39)),
+     "00fa0bd10488554e43e91ee08a00976c3a26aec7a3ebfc26162f074440d6984e", (25, 39)),
     (MIN_FLOOD_5, ExploreBudget(max_runs=3000),
-     "42cfbedc61cf78028048e204eb737138b2b647de93dedb80a341947a2802a53b", (1, 0)),
+     "1fafd2c3e77cce4ccb729ef36cb07f755c56069a3df232082e6cc7d1d6b4924c", (1, 0)),
     (MIN_FLOOD_4, ExploreBudget(mode="sample", samples=50, seed=3),
-     "d8c73b6d0f3daf982294dc08f1355ce1ce12cace3d6eaea2cd003b04bb96c65c", (81, 0)),
+     "dcc41510068cc1834fffcb5071f83f5e3cc093d08c49d0b5db2312101562618f", (81, 0)),
 ]
 
 
@@ -873,7 +882,7 @@ def _min_flood_one_round_short(monkeypatch):
 
     entry = algorithms.CATALOG["min-flood"]
 
-    def build(spec, inputs, assignment=None, full_scan=False):
+    def build(spec, inputs, assignment=None):
         built = entry.build(spec, inputs)
         return dataclasses.replace(built, rounds=built.rounds - 1)
 
@@ -886,17 +895,17 @@ def _min_flood_one_round_short(monkeypatch):
 # by one, before they were walked by group. It pins which violations are
 # recorded first, and in what order.
 SHORT_FLOODS = [
-    (3, 1, 25, 2, "964da46a95a7505e2b351b2c12e48114fdd08f36c2d997b93b704f1826d5a542"),
-    (4, 2, 25, 6, "422e69b5bb24d99204397b4b33b1d18fc41966185fd78091684f2d25a33c7cec"),
-    (4, 2, 2, 6, "6e6bc942ca945b250422ab69ee08d88053f23141cbd290b66f5643e4bd603277"),
+    (3, 1, 25, 2, "69799fc2e6e059963ea1cd8d82c166df48689719722a9e5a99a7c6b920d015fc"),
+    (4, 2, 25, 6, "5aa3135cfea1425d3094f4e9c871e1c6d2b44f7b65b63fbf16327fe2ece94464"),
+    (4, 2, 2, 6, "070f85349237cfee26ead0675e14c7acd768ee25c07fd1a40d1e588cb7688609"),
 ]
 
 
 @pytest.mark.parametrize(
     "n, t, recorded, violations, digest", SHORT_FLOODS,
     ids=[
-        f"{n}-{t}-{v}-{d}" + (f"-first-{r}" if r < v else "")
-        for n, t, r, v, d in SHORT_FLOODS
+        f"{n}-{t}-{v}" + (f"-first-{r}" if r < v else "")
+        for n, t, r, v, _ in SHORT_FLOODS
     ],
 )
 def test_min_flood_one_round_short_violates_and_replays(
