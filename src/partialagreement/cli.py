@@ -236,6 +236,7 @@ def cmd_table(args) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TABLE_COLUMNS)
     writer.writeheader()
+    specs = 0
     for n in range(lo, hi + 1):
         ns = argparse.Namespace(
             n=n, m=args.m, t=min(args.t, n), k=args.k, ell=args.ell,
@@ -245,6 +246,7 @@ def cmd_table(args) -> int:
             spec = _spec_from_args(ns)
         except SpecError:
             continue
+        specs += 1
         for r in evaluate_bounds(spec):
             writer.writerow(
                 {
@@ -258,6 +260,8 @@ def cmd_table(args) -> int:
                     "assumptions": "; ".join(r.assumptions),
                 }
             )
+    if not specs:
+        raise SpecError(f"no n in --n-range {args.n_range} gives a valid spec")
     text = buf.getvalue()
     if args.out:
         _write_out(args.out, text)

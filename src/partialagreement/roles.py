@@ -4,9 +4,9 @@
 ``role_group`` finds the relabellings of pids, objects and values that map
 a built cell onto itself, and ``RoleKeys`` keys the cell's async
 configurations up to them. The explorer (``verify._explore_cell``) asks
-``role_keys`` for the keys of a cell and runs its DFS with them; it
-imports this module when it first searches a cell where some program
-proposes to an object it declares in ``role_objects``.
+``role_keys`` for the keys of a cell and runs its DFS (``shmem.depth_first``)
+with them; it imports this module when it first searches a cell where some
+program proposes to an object it declares in ``role_objects``.
 
 Why a relabelling maps the runs of the cell onto its runs: it maps pids,
 objects and values together, and each program onto the program at the

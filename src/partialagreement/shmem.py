@@ -7,7 +7,8 @@ returns ``(new_state, action)``. The observation passed to a step is the
 result of the process's previous action (a read's value, a propose's winner,
 else None), so a scan is one register read per scheduled step and the
 adversary can interleave inside it. ``random_walk`` is the one random
-adversary, for sampled explores and seeded CLI runs.
+adversary, for sampled explores and seeded CLI runs, and ``depth_first`` the
+exhaustive one, the DFS of an explore's cell.
 """
 
 from __future__ import annotations
@@ -410,6 +411,128 @@ def random_walk(run, rng, crash_budget: int) -> int:
             crashes += 1
         visited += 1
     return visited
+
+
+def depth_first(root, crash_budget, can_crash, visit=None):
+    """Search every configuration reachable from ``root``, an eager AsyncRun,
+    depth first: yields ``(run, weight, done, slept)`` for each new one.
+
+    At a configuration, each live undecided pid p may step, and may crash
+    while fewer than ``crash_budget`` pids have crashed and ``can_crash(run,
+    p)`` holds (it must read p's own state and action only). The children
+    are searched in that order: crashes by pid, then steps by pid.
+    ``weight`` is 1 for a configuration whose ``key()`` is new, or with
+    ``visit`` (``RoleKeys.visit``) ``visit(run, seen)``: the size of a new
+    orbit, or None, for the caller to stop. A configuration of weight 0 is
+    skipped. ``done`` says the run has ended (nonterminating, or no live
+    undecided pid); ``slept`` counts the children not built, as below.
+
+    Sleep sets (Godefroid, LNCS 1032, 1996). At a settled configuration a
+    move is a Write, a Propose, a spin Read (of an unwritten cell whose
+    owner is live; eager settling commits every other read and every
+    decide) or a crash. Write, Propose and crash are progress moves: each
+    grows a row, an object's proposers or the crashed set, which are in
+    the key and never shrink. A child's sleep set is its parent's plus the
+    progress moves of its earlier siblings, less the moves that may not
+    commute with its own (``dependent_moves``, applied once the child is met
+    as new), and a move in the sleep set is not built. Spin Reads never
+    sleep.
+
+    The search meets the same configurations in the same order as without
+    sleep sets, so every count, recorded run and capped stop stays the
+    same; only fewer children are built. A configuration in ``seen`` is an
+    ancestor of the one being expanded, or its subtree is finished. Take a
+    progress move u asleep at r·t, for t a move at r. Then u and t commute
+    at r, and u was built or asleep at r before t. r·u has more progress
+    than r and so than every ancestor of r, so it is no ancestor, and it is
+    in ``seen`` (by induction, if u was asleep): its subtree is finished.
+    So its child r·u·t, which is r·t·u, was built, or was asleep and is in
+    ``seen`` by induction, and the child u of r·t would have weighed 0. The
+    same holds orbit by orbit under role orbits, as the children and
+    ``can_crash`` commute with the relabellings. A run the step bound cuts
+    may take steps the other order does not, so once one is met, nothing
+    more sleeps.
+    """
+    n = root.n
+    seen = set()
+    # (configuration, the sleep set before its move's dependents leave it,
+    # parent, move)
+    stack = [(root, 0, None, 0)]
+    cut = False
+    while stack:
+        run, sleep, parent, move = stack.pop()
+        cut = cut or run.nonterminating
+        if visit:
+            weight = visit(run, seen)
+        else:
+            size = len(seen)
+            seen.add(run.key())
+            weight = len(seen) - size
+        if weight == 0:
+            continue
+        if cut:
+            sleep = 0
+        elif sleep:
+            sleep &= ~dependent_moves(parent, move)
+        live = run.live_undecided()
+        done = run.nonterminating or not live
+        slept = 0
+        if not done:
+            moves = live
+            if sum(run.crashed) < crash_budget:
+                moves = [n + p for p in live if can_crash(run, p)] + live
+            children = []
+            for move in moves:
+                if sleep >> move & 1:
+                    slept += 1
+                    continue
+                child = run.clone()
+                if move < n:
+                    child.step(move)
+                else:
+                    child.crash(move - n)
+                children.append((child, sleep, run, move))
+                if move >= n or type(run.actions[move]) is not Read:
+                    sleep |= 1 << move
+            stack.extend(reversed(children))
+        yield run, weight, done, slept
+
+
+def dependent_moves(run, move) -> int:
+    """The bitmask of the progress moves (see ``depth_first``) that may not
+    commute with ``move`` at the settled configuration ``run``: bit m for
+    move m, which is p for a step of pid p and n + p for its crash.
+
+    It reads the pending actions at ``run`` only. Two moves of one pid,
+    and two crashes (they share the fault budget), are dependent. Steps
+    of p and q are dependent if one writes and the other's pending Read is
+    of the writer's row, or if both propose to one object. A crash of p and
+    a step of q are dependent if q's pending Read is of p's row (the crash
+    would settle it), or if p's pending Read is of q's row and q writes (p
+    would advance). A spin Read never sleeps, so no mask needs a step that
+    reads.
+    """
+    n, actions = run.n, run.actions
+    p = move % n
+    act = actions[p]
+    kind = type(act)
+    deps = 1 << p | 1 << n + p
+    if kind is Read:
+        if type(actions[act.owner]) is Write:
+            deps |= 1 << act.owner
+        if move < n:
+            deps |= 1 << n + act.owner
+    if move >= n:
+        deps |= (1 << 2 * n) - (1 << n)
+    elif kind is Write:
+        for q, other in enumerate(actions):
+            if type(other) is Read and other.owner == p:
+                deps |= 1 << n + q
+    elif kind is Propose:
+        for q, other in enumerate(actions):
+            if type(other) is Propose and other.obj == act.obj:
+                deps |= 1 << q
+    return deps
 
 
 def default_step_bound(n: int) -> int:

@@ -26,7 +26,7 @@ from .core import (
     ProblemSpec, SpecError, VALIDITY_STRONG, best_witness, evaluate_bounds,
 )
 from .objects import check_contract
-from .shmem import AsyncRun, Decide, random_walk
+from .shmem import AsyncRun, Decide, depth_first, random_walk
 from .syncmp import chain_patterns, pattern_groups, random_pattern, sync_decisions
 
 
@@ -159,13 +159,15 @@ class ExplorationReport:
     notes: list = field(default_factory=list)
     # Cells searched or resolved, cells folded by pid symmetry and value
     # relabelling, and cells resolved from the shared search's runs (see
-    # explore), states searched and the largest role group searched under
+    # explore), states searched, children the DFS's sleep sets did not build
+    # (see shmem.depth_first) and the largest role group searched under
     # (see _explore_cell), and the verdict per distinct outcome (see
     # verdict); not serialised, as they leave the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
     cells_resolved: int = 0
     states_searched: int = 0
+    moves_slept: int = 0
     group_order: int = 1
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -286,6 +288,11 @@ class _Outcome(NamedTuple):
 
 
 def _crash_can_matter(run, pid) -> bool:
+    """Whether the DFS crashes ``pid`` here. Crashing a process whose
+    remaining actions are invisible to others (post-write scans, local
+    decide) is dominated by letting it run: it removes a decision (never
+    adds offenders) and burns fault budget. Those branches are skipped. It
+    reads ``pid``'s own state only, as ``shmem.depth_first`` requires."""
     hint = getattr(run.progs[pid], "no_more_visible", None)
     return hint is None or not hint(run.states[pid])
 
@@ -368,12 +375,14 @@ def _resolve(entry, inputs, assignment, report, shared) -> bool:
 def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) -> None:
     """Search one cell into ``report``: its crash patterns (sync), its
     ``samples`` random runs (sample mode), or the DFS of the configurations
-    reachable from its start, one per ``AsyncRun.key``. With ``role_orbits``,
-    a cell whose programs declare ``role_objects`` is searched one
-    configuration per role orbit (``roles.RoleKeys``) counted with the
-    orbit's size, so every count, k and ell stays exact. A DFS whose
-    programs declare ``basis`` appends the class (``_run_class``) of each
-    finished run to the bytearray ``classes``, when given."""
+    reachable from its start, one per ``AsyncRun.key`` (``shmem.depth_first``,
+    whose sleep sets leave unbuilt the children the DFS would find seen, and
+    ``report.moves_slept`` counts them). With ``role_orbits``, a cell whose
+    programs declare ``role_objects`` is searched one configuration per role
+    orbit (``roles.RoleKeys``) counted with the orbit's size, so every count,
+    k and ell stays exact. A DFS whose programs declare ``basis`` appends the
+    class (``_run_class``) of each finished run to the bytearray
+    ``classes``, when given."""
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment)
     if classes is not None and not all(hasattr(p, "basis") for p in built.programs.values()):
@@ -425,46 +434,19 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
         keys = roles.role_keys(built, inputs)
         if keys:
             report.group_order = max(report.group_order, len(keys.elements))
-    seen = set()
-    stack = [root]
-    while stack:
-        run = stack.pop()
-        if keys:
-            weight = keys.visit(run, seen)
-            if weight is None:  # the cell outgrew its codes: redo unreduced
-                raise _BudgetStop
-        else:
-            size = len(seen)
-            seen.add(run.key())
-            weight = len(seen) - size
-        if not weight:
-            continue
+    visits = depth_first(root, crash_budget, _crash_can_matter, keys and keys.visit)
+    for run, weight, done, slept in visits:
+        if weight is None:  # the cell outgrew its codes: redo unreduced
+            raise _BudgetStop
         report.states_searched += 1
+        report.moves_slept += slept
         report.states_explored += weight
         if report.states_explored > budget.max_states:
             raise _BudgetStop
-        live = run.live_undecided()
-        if run.nonterminating or not live:
+        if done:
             report.record(_async_outcome(run), base, "schedule", run, weight)
             if classes is not None:
                 classes += _run_class(run)
-            continue
-        children = []
-        if sum(run.crashed) < crash_budget:
-            # Crashing a process whose remaining actions are invisible to
-            # others (post-write scans, local decide) is dominated by
-            # letting it run: it removes a decision (never adds offenders)
-            # and burns fault budget. Those branches are skipped.
-            for pid in live:
-                if _crash_can_matter(run, pid):
-                    child = run.clone()
-                    child.crash(pid)
-                    children.append(child)
-        for pid in live:
-            child = run.clone()
-            child.step(pid)
-            children.append(child)
-        stack.extend(reversed(children))
 
 
 def _canonical(vector, symmetry, values, relabel) -> tuple:
@@ -620,6 +602,11 @@ def explore(
     a role group is redone with role orbits off, so a partial report is
     the unreduced search's. So is one with a cell whose configurations
     outgrow the role encoding's one-byte codes (``roles.CODE_LIMIT``).
+
+    The DFS of a cell (``shmem.depth_first``) does not build a child that
+    its sleep sets show to be a configuration already searched, so it meets
+    the same configurations in the same order as without them, and no
+    count, recorded run or capped stop changes.
     """
     entry = get_algorithm(algorithm)
     if entry.uses_oracle:

@@ -171,6 +171,15 @@ def test_table_csv_stable_columns(capsys):
     assert r1 and r1[0]["sufficient_k"] == "2"
 
 
+def test_a_table_range_with_no_valid_spec_exits_64(capsys):
+    # n=0 and n=1 give no valid spec, so no row: one line, no header
+    code, out, err = run_cli(capsys, "table", "--n-range", "0:1")
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1 and "--n-range 0:1" in err
+    code, out, _ = run_cli(capsys, "table", "--n-range", "1:2")
+    assert code == 0 and {row["n"] for row in csv.DictReader(io.StringIO(out))} == {"2"}
+
+
 def test_out_file_written(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _, _ = run_cli(

@@ -15,6 +15,7 @@ from partialagreement import (
     explore,
     explore_from_replay,
 )
+from partialagreement.shmem import AsyncRun, Decide, Propose, Read, Write
 from partialagreement.verify import best_witness
 
 
@@ -1220,3 +1221,254 @@ def test_the_role_encoding_is_the_key_and_each_image_the_relabelled_encoding(
         met += len(seen)
         assert len(keys.code) + len(keys.ids) <= 256
     assert met == configurations
+
+
+# --- sleep sets in the async DFS -------------------------------------------------
+
+
+def _crash_anywhere(monkeypatch):
+    """ROADMAP item 1's adversary: any live process may crash at any point."""
+    from partialagreement import verify
+
+    monkeypatch.setattr(verify, "_crash_can_matter", lambda run, pid: True)
+
+
+def _crash_before_a_write(monkeypatch):
+    """ROADMAP item 1's crash rule: a process may crash while its pending
+    action is a Write or a Propose."""
+    from partialagreement import verify
+
+    monkeypatch.setattr(
+        verify, "_crash_can_matter", lambda run, pid: type(run.actions[pid]) in (Write, Propose)
+    )
+
+
+def _never_independent(monkeypatch):
+    """No two moves commute, so nothing sleeps."""
+    from partialagreement import shmem
+
+    monkeypatch.setattr(shmem, "dependent_moves", lambda run, move: -1)
+
+
+def _enabled(run, crash_budget):
+    """The moves of the DFS at ``run``: n + p to crash pid p, p to step it."""
+    from partialagreement import verify
+
+    if run.nonterminating:
+        return []
+    live = run.live_undecided()
+    crashes = []
+    if sum(run.crashed) < crash_budget:
+        crashes = [run.n + p for p in live if verify._crash_can_matter(run, p)]
+    return crashes + live
+
+
+def _moved(run, move):
+    child = run.clone()
+    if move < run.n:
+        child.step(move)
+    else:
+        child.crash(move - run.n)
+    return child
+
+
+# One cell of each async program class, reductions with an explicit
+# first-phase assignment, and both smg-comp cases.
+INDEPENDENCE_CELLS = [
+    ("max-wait", ProblemSpec(n=3, m=3, t=2, k=3), (0, 1, 2), None),
+    ("no-comm", ProblemSpec(n=3, m=2, t=1), (0, 1, 1), None),
+    ("reduce-binary", ProblemSpec(n=4, m=2, t=1, validity="strong"), (0, 0, 1, 1), (0, 1, 0, 0)),
+    ("smg-comp", ProblemSpec(n=4, m=4, t=4, k=3, model="sm-g", g=2), (0, 1, 2, 3), None),
+    ("smg-comp", ProblemSpec(n=4, m=4, t=4, k=4, model="sm-g", g=4), (0, 1, 2, 3), None),
+]
+
+
+@pytest.mark.parametrize("anywhere", [False, True], ids=["hinted-crashes", "crashes-anywhere"])
+def test_the_moves_the_relation_calls_independent_commute(monkeypatch, anywhere):
+    # Every reachable settled configuration of each cell, and every pair of
+    # a move t and a progress move u that dependent_moves calls independent:
+    # each stays enabled after the other, and both orders reach one key.
+    from partialagreement import CATALOG
+    from partialagreement.shmem import AsyncRun, Read, dependent_moves
+
+    if anywhere:
+        _crash_anywhere(monkeypatch)
+    checked = {}
+    for alg, spec, inputs, assignment in INDEPENDENCE_CELLS:
+        entry = CATALOG[alg]
+        built = entry.build(spec, inputs, assignment)
+        crash_budget = min(entry.fault_budget(spec), spec.n)
+        root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
+        seen, stack, pairs = {root.key()}, [root], 0
+        while stack:
+            run = stack.pop()
+            moves = _enabled(run, crash_budget)
+            children = {move: _moved(run, move) for move in moves}
+            progress = [u for u in moves if u >= run.n or type(run.actions[u]) is not Read]
+            for t in moves:
+                deps = dependent_moves(run, t)
+                for u in progress:
+                    if u == t or deps >> u & 1:
+                        continue
+                    assert u in _enabled(children[t], crash_budget), (alg, t, u)
+                    assert t in _enabled(children[u], crash_budget), (alg, t, u)
+                    assert _moved(children[t], u).key() == _moved(children[u], t).key(), (alg, t, u)
+                    pairs += 1
+            for child in children.values():
+                if child.key() not in seen:
+                    seen.add(child.key())
+                    stack.append(child)
+        checked[alg, spec.g] = pairs
+    # no-comm decides at the start; case 1 smg-comp (g=4) proposes to one
+    # object, and its hints never crash a proposer (ROADMAP item 1)
+    assert checked.pop(("no-comm", None)) == 0
+    if not anywhere:
+        checked.pop(("smg-comp", 4))
+    assert all(checked.values()), checked
+
+
+def _searches(monkeypatch, alg, spec, inputs, budget):
+    """The report of an explore, and what its DFS yielded, in order: per
+    configuration its key, replay schedule, weight and whether it ended."""
+    from partialagreement import shmem, verify
+
+    yielded = []
+
+    def recorded(*args):
+        for item in shmem.depth_first(*args):
+            run, weight, done, _ = item
+            yielded.append((run.key(), run.encode(), weight, done))
+            yield item
+
+    monkeypatch.setattr(verify, "depth_first", recorded)
+    return explore(alg, spec, inputs, budget), yielded
+
+
+# Every async entry on small configs: violating cells (max-wait k=3,
+# reduce-set), capped ones (max-wait at 300 runs, reduce-smg at 2,000
+# states, both smg-comp caps) and role-reduced ones (smg-comp).
+SLEEP_CONFIGS = [
+    ("no-comm", ProblemSpec(n=4, m=3, t=1), "all", ExploreBudget()),
+    ("max-wait", ProblemSpec(n=3, m=2, t=1, k=3), "all", ExploreBudget()),
+    ("max-wait", ProblemSpec(n=3, m=3, t=1, k=3), "all", ExploreBudget(max_runs=300)),
+    ("reduce-binary", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all", ExploreBudget()),
+    ("reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), [(0, 1, 2, 2)], ExploreBudget()),
+    ("reduce-smg", ProblemSpec(n=4, m=2, t=1, validity="strong"), FEW,
+     ExploreBudget(max_states=2000)),
+    ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
+     ExploreBudget()),
+    ("smg-comp", ProblemSpec(n=4, m=2, t=0, k=4, model="sm-g", g=4), "all",
+     ExploreBudget(max_states=200)),
+    ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
+     ExploreBudget(max_runs=100)),
+]
+
+
+@pytest.mark.parametrize("rule", [False, True], ids=["hinted-crashes", "crash-before-a-write"])
+@pytest.mark.parametrize(
+    "alg, spec, inputs, budget", SLEEP_CONFIGS,
+    ids=[f"{alg}-n{spec.n}-{i}" for i, (alg, spec, _, _) in enumerate(SLEEP_CONFIGS)],
+)
+def test_sleep_sets_change_only_the_children_built(monkeypatch, alg, spec, inputs, budget, rule):
+    # The DFS with sleep sets yields the same configurations, with the same
+    # schedules and weights, in the same order as with none.
+    if rule:
+        _crash_before_a_write(monkeypatch)
+    report, yielded = _searches(monkeypatch, alg, spec, inputs, budget)
+    _never_independent(monkeypatch)
+    unslept, yielded_unslept = _searches(monkeypatch, alg, spec, inputs, budget)
+    assert unslept.moves_slept == 0
+    if alg != "no-comm" and spec.g != spec.n:
+        # no-comm has no move; a case 1 smg-comp cell (g = n) proposes to
+        # one object, and its capped cell here never crashes
+        assert report.moves_slept > 0
+    assert yielded == yielded_unslept
+    assert report.to_json() == unslept.to_json()
+
+
+class _Livelock:
+    """Writes its input, then reads cell 1 of the next pid's row, which no
+    program writes, until it sees a value: every crash-free run livelocks,
+    and a crash of the owner it reads cuts the run at the step bound."""
+
+    state0 = "start"
+
+    def __init__(self, pid, n, value):
+        self.pid, self.n, self.value = pid, n, value
+
+    def step(self, state, obs):
+        if state == "start":
+            return "spin", Write(self.value)
+        if obs is not None:
+            return "done", Decide(obs)
+        return "spin", Read((self.pid + 1) % self.n, 1)
+
+
+def test_a_run_cut_by_the_step_bound_ends_the_sleep_sets(monkeypatch):
+    # Once a run is cut, nothing more sleeps, so runs whose commuted orders
+    # are cut after different steps are all met, as without sleep sets.
+    from partialagreement import shmem
+
+    def search():
+        programs = [_Livelock(pid, 3, pid) for pid in range(3)]
+        root = AsyncRun(programs, (0, 1, 2), eager=True)
+        return [
+            (run.key(), run.encode(), done, run.nonterminating)
+            for run, _, done, _ in shmem.depth_first(root, 1, lambda run, pid: True)
+        ]
+
+    yielded = search()
+    _never_independent(monkeypatch)
+    assert yielded == search()
+    assert sum(cut for *_, cut in yielded) > 1
+
+
+def test_the_sleep_sets_prune_a_pinned_number_of_children():
+    # A change that silently stops pruning (or prunes a state it should
+    # reach, which the pinned searches catch) fails here.
+    smg = explore("smg-comp", ProblemSpec(n=8, m=8, t=8, k=6, model="sm-g", g=4), [tuple(range(8))])
+    assert (smg.states_explored, smg.states_searched, smg.moves_slept) == (22048, 1381, 3580)
+    spec = ProblemSpec(n=5, m=2, t=2, k=5, validity="strong")
+    reduce_smg = explore("reduce-smg", spec, [(0, 0, 0, 1, 1)])
+    assert (reduce_smg.states_explored, reduce_smg.states_searched, reduce_smg.moves_slept) == (
+        172224, 14352, 4799
+    )
+
+
+# ROADMAP item 1's seven configs, searched under its crash rule, and the
+# SHA-256 of each to_json(), pinned from the same search with no sleep sets
+# (and equal to the reports of the explorer before sleep sets, with the rule
+# applied). smg-comp n=6 m=3 t=2 g=3 takes every 27th of its 729 input
+# vectors, 27 of them, as all 729 take half a minute.
+CRASH_RULE_REPORTS = [
+    ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
+     ExploreBudget(), "b3176aeb7acb6b6eae07639e9ce765a7967b4d2f45a1b7433608ed99e569c05d"),
+    ("smg-comp", ProblemSpec(n=6, m=3, t=2, k=3, model="sm-g", g=3),
+     list(itertools.product(range(3), repeat=6))[::27], ExploreBudget(),
+     "9c294018891346cf3f3896d52ca7750c21f3905b94a20d402ac6938c9af2cf65"),
+    ("max-wait", ProblemSpec(n=4, m=2, t=1, k=3), "all", ExploreBudget(),
+     "5d5cc15f8d9034160e5d42a06347e8c1fb702e255f5766072af9540e7a79944b"),
+    ("max-wait", ProblemSpec(n=4, m=4, t=1, k=2), "canonical", ExploreBudget(max_states=17_000),
+     "323670796444934b19426fee52cfe6fa564e2feadb2b6a93efd3dbd3b98ceeb1"),
+    ("reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), "all", ExploreBudget(),
+     "fdd01d22a9d62bb74128b9ee687a0ef05c6447b29d2fc170765ef67073f284ab"),
+    ("reduce-smg", ProblemSpec(n=5, m=2, t=2, k=5, validity="strong"), "all", ExploreBudget(),
+     "a7fb19ece827002c6531e67e9994e8adddfafbf884cc2bec6bbeeea69e2ff79d"),
+    ("max-wait", ProblemSpec(n=3, m=3, t=1, k=3), "all", ExploreBudget(max_runs=300),
+     "8a4e2e4828c2cbe46d31ca52d7b4e53075980ec12e7ee43c706c89a3615022bd"),
+]
+
+
+@pytest.mark.parametrize(
+    "alg, spec, inputs, budget, digest", CRASH_RULE_REPORTS,
+    ids=[f"{alg}-n{spec.n}-{i}" for i, (alg, spec, *_) in enumerate(CRASH_RULE_REPORTS)],
+)
+def test_sleep_sets_keep_the_reports_under_the_crash_rule(
+    monkeypatch, alg, spec, inputs, budget, digest
+):
+    import hashlib
+
+    _crash_before_a_write(monkeypatch)
+    report = explore(alg, spec, inputs, budget)
+    assert report.moves_slept > 0
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
