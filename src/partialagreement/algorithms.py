@@ -65,8 +65,8 @@ class NoComm:
 
     __slots__ = ("value",)
     state0 = _INIT
-    # the attributes naming the objects it proposes to: its states hold no
-    # pid and no value, so ``roles`` may relabel it
+    # the objects it proposes to, in order: its states hold no pid and no
+    # value, so ``roles`` may relabel it
     role_objects = ()
 
     def __init__(self, value: int):
@@ -86,71 +86,28 @@ class NoComm:
         return True
 
 
-class MaxWait:
-    """Publish the input, scan everyone, decide the max of `quorum` known inputs.
+class QuorumScan:
+    """Publish the own answer, scan everyone until ``quorum`` answers are
+    known, then decide ``rule`` on them: "max" (max-wait, whose answers are
+    the inputs), "majority" (the strict majority, flagging if none exists)
+    or "mode-max" (the largest among the most-repeated values), the rules of
+    a reduction's second phase. The quorum is checked after every read.
 
-    Registers hold plain input values, so observations are tracked as an
-    owner bitmask and the eventual max is read off the input vector.
-    """
-
-    __slots__ = ("pid", "n", "value", "inputs", "quorum")
-
-    state0 = _INIT
-
-    def __init__(self, pid: int, n: int, inputs, quorum: int):
-        self.pid = pid
-        self.n = n
-        self.inputs = inputs
-        self.value = inputs[pid]
-        self.quorum = quorum
-
-    def no_more_visible(self, state):
-        # after the single write only reads and the decide remain
-        return not (state is _INIT or state[0] == "i")
-
-    def step(self, state, obs):
-        if state is _INIT or state[0] == "i":
-            cursor = _next_other(self.pid, self.pid, self.n)
-            return (cursor, -1, 1 << self.pid), Write(self.value)
-        cursor, last, mask = state
-        if last >= 0 and obs is not None:
-            mask |= 1 << last
-        if mask.bit_count() >= self.quorum:
-            return (cursor, -1, mask), self.decide_on(mask)
-        return (_next_other(cursor, self.pid, self.n), cursor, mask), Read(cursor, 0)
-
-    def basis(self, state):
-        # a decision keeps the owners it read in its state
-        return state[2]
-
-    def decide_on(self, basis):
-        """Decide the max of the inputs of the owners in ``basis``."""
-        return Decide(max(self.inputs[o] for o in range(self.n) if basis >> o & 1))
-
-
-class OracleThenQuorum:
-    """Second phase of a reduction: publish the first-phase answer, scan
-    until enough answers are known, then apply the decision rule.
-
-    rule "majority" decides the strict majority (flagging if none exists);
-    rule "mode-max" decides the largest among the most-repeated values.
-    The quorum is checked after every read.
-
-    ``answers`` holds every process's first-phase answer, fixed at build
-    time, and a process writes only its own, so a read of a written cell
-    observes its owner's answer. A scanning state ``(cursor, last, mask)``
-    therefore tracks the answers seen as an owner bitmask, as ``MaxWait``
-    does: the set of (owner, answer) pairs seen is a bijection of it. The
-    scan's (next cursor, read) pairs are precomputed per (pid, n)
-    (``_scan_table``), and a decision is cached by rule and sorted observed
-    answers (``_decision``).
+    ``answers`` holds every process's answer, fixed at build time, and a
+    process writes only its own, so a read of a written cell observes its
+    owner's answer. A scanning state ``(cursor, last, mask)`` therefore
+    tracks the answers seen as an owner bitmask: the set of (owner, answer)
+    pairs seen is a bijection of it. A decision keeps ``(cursor, -1,
+    mask)``, its basis in the mask. The scan's (next cursor, read) pairs are precomputed per (pid,
+    n) (``_scan_table``), and a decision is cached by rule and sorted
+    observed answers (``_decision``).
     """
 
     __slots__ = ("pid", "n", "answers", "quorum", "rule", "start", "scan")
 
     state0 = _INIT
 
-    def __init__(self, pid, n, answers, quorum, rule="majority"):
+    def __init__(self, pid, n, answers, quorum, rule):
         self.pid = pid
         self.n = n
         self.answers = answers
@@ -170,17 +127,13 @@ class OracleThenQuorum:
         if last >= 0 and obs is not None:
             mask |= 1 << last
         if mask.bit_count() >= self.quorum:
-            return state, self.decide_on(mask)
+            return (cursor, -1, mask), self.decide_on(mask)
         nxt, read = self.scan[cursor]
         return (nxt, cursor, mask), read
 
     def basis(self, state):
-        """The owners whose answers a decision in ``state`` saw: a decision
-        keeps the state before its last read, and it follows the write
-        (``last`` -1) or a read that saw its cell, as the quorum is checked
-        after every read and a read that sees nothing adds no owner."""
-        cursor, last, mask = state
-        return mask | 1 << last if last >= 0 else mask
+        # a decision keeps the owners it read in its state
+        return state[2]
 
     def decide_on(self, basis):
         """Apply the rule to the answers of the owners in ``basis``."""
@@ -199,55 +152,37 @@ def _scan_table(pid, n):
 @functools.cache
 def _decision(rule, values):
     """The decision of ``rule`` on the sorted answers ``values``."""
+    if rule == "max":
+        return Decide(values[-1])
     if rule == "majority":
         value, flags = strict_majority(values)
         return Decide(value, flags)
     return Decide(most_repeated_max(values))
 
 
-class ProposeThenDecide:
-    """Propose to one object and decide its winner."""
+class ProposeChain:
+    """Propose the input to ``objects[0]``, then each winner to the next
+    object, and decide the last winner. A state is (len(objects), proposes
+    issued): the length keeps chains of different lengths in different
+    local parts (``roles.RoleKeys``), which their pending proposes alone
+    would not."""
 
-    __slots__ = ("obj", "value")
-    state0 = _INIT
-    # see NoComm.role_objects
-    role_objects = ("obj",)
+    __slots__ = ("role_objects", "value", "state0")
 
-    def __init__(self, obj: str, value: int):
-        self.obj = obj
+    def __init__(self, objects: tuple, value: int):
+        self.role_objects = objects  # see NoComm.role_objects
         self.value = value
+        self.state0 = (len(objects), 0)
 
     def step(self, state, obs):
-        if state is _INIT or state[0] == "i":
-            return ("w",), Propose(self.obj, self.value)
-        return state, Decide(obs)
+        length, issued = state
+        if issued == length:
+            return state, Decide(obs)
+        value = obs if issued else self.value
+        return (length, issued + 1), Propose(self.role_objects[issued], value)
 
     def no_more_visible(self, state):
-        return state[0] == "w"
-
-
-class ProposeRelayDecide:
-    """Propose to a group object, relay its winner into the tie object, decide."""
-
-    __slots__ = ("first", "relay", "value")
-    state0 = _INIT
-    # see NoComm.role_objects
-    role_objects = ("first", "relay")
-
-    def __init__(self, first: str, relay: str, value: int):
-        self.first = first
-        self.relay = relay
-        self.value = value
-
-    def step(self, state, obs):
-        if state is _INIT or state[0] == "i":
-            return ("w1",), Propose(self.first, self.value)
-        if state[0] == "w1":
-            return ("w2",), Propose(self.relay, obs)
-        return state, Decide(obs)
-
-    def no_more_visible(self, state):
-        return state[0] == "w2"
+        return state[1] == state[0]
 
 
 # --- sync behaviors ---------------------------------------------------------
@@ -341,12 +276,11 @@ class CatalogEntry:
     relabelling this lets an exhaustive explore fold each orbit onto one
     search (see ``explore``). Why each declaration holds:
 
-    - ``MaxWait``: rotation, as ``_next_other`` scans cyclically from pid+1.
+    - ``QuorumScan`` (max-wait and the async reductions): rotation, as
+      every scan starts at pid+1 and runs cyclically (``_next_other``).
     - ``NoComm``, ``MinFlood``, ``BroadcastMajority``: any permutation, as
       every process runs the same program and the crash patterns are
       enumerated over all pids.
-    - ``OracleThenQuorum``: rotation, as every scan starts at pid+1 and runs
-      cyclically.
     - ``smg-comp``: none across cells, as its pids hold distinct roles.
       Inside a cell, ``explore`` searches up to the relabellings that map
       the cell onto itself (``roles``). That is sound because the program
@@ -363,7 +297,7 @@ class CatalogEntry:
     Why each declaration holds:
 
     - "monotone" (order-preserving bijections), the default: ``NoComm``
-      never compares values, ``MaxWait``'s max, ``MinFlood``'s min and
+      never compares values, max-wait's max, ``MinFlood``'s min and
       ``most_repeated_max`` (reduce-set's mode-max rule) pick by order,
       and an order-preserving map keeps every such pick.
     - "any" (every bijection) for the strict-majority reductions
@@ -375,7 +309,8 @@ class CatalogEntry:
       relabelling.
 
     A program that declares ``basis(state)`` and ``decide_on(basis)``
-    (``NoComm``, ``MaxWait``, ``OracleThenQuorum``) asserts that it never
+    (``NoComm``, whose basis is empty, and ``QuorumScan``, whose decision
+    keeps its basis as the mask of its state) asserts that it never
     branches on a value and writes only its own fixed value: its steps read
     an observation only as "seen" or "nothing", and it decides
     ``decide_on(basis(state))``, where the basis is the set of owners whose
@@ -418,11 +353,7 @@ def _build_max_wait(spec, inputs, assignment=None):
     q = spec.n - spec.t
     if q < 1:
         raise SpecError(f"max-wait needs n - t >= 1, got n={spec.n}, t={spec.t}")
-    inputs = tuple(inputs)
-    return Built(
-        {pid: MaxWait(pid, spec.n, inputs, q) for pid in range(spec.n)},
-        meta={"quorum": q},
-    )
+    return _build_scan(spec.n, tuple(inputs), q, "max")
 
 
 def _build_min_flood(spec, inputs, assignment=None):
@@ -438,31 +369,22 @@ def _build_smg_comp(spec, inputs, assignment=None):
         raise SpecError("smg-comp needs model sm-g with g set")
     n, g = spec.n, spec.g
     plan = composition_plan(n, g)
-    programs: dict = {}
     if plan["case"] == 1:
         objects = {"A": ConsensusObject(g)}
-        members = set(plan["participants"])
-        for pid in range(n):
-            if pid in members:
-                programs[pid] = ProposeThenDecide("A", inputs[pid])
-            else:
-                programs[pid] = NoComm(inputs[pid])
+        chains = dict.fromkeys(plan["participants"], ("A",))
     else:
         objects = {"A": ConsensusObject(g), "B": ConsensusObject(g), "C": ConsensusObject(g)}
-        relay_a, relay_b = set(plan["G3"]), set(plan["G4"])
-        group_a, group_b = set(plan["G1"]), set(plan["G2"])
-        for pid in range(n):
-            if pid in relay_a:
-                programs[pid] = ProposeRelayDecide("A", "C", inputs[pid])
-            elif pid in relay_b:
-                programs[pid] = ProposeRelayDecide("B", "C", inputs[pid])
-            elif pid in group_a:
-                programs[pid] = ProposeThenDecide("A", inputs[pid])
-            elif pid in group_b:
-                programs[pid] = ProposeThenDecide("B", inputs[pid])
-            else:
-                programs[pid] = NoComm(inputs[pid])
-    return Built(programs, objects=objects, meta={"plan": plan})
+        chains = {
+            **dict.fromkeys(plan["G1"], ("A",)),
+            **dict.fromkeys(plan["G2"], ("B",)),
+            **dict.fromkeys(plan["G3"], ("A", "C")),
+            **dict.fromkeys(plan["G4"], ("B", "C")),
+        }
+    programs = {
+        pid: ProposeChain(chains[pid], inputs[pid]) if pid in chains else NoComm(inputs[pid])
+        for pid in range(n)
+    }
+    return Built(programs, objects=objects)
 
 
 def smg_guarantee(spec: ProblemSpec) -> int:
@@ -470,14 +392,17 @@ def smg_guarantee(spec: ProblemSpec) -> int:
     return max(spec.g, 3 * (ghat // 2))
 
 
+def _build_scan(n, answers, quorum, rule, **meta) -> Built:
+    """Every pid a QuorumScan of ``answers`` with ``quorum`` and ``rule``."""
+    programs = {pid: QuorumScan(pid, n, answers, quorum, rule) for pid in range(n)}
+    return Built(programs, meta={"quorum": quorum, **meta})
+
+
 def _build_reduction(spec, inputs, assignment, contract, quorum, rule) -> Built:
     """An async reduction: the first phase answered at build time, then
-    OracleThenQuorum with ``quorum`` and ``rule``."""
+    its scan (``_build_scan``)."""
     answers = first_phase(spec.n, *contract(spec), inputs, assignment)
-    programs = {
-        pid: OracleThenQuorum(pid, spec.n, answers, quorum, rule) for pid in range(spec.n)
-    }
-    return Built(programs, meta={"quorum": quorum, "first_phase": answers})
+    return _build_scan(spec.n, answers, quorum, rule, first_phase=answers)
 
 
 def _binary_contract(spec):

@@ -240,7 +240,7 @@ def cmd_table(args) -> int:
     for n in range(lo, hi + 1):
         ns = argparse.Namespace(
             n=n, m=args.m, t=min(args.t, n), k=args.k, ell=args.ell,
-            g=min(args.g, n) if args.g else None, validity="weak", model=args.model,
+            g=min(args.g, n) if args.g is not None else None, validity="weak", model=args.model,
         )
         try:
             spec = _spec_from_args(ns)

@@ -1,5 +1,6 @@
-"""Role symmetry of a cell whose programs declare ``role_objects``
-(``smg-comp``'s).
+"""Role symmetry of a cell whose programs declare ``role_objects``, the
+tuple of objects each proposes to (``smg-comp``'s ``ProposeChain`` and
+``NoComm`` programs).
 
 ``role_group`` finds the relabellings of pids, objects and values that map
 a built cell onto itself, and ``RoleKeys`` keys the cell's async
@@ -14,7 +15,8 @@ image pid (same class, renamed objects, relabelled value), so it maps
 every step of a run onto a step of the relabelled run, because
 
 - the program states hold no pid and no value, as ``role_objects``
-  declares;
+  declares (a ``ProposeChain`` state is its length and the proposes it
+  has issued);
 - ``ConsensusObject`` treats values as opaque: the first proposal wins
   whatever it is, and the renamed object has the same capacity;
 - the crash hints (``no_more_visible``) read the role's state only;
@@ -54,10 +56,8 @@ CODE_LIMIT = 256
 def _role(prog):
     """The class of ``prog`` and the objects it proposes to, in order; None
     unless it declares them (``role_objects``)."""
-    attrs = getattr(prog, "role_objects", None)
-    if attrs is None:
-        return None
-    return type(prog), tuple(getattr(prog, attr) for attr in attrs)
+    objects = getattr(prog, "role_objects", None)
+    return None if objects is None else (type(prog), objects)
 
 
 def _relabellings(inputs, onto):

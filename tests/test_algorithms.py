@@ -47,38 +47,53 @@ def test_strict_majority():
     assert strict_majority([2, 2, 2, 1]) == (2, ())
 
 
+def _reaching(prog, answers):
+    """Each mask of owners, with a scanning state and observation whose step
+    knows it: the mask itself after the write, and for a mask holding pid 1,
+    the mask without it and a read of cell 1 that saw its answer."""
+    for mask in range(1 << prog.n):
+        yield mask, (prog.start, -1, mask), None
+        if mask & 2:
+            yield mask, (prog.scan[1][0], 1, mask & ~2), answers[1]
+
+
 def test_a_reduction_decides_by_its_rule_on_the_answers_it_saw():
     # A scanning state (cursor, last, mask) holds the answers seen as an
     # owner bitmask. From every mask with at least quorum bits the program
-    # decides its rule on those answers, flags included; below quorum it
-    # reads on.
-    from partialagreement.algorithms import OracleThenQuorum
+    # decides its rule on those answers, flags included, and keeps the mask
+    # as the decision's basis, whether the write or a read completed it;
+    # below quorum it reads on. Rule "max" is max-wait's, whose answers are
+    # the inputs.
+    from partialagreement.algorithms import QuorumScan
     from partialagreement.shmem import Decide, Read, Write
 
     flagged = 0
-    for rule in ("majority", "mode-max"):
+    for rule in ("max", "majority", "mode-max"):
         for n in range(2, 6):
             for answers in itertools.product(range(3), repeat=n):
                 for quorum in range(1, n + 1):
-                    prog = OracleThenQuorum(0, n, answers, quorum, rule)
+                    prog = QuorumScan(0, n, answers, quorum, rule)
                     scanning, action = prog.step(prog.state0, None)
                     assert action == Write(answers[0])
                     assert not prog.no_more_visible(prog.state0)
                     assert prog.no_more_visible(scanning)
-                    for mask in range(1 << n):
-                        _, action = prog.step((prog.start, -1, mask), None)
+                    for mask, (cursor, last, known), obs in _reaching(prog, answers):
+                        state, action = prog.step((cursor, last, known), obs)
                         if mask.bit_count() < quorum:
-                            assert action == Read(prog.start, 0)
+                            assert action == Read(cursor, 0)
                             continue
+                        assert prog.basis(state) == mask
                         values = [answers[o] for o in range(n) if mask >> o & 1]
-                        if rule == "majority":
+                        if rule == "max":
+                            assert action == Decide(max(values))
+                        elif rule == "majority":
                             assert action == Decide(*strict_majority(values))
                             flagged += bool(action.flags)
                         else:
                             assert action == Decide(most_repeated_max(values))
     assert flagged
     # a tie goes to the smallest value, flagged
-    prog = OracleThenQuorum(0, 4, (1, 0, 1, 0), 4)
+    prog = QuorumScan(0, 4, (1, 0, 1, 0), 4, "majority")
     assert prog.step((1, -1, 0b1111), None)[1] == Decide(0, ("reduction-soundness",))
 
 

@@ -21,6 +21,8 @@ def test_tracer_wraps_async_run_and_restores():
     # A renamed or deleted name that the tracer binds fails at install().
     # An explore builds a run's schedule only for a recorded violation, so
     # the max-wait explore, which records some, calls schedule_so_far.
+    # The tracer wraps the step of every class in algorithms that defines
+    # one, so algorithms.step counts the scans of both explores.
     tracer = load_layers().Tracer()
     try:
         tracer.install()
@@ -32,7 +34,8 @@ def test_tracer_wraps_async_run_and_restores():
     assert restored
     assert report.violations_total == 0
     assert violating.violations
-    for layer in ("shmem.step", "shmem.clone", "shmem.key", "shmem.schedule_so_far"):
+    for layer in ("shmem.step", "shmem.clone", "shmem.key", "shmem.schedule_so_far",
+                  "algorithms.step"):
         assert tracer.counts[layer] > 0, layer
     assert tracer.counts["verify.explore"] == 2
     assert tracer.counts["objects.compliant_assignments"] > 0

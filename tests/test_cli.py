@@ -299,6 +299,7 @@ def test_malformed_inputs_exit_64_with_one_line(tmp_path, capsys, monkeypatch):
         ["table", "--n-range", "5"],
         ["table", "--n-range", "a:b"],
         ["table", "--n-range", "5:2"],
+        ["table", "--n-range", "2:4", "--g", "0"],
         ["run", "--alg", "min-flood", "--n", "3", "--t", "1", "--inputs", "0,1,0", "--rounds", "0"],
         ["run", "--alg", "min-flood", "--n", "3", "--t", "1", "--inputs", "0,1,0", "--rounds", "0",
          "--seed", "1"],

@@ -648,6 +648,7 @@ MAX_WAIT_4 = ("max-wait", ProblemSpec(n=4, m=4, t=1, k=2), "canonical")
 NO_COMM_6 = ("no-comm", ProblemSpec(n=6, m=2, t=1, k=4), "all")
 MIN_FLOOD_5 = ("min-flood", ProblemSpec(n=5, m=5, t=3, k=5, model="sync-mp"), [tuple(range(5))])
 MIN_FLOOD_4 = ("min-flood", ProblemSpec(n=4, m=3, t=2, k=2, model="sync-mp"), "all")
+VIOLATING_MAX_WAIT = ("max-wait", ProblemSpec(n=4, m=2, t=1, k=3), "all")
 
 # (config, budget, digest of to_json, cells searched and folded), the
 # digests pinned from the explorer without input-vector folds.
@@ -661,7 +662,9 @@ MIN_FLOOD_4 = ("min-flood", ProblemSpec(n=4, m=3, t=2, k=2, model="sync-mp"), "a
 # orbits whose first vector violates are searched vector by vector. The
 # min-flood digests are pinned from the explorer that replayed every crash
 # pattern from the first round: 3,000 runs stop inside the single cell,
-# and a sampled search never folds.
+# and a sampled search never folds. The violating max-wait digest is pinned
+# from the explorer with five async program classes, under the crash rule
+# of ``_crash_can_matter`` that reads the programs' hints.
 PLAIN_FOLDS = [
     (MAX_WAIT_4, ExploreBudget(),
      "19589e8d2696705f33d5d8c8702bd6c5670dbc1138630583725e829ac245af08", (20, 55)),
@@ -677,13 +680,15 @@ PLAIN_FOLDS = [
      "1fafd2c3e77cce4ccb729ef36cb07f755c56069a3df232082e6cc7d1d6b4924c", (1, 0)),
     (MIN_FLOOD_4, ExploreBudget(mode="sample", samples=50, seed=3),
      "dcc41510068cc1834fffcb5071f83f5e3cc093d08c49d0b5db2312101562618f", (81, 0)),
+    (VIOLATING_MAX_WAIT, ExploreBudget(),
+     "d212f9cd426b4361b79ffd932cc3a9a6bddf1a008f69859baa5ec4346aed5449", (8, 8)),
 ]
 
 
 @pytest.mark.parametrize(
     "config, budget, digest, cells", PLAIN_FOLDS,
     ids=["max-wait", "max-wait-426-runs", "max-wait-639-runs", "max-wait-17000-states",
-         "no-comm", "min-flood-3000-runs", "min-flood-sampled"],
+         "no-comm", "min-flood-3000-runs", "min-flood-sampled", "max-wait-violating"],
 )
 def test_a_folded_input_vector_keeps_the_report(config, budget, digest, cells):
     import hashlib
@@ -698,7 +703,7 @@ def test_a_folded_input_vector_keeps_the_report(config, budget, digest, cells):
 
 # The program classes that declare a decision basis (``basis`` and
 # ``decide_on``), and the entries all of whose programs are among them.
-BASIS_PROGRAMS = ("NoComm", "MaxWait", "OracleThenQuorum")
+BASIS_PROGRAMS = ("NoComm", "QuorumScan")
 BASIS_ENTRIES = {"no-comm", "max-wait", "reduce-binary", "reduce-set", "reduce-smg"}
 
 
@@ -793,7 +798,7 @@ VIOLATING_REDUCE_SET = (
 # reductions, each with and without resolution.
 RESOLVED_REPORTS = [
     *((config, budget, resolved) for (config, budget, _, _), resolved in zip(
-        PLAIN_FOLDS, (19, 0, 1, 19, 4, 0, 0)
+        PLAIN_FOLDS, (19, 0, 1, 19, 4, 0, 0, 3)
     )),
     (REDUCE_BINARY_4, ExploreBudget(), 1),
     *((REDUCE_BINARY_4, ExploreBudget(max_runs=r, max_states=s), 1)
@@ -805,7 +810,8 @@ RESOLVED_REPORTS = [
 @pytest.mark.parametrize(
     "config, budget, resolved", RESOLVED_REPORTS,
     ids=["max-wait", "max-wait-426-runs", "max-wait-639-runs", "max-wait-17000-states",
-         "no-comm", "min-flood-3000-runs", "min-flood-sampled", "reduce-binary",
+         "no-comm", "min-flood-3000-runs", "min-flood-sampled", "max-wait-violating",
+         "reduce-binary",
          *(f"reduce-binary-{r}-runs-{s}-states" for r, s, _, _ in PARTIAL_SEARCHES),
          "reduce-set-violating"],
 )
@@ -854,16 +860,17 @@ def test_the_resolution_check_catches_a_value_branching_program(monkeypatch):
     # would report a search that never happened.
     from partialagreement import algorithms
 
-    class StopsAtOne(algorithms.OracleThenQuorum):
+    class StopsAtOne(algorithms.QuorumScan):
         __slots__ = ()
 
         def step(self, state, obs):
             if obs == 1:
                 cursor, last, mask = state
-                return state, self.decide_on(mask | 1 << last)
+                mask |= 1 << last
+                return (cursor, -1, mask), self.decide_on(mask)
             return super().step(state, obs)
 
-    monkeypatch.setattr(algorithms, "OracleThenQuorum", StopsAtOne)
+    monkeypatch.setattr(algorithms, "QuorumScan", StopsAtOne)
     spec = ProblemSpec(n=4, m=2, t=1, validity="strong")
     mismatches, cells = _resolution_mismatches("reduce-binary", spec, FEW)
     assert 0 < len(mismatches) < cells
@@ -981,14 +988,7 @@ ROLE_CONFIGS = [
 def _described(prog, objects=None, values=None):
     """A role program as (class, objects it proposes to, value), its objects
     renamed by ``objects`` and its value mapped by ``values``."""
-    from partialagreement.algorithms import NoComm, ProposeRelayDecide, ProposeThenDecide
-
-    uses = {
-        NoComm: (),
-        ProposeThenDecide: ("obj",),
-        ProposeRelayDecide: ("first", "relay"),
-    }[type(prog)]
-    names = tuple(getattr(prog, attr) for attr in uses)
+    names = prog.role_objects
     if objects is not None:
         names = tuple(objects[name] for name in names)
     return type(prog), names, prog.value if values is None else values[prog.value]
@@ -1064,6 +1064,7 @@ def test_the_role_reduced_search_counts_like_the_unreduced_one(monkeypatch, spec
 def test_every_recorded_role_reduced_violation_replays(capsys):
     # One violation is recorded per violating orbit searched, and each is
     # the run the search reached, so it replays.
+    import hashlib
     import json
 
     from partialagreement import cli
@@ -1071,6 +1072,11 @@ def test_every_recorded_role_reduced_violation_replays(capsys):
     spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
     report = explore("smg-comp", spec, [tuple(range(8))])
     assert (report.violations_total, len(report.violations)) == (244, 21)
+    # pinned from the explorer with five async program classes, under the
+    # crash rule of ``_crash_can_matter`` that reads the programs' hints
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "ffc98780765ede6bcf0e55518df46a1ab8d06ffffe902a0ef407088b06b5e6ca"
+    )
     for violation in report.violations:
         code = cli.main(["run", "--replay", json.dumps(violation), "--format", "json"])
         out = json.loads(capsys.readouterr().out)
