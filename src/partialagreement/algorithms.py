@@ -395,7 +395,7 @@ def smg_guarantee(spec: ProblemSpec) -> int:
 def _build_scan(n, answers, quorum, rule, **meta) -> Built:
     """Every pid a QuorumScan of ``answers`` with ``quorum`` and ``rule``."""
     programs = {pid: QuorumScan(pid, n, answers, quorum, rule) for pid in range(n)}
-    return Built(programs, meta={"quorum": quorum, **meta})
+    return Built(programs, meta=meta)
 
 
 def _build_reduction(spec, inputs, assignment, contract, quorum, rule) -> Built:

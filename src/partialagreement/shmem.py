@@ -168,6 +168,12 @@ class AsyncRun:
       place: a write, a flagged decision or a propose replaces them (a
       propose copies the one object it touches).
 
+    The run owns its step bound: a step that leaves ``step_bound`` or more
+    steps taken and a live pid undecided, or a fixed step due at the bound,
+    marks it ``nonterminating``, and every driver stops on that flag. A run
+    logs its ``events`` exactly when it is not eager: ``run_async``'s replay
+    run. A clone logs none.
+
     With eager=True, steps whose outcome is already fixed are committed
     immediately: local decides, reads of written cells (write-once
     registers make the value immutable), and reads of cells whose owner
@@ -208,7 +214,7 @@ class AsyncRun:
         "memo",
     )
 
-    def __init__(self, progs, inputs, objects=None, eager=False, log=False):
+    def __init__(self, progs, inputs, objects=None, eager=False):
         self.n = len(inputs)
         self.progs = progs
         self.inputs = tuple(inputs)
@@ -226,7 +232,7 @@ class AsyncRun:
         self.step_bound = default_step_bound(self.n)
         self.nonterminating = False
         self.eager = eager
-        self.events = [] if log else None
+        self.events = None if eager else []
         self.path = None
         self.crash_log = ()
         if eager:
@@ -297,6 +303,8 @@ class AsyncRun:
             raise ModelViolationError(f"process {pid} acted after deciding")
         wrote = type(self.actions[pid]) is Write
         self._advance(pid)
+        if self.steps_taken >= self.step_bound and self.live_undecided():
+            self.nonterminating = True
         if self.eager:
             self._settle(self._readers(pid, pid) if wrote else (pid,))
 
@@ -548,40 +556,34 @@ def run_async(
     *,
     spec: ProblemSpec | None = None,
     objects=None,
-    step_bound: int | None = None,
 ) -> ExecutionTrace:
     """Execute one schedule-driven run and return its full trace.
 
     Processes are stepped exactly in schedule order; if the schedule runs
     out with live undecided processes it is extended round-robin over them
-    until everyone decided or ``step_bound`` is hit, in which case the trace
-    is flagged nonterminating (resiliency violation) rather than raising.
-    With ``spec``, ``spec.check_inputs`` checks the inputs.
+    until everyone decided, or until the run marks itself nonterminating at
+    its step bound (a resiliency violation, flagged in the trace rather than
+    raised). The run is not eager, so it takes and logs every step. With
+    ``spec``, ``spec.check_inputs`` checks the inputs.
     """
     inputs = tuple(inputs) if spec is None else spec.check_inputs(inputs)
     n = len(inputs)
     schedule.validate(n, n if spec is None else spec.t)
-    if step_bound is None:
-        step_bound = default_step_bound(n)
 
-    run = AsyncRun(programs, inputs, objects=objects, log=True)
+    run = AsyncRun(programs, inputs, objects=objects)
     crash_at = schedule.crash_at()
     pos = 0
-    nonterminating = False
     rr: list[int] = []
     while True:
         for pid in crash_at.get(pos, ()):
             run.crash(pid)
-        if not run.live_undecided():
+        if run.nonterminating or not run.live_undecided():
             break
         if pos < len(schedule.steps):
             pid = schedule.steps[pos]
             if not run.crashed[pid] and run.decided[pid] is None:
                 run.step(pid)
         else:
-            if run.steps_taken >= step_bound:
-                nonterminating = True
-                break
             while rr and (run.crashed[rr[0]] or run.decided[rr[0]] is not None):
                 rr.pop(0)
             if not rr:
@@ -595,6 +597,6 @@ def run_async(
         decisions=run.decisions,
         crashed=frozenset(p for p in range(n) if run.crashed[p]),
         flags=frozenset(run.flags),
-        nonterminating=nonterminating,
+        nonterminating=run.nonterminating,
         schedule=run.schedule_so_far(),
     )

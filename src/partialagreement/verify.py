@@ -310,16 +310,10 @@ def _async_outcome(run) -> _Outcome:
 _UNDECIDED = Decide(None)
 
 
-def _class_width(n) -> int:
-    """The bytes of a run class (see _run_class): 1 + n(n + 2) bits."""
-    return n * (n + 2) // 8 + 1
-
-
-def _run_class(run) -> bytes:
-    """The class of a finished run (see explore), an int in
-    ``_class_width(n)`` little-endian bytes: its nonterminating bit, then
-    per pid n + 2 bits: its decision basis, whether it decided and whether
-    it crashed."""
+def _run_class(run) -> int:
+    """The class of a finished run (see explore), an int: its
+    nonterminating bit, then per pid n + 2 bits: its decision basis,
+    whether it decided and whether it crashed."""
     n = run.n
     cls = run.nonterminating
     for pid in range(n):
@@ -327,19 +321,17 @@ def _run_class(run) -> bytes:
         if run.decided[pid] is not None:
             bits |= 1 << n | run.progs[pid].basis(run.states[pid])
         cls |= bits << 1 + pid * (n + 2)
-    return cls.to_bytes(_class_width(n), "little")
+    return cls
 
 
 def _class_outcomes(entry, spec, inputs, assignment, runs) -> list:
-    """Each class among the run classes ``runs`` (see explore), packed one
-    after another, with its count, as its outcome in this cell: decided by
-    the cell's own programs."""
+    """Each class of the ``runs`` Counter of run classes (see explore),
+    with its count, as its outcome in this cell: decided by the cell's own
+    programs."""
     progs = entry.build(spec, inputs, assignment=assignment).programs
     n = len(inputs)
-    width = _class_width(n)
-    classes = (int.from_bytes(runs[i:i + width], "little") for i in range(0, len(runs), width))
     outcomes = []
-    for cls, count in Counter(classes).items():
+    for cls, count in runs.items():
         decides = []
         for pid in range(n):
             bits = cls >> 1 + pid * (n + 2)
@@ -380,9 +372,9 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
     ``report.moves_slept`` counts them). With ``role_orbits``, a cell whose
     programs declare ``role_objects`` is searched one configuration per role
     orbit (``roles.RoleKeys``) counted with the orbit's size, so every count,
-    k and ell stays exact. A DFS whose programs declare ``basis`` appends the
-    class (``_run_class``) of each finished run to the bytearray
-    ``classes``, when given."""
+    k and ell stays exact. A DFS whose programs declare ``basis`` counts the
+    class (``_run_class``) of each finished run in the Counter ``classes``,
+    when given."""
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment)
     if classes is not None and not all(hasattr(p, "basis") for p in built.programs.values()):
@@ -446,7 +438,7 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
         if done:
             report.record(_async_outcome(run), base, "schedule", run, weight)
             if classes is not None:
-                classes += _run_class(run)
+                classes[_run_class(run)] += 1
 
 
 def _canonical(vector, symmetry, values, relabel) -> tuple:
@@ -537,7 +529,7 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
                 and _fits(report, shared)
                 and _resolve(entry, inputs, assignment, report, shared)
             ):
-                classes = bytearray() if share and not shared else None
+                classes = Counter() if share and not shared else None
                 _explore_cell(entry, inputs, assignment, report, role_orbits, classes)
                 if classes:
                     shared = (
@@ -591,8 +583,8 @@ def explore(
     order, or when the addition would reach a cap, so a partial search stops
     on the same run. A resolved cell seeds its orbit's tally as a searched
     one does. Sampled explores (one random stream per cell), sync entries
-    and ``smg-comp`` are never resolved. The classes are packed in one
-    bytearray and dropped when the explore returns.
+    and ``smg-comp`` are never resolved. The classes are counted in one
+    Counter and dropped when the explore returns.
 
     Within a cell, programs that declare ``role_objects`` (``smg-comp``'s)
     are searched up to their role symmetry (see ``roles``), one

@@ -236,7 +236,7 @@ def test_reduce_smg_t1_matches_binary_quorum():
     spec = ProblemSpec(n=5, m=2, t=1, k=5, validity="strong")
     built_smg = build_algorithm("reduce-smg", spec, (0, 0, 1, 1, 1))
     built_bin = build_algorithm("reduce-binary", spec, (0, 0, 1, 1, 1))
-    assert built_smg.meta["quorum"] == built_bin.meta["quorum"] == 4
+    assert built_smg.programs[0].quorum == built_bin.programs[0].quorum == 4
 
 
 def test_reduce_sync_runs_single_round():

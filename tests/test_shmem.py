@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +16,7 @@ from partialagreement import (
     build_algorithm,
     run_async,
 )
-from partialagreement.shmem import AsyncRun, Decide, Read, Write
+from partialagreement.shmem import AsyncRun, Decide, Read, Write, random_walk
 
 
 def no_comm(spec, inputs):
@@ -176,6 +177,47 @@ def test_single_writer_property_in_trace_events():
             next_index[pid] += 1
 
 
+class Livelock:
+    """Writes its input, then reads cell 1 of the next pid's row, which no
+    program writes, until it sees a value: every crash-free run livelocks,
+    and a crash of the owner it reads cuts the run at the step bound."""
+
+    state0 = "start"
+
+    def __init__(self, pid, n, value):
+        self.pid, self.n, self.value = pid, n, value
+
+    def step(self, state, obs):
+        if state == "start":
+            return "spin", Write(self.value)
+        if obs is not None:
+            return "done", Decide(obs)
+        return "spin", Read((self.pid + 1) % self.n, 1)
+
+
+def livelock(n):
+    return {pid: Livelock(pid, n, pid) for pid in range(n)}
+
+
+def test_a_random_walk_stops_at_the_step_bound():
+    # With no crash to settle a spin, every step is explicit, and the run's
+    # own bound ends the walk.
+    run = AsyncRun(livelock(3), (0, 1, 2), eager=True)
+    visited = random_walk(run, random.Random(0), 0)
+    assert run.nonterminating
+    assert run.steps_taken == run.step_bound == 576
+    assert visited == run.step_bound + 1
+
+
+def test_run_async_cuts_an_explicit_schedule_at_the_step_bound():
+    schedule = AsyncSchedule(tuple(i % 3 for i in range(700)))
+    trace = run_async(livelock(3), (0, 1, 2), schedule)
+    assert trace.nonterminating
+    assert len(trace.events) == 576
+    assert trace.schedule.steps == schedule.steps[:576]
+    assert trace.decisions == (None, None, None)
+
+
 def test_step_bound_flags_nontermination():
     class Spinner:
         state0 = ("i",)
@@ -184,7 +226,7 @@ def test_step_bound_flags_nontermination():
             return state, Read(0, 0)
 
     progs = {0: Spinner(), 1: Spinner()}
-    trace = run_async(progs, (0, 1), AsyncSchedule(), step_bound=10)
+    trace = run_async(progs, (0, 1), AsyncSchedule())
     assert trace.nonterminating
     assert trace.decisions == (None, None)
 

@@ -15,8 +15,9 @@ from partialagreement import (
     explore,
     explore_from_replay,
 )
-from partialagreement.shmem import AsyncRun, Decide, Propose, Read, Write
+from partialagreement.shmem import AsyncRun, Propose, Write
 from partialagreement.verify import best_witness
+from test_shmem import Livelock as _Livelock
 
 
 class Outcome:
@@ -725,9 +726,9 @@ def _resolution_mismatches(alg, spec, vectors):
     entry = CATALOG[alg]
     cells = _cells(entry, spec, vectors)
     shared = verify.ExplorationReport(alg, spec, vectors, ExploreBudget())
-    runs = bytearray()
+    runs = Counter()
     verify._explore_cell(entry, *cells[0], shared, role_orbits=True, classes=runs)
-    assert len(runs) == shared.executions_checked * verify._class_width(spec.n) > 0
+    assert sum(runs.values()) == shared.executions_checked > 0
     mismatches = []
     for inputs, cell in cells:
         # no violation is recorded, so none needs a schedule
@@ -1392,24 +1393,6 @@ def test_sleep_sets_change_only_the_children_built(monkeypatch, alg, spec, input
     assert report.to_json() == unslept.to_json()
 
 
-class _Livelock:
-    """Writes its input, then reads cell 1 of the next pid's row, which no
-    program writes, until it sees a value: every crash-free run livelocks,
-    and a crash of the owner it reads cuts the run at the step bound."""
-
-    state0 = "start"
-
-    def __init__(self, pid, n, value):
-        self.pid, self.n, self.value = pid, n, value
-
-    def step(self, state, obs):
-        if state == "start":
-            return "spin", Write(self.value)
-        if obs is not None:
-            return "done", Decide(obs)
-        return "spin", Read((self.pid + 1) % self.n, 1)
-
-
 def test_a_run_cut_by_the_step_bound_ends_the_sleep_sets(monkeypatch):
     # Once a run is cut, nothing more sleeps, so runs whose commuted orders
     # are cut after different steps are all met, as without sleep sets.
@@ -1427,6 +1410,30 @@ def test_a_run_cut_by_the_step_bound_ends_the_sleep_sets(monkeypatch):
     _never_independent(monkeypatch)
     assert yielded == search()
     assert sum(cut for *_, cut in yielded) > 1
+
+
+def test_a_sampled_explore_of_a_livelock_ends_every_run_at_the_step_bound(monkeypatch):
+    # A random walk stops where its run marks itself nonterminating, so the
+    # explore finishes and each run is a resiliency violation that replays.
+    import dataclasses
+
+    from partialagreement import AsyncSchedule, algorithms, run_async
+
+    entry = algorithms.CATALOG["max-wait"]
+
+    def build(spec, inputs, assignment=None):
+        return algorithms.Built({pid: _Livelock(pid, spec.n, inputs[pid]) for pid in range(spec.n)})
+
+    monkeypatch.setitem(algorithms.CATALOG, "max-wait", dataclasses.replace(entry, build=build))
+    spec = ProblemSpec(n=3, m=3, t=0, k=3)
+    report = explore("max-wait", spec, [(0, 1, 2)], ExploreBudget(mode="sample", samples=4))
+    assert report.executions_checked == report.violations_total == 4
+    assert report.states_explored == 4 * 577
+    assert [outcome.nonterminating for outcome in report.verdicts] == [True]
+    for violation in report.violations:
+        assert not violation["verdict"]["resiliency_ok"]
+        schedule = AsyncSchedule.decode(violation["schedule"])
+        assert run_async(build(spec, (0, 1, 2)).programs, (0, 1, 2), schedule).nonterminating
 
 
 def test_the_sleep_sets_prune_a_pinned_number_of_children():
