@@ -168,11 +168,12 @@ class AsyncRun:
       place: a write, a flagged decision or a propose replaces them (a
       propose copies the one object it touches).
 
-    The run owns its step bound: a step that leaves ``step_bound`` or more
-    steps taken and a live pid undecided, or a fixed step due at the bound,
-    marks it ``nonterminating``, and every driver stops on that flag. A run
-    logs its ``events`` exactly when it is not eager: ``run_async``'s replay
-    run. A clone logs none.
+    The run owns its step bound: a step or a crash that leaves, its settling
+    included, ``step_bound`` or more steps taken and a live pid undecided,
+    or a fixed step due at the bound, marks it ``nonterminating``, and
+    ``run_async``, ``random_walk`` and ``depth_first`` all stop on that
+    flag. A run logs its ``events`` exactly when it is not eager:
+    ``run_async``'s replay run. A clone logs none.
 
     With eager=True, steps whose outcome is already fixed are committed
     immediately: local decides, reads of written cells (write-once
@@ -295,6 +296,8 @@ class AsyncRun:
             self.events.append((self.steps_taken, pid, "crash", None))
         if self.eager:
             self._settle(self._readers(pid))
+        if self.steps_taken >= self.step_bound and self.live_undecided():
+            self.nonterminating = True
 
     def step(self, pid: int) -> None:
         if self.crashed[pid]:
@@ -303,10 +306,10 @@ class AsyncRun:
             raise ModelViolationError(f"process {pid} acted after deciding")
         wrote = type(self.actions[pid]) is Write
         self._advance(pid)
-        if self.steps_taken >= self.step_bound and self.live_undecided():
-            self.nonterminating = True
         if self.eager:
             self._settle(self._readers(pid, pid) if wrote else (pid,))
+        if self.steps_taken >= self.step_bound and self.live_undecided():
+            self.nonterminating = True
 
     def _readers(self, owner: int, also: int = -1) -> list[int]:
         """The pids whose pending action reads ``owner``'s row, and ``also``."""

@@ -15,11 +15,13 @@ in ascending src order, and ``finalize(state) -> Decide``.
 ``sync_round`` runs one round from a configuration; ``run_sync`` chains it
 over every round and logs every message. ``pattern_groups`` enumerates the
 crash patterns a group at a time, one group per (victims, rounds), and
-``chain_patterns``, the explorer's walk, checks and splits each group once
-and chains its patterns' rounds through a memo keyed by (round,
-configuration, round victims). That is sound only because ``round_send``,
-``round_recv`` and ``finalize`` are pure: a program that kept hidden state
-or read anything else would make the memo replay a stale round.
+``chain_patterns``, the explorer's walk, checks and splits each group once,
+runs it round by round with a count per configuration, and gives each of
+its outcomes with the number of patterns that reach it, its rounds going
+through a memo keyed by (round, configuration, round victims). That is
+sound only because ``round_send``, ``round_recv`` and ``finalize`` are
+pure: a program that kept hidden state or read anything else would make
+the memo replay a stale round, or count two patterns into one state.
 ``random_pattern`` draws one pattern, for sampled explores and seeded CLI
 runs.
 """
@@ -300,39 +302,82 @@ class _Token:
 
 def chain_patterns(programs, n: int, t: int, rounds: int, groups):
     """Run every pattern of ``groups`` (as ``pattern_groups`` yields them)
-    through ``rounds`` rounds; yield ``(crashed, config, token)`` per
-    pattern, in order: the victim pids as a frozenset (the same object while
-    they stay the same), the last configuration, and an object whose
-    ``encode()`` is the pattern's token.
+    through ``rounds`` rounds, a group at a time and round by round. Yield
+    ``(finals, patterns)`` per group, in order:
+
+    - ``finals`` maps each outcome of the group, ``(decisions, crashed,
+      flags)`` with the victim pids as a frozenset and the rest as
+      ``sync_decisions`` gives them, to the number of its patterns that end
+      there;
+    - ``patterns()`` walks the group again, pattern by pattern in product
+      order, and yields ``(outcome, token)`` per pattern: its key in
+      ``finals``, and an object whose ``encode()`` is the pattern's token.
+      Call it before asking for the next group.
 
     Each group is checked once, as ``CrashPattern.validate`` checks every
-    pattern of it (SpecError), and its victims are split by round once. The
-    rounds are chained through a memo keyed by (round, configuration, round
-    victims); it is cleared whenever the victim pids change, which bounds it
-    while the groups of one victims tuple come together.
+    pattern of it (SpecError), before any round, and its victims are split
+    by round once. Round r steps each configuration of the layer of counts
+    (``{start: 1}`` before round 1) under every joint choice of the round-r
+    victims' reach sets, and adds the counts up by next configuration. Every
+    round goes through a memo keyed by (round, configuration, round
+    victims), which ``patterns()`` reads again; it is cleared whenever the
+    victim pids change, which bounds it while the groups of one victims
+    tuple come together. So a round is run once per distinct key, whether
+    ``patterns()`` is called or not.
     """
     start = (tuple(programs[pid].state0 for pid in range(n)), tuple(range(n)))
     memo: dict = {}
+    decided: dict = {}  # last configuration -> outcome, cleared with memo
     last = crashed = None
+
+    def advance(rnd, config, victims):
+        key = (rnd, config, victims)
+        nxt = memo.get(key)
+        if nxt is None:
+            nxt = memo[key] = sync_round(programs, config, rnd, victims)[0]
+        return nxt
+
+    def final(config):
+        out = decided.get(config)
+        if out is None:
+            decisions, flags = sync_decisions(programs, config)
+            out = decided[config] = decisions, crashed, flags
+        return out
+
     for victims, rnds, pools in groups:
         reach = (frozenset().union(*pool) for pool in pools)
         CrashPattern(tuple(zip(victims, rnds, reach))).validate(n, t, rounds)
         if victims != last:
             memo.clear()
+            decided.clear()
             last, crashed = victims, frozenset(victims)
         split = [
             (rnd, [(victims[i], i) for i, r in enumerate(rnds) if r == rnd])
             for rnd in range(1, rounds + 1)
         ]
-        for reached in itertools.product(*pools):
-            config = start
-            for rnd, at in split:
-                key = (rnd, config, tuple([(pid, reached[i]) for pid, i in at]) if at else ())
-                nxt = memo.get(key)
-                if nxt is None:
-                    nxt = memo[key] = sync_round(programs, config, rnd, key[2])[0]
-                config = nxt
-            yield crashed, config, _Token(victims, rnds, reached)
+        layer = {start: 1}
+        for rnd, at in split:
+            pairs = [[(pid, rcpts) for rcpts in pools[i]] for pid, i in at]
+            choices = list(itertools.product(*pairs))
+            counts: dict = {}
+            for config, count in layer.items():
+                for choice in choices:
+                    nxt = advance(rnd, config, choice)
+                    counts[nxt] = counts.get(nxt, 0) + count
+            layer = counts
+        finals: dict = {}
+        for config, count in layer.items():
+            out = final(config)
+            finals[out] = finals.get(out, 0) + count
+
+        def patterns():
+            for reached in itertools.product(*pools):
+                config = start
+                for rnd, at in split:
+                    config = advance(rnd, config, tuple([(pid, reached[i]) for pid, i in at]))
+                yield final(config), _Token(victims, rnds, reached)
+
+        yield finals, patterns
 
 
 def random_pattern(rng, n, t, rounds) -> CrashPattern:

@@ -27,7 +27,7 @@ from .core import (
 )
 from .objects import check_contract
 from .shmem import AsyncRun, Decide, depth_first, random_walk
-from .syncmp import chain_patterns, pattern_groups, random_pattern, sync_decisions
+from .syncmp import chain_patterns, pattern_groups, random_pattern
 
 
 @dataclass(frozen=True)
@@ -348,31 +348,31 @@ def _class_outcomes(entry, spec, inputs, assignment, runs) -> list:
     return outcomes
 
 
-def _resolve(entry, inputs, assignment, report, shared) -> bool:
-    """Count a cell from the shared search's states, runs and run classes
-    (see explore): each class's outcome here recorded with its count, then
-    the states. Counts nothing and returns False, for the cell to be
-    searched, if a class fails its verdict here."""
-    states, _, classes = shared
-    outcomes = _class_outcomes(entry, report.spec, inputs, assignment, classes)
+def _count_passing(report, outcomes, states) -> bool:
+    """Record each ``(outcome, count)`` of ``outcomes`` with its count, then
+    add ``states``: a shared search's run classes decided in a resolved cell,
+    or the outcomes of a crash-pattern group (see explore). Counts nothing
+    and returns False, for the runs to be searched one by one, if an outcome
+    fails its verdict."""
     if not all(report.verdict(outcome).passed for outcome, _ in outcomes):
         return False
     for outcome, count in outcomes:
         report.record(outcome, None, None, None, count)
     report.states_explored += states
-    report.cells_resolved += 1
     return True
 
 
 def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) -> None:
-    """Search one cell into ``report``: its crash patterns (sync), its
-    ``samples`` random runs (sample mode), or the DFS of the configurations
-    reachable from its start, one per ``AsyncRun.key`` (``shmem.depth_first``,
-    whose sleep sets leave unbuilt the children the DFS would find seen, and
-    ``report.moves_slept`` counts them). With ``role_orbits``, a cell whose
-    programs declare ``role_objects`` is searched one configuration per role
-    orbit (``roles.RoleKeys``) counted with the orbit's size, so every count,
-    k and ell stays exact. A DFS whose programs declare ``basis`` counts the
+    """Search one cell into ``report``: its crash patterns (sync), a group at
+    a time (``syncmp.chain_patterns``, see explore; a sampled pattern is a
+    group of one), its ``samples`` random runs (async sample mode), or the
+    DFS of the configurations reachable from its start, one per
+    ``AsyncRun.key`` (``shmem.depth_first``, whose sleep sets leave unbuilt
+    the children the DFS would find seen, and ``report.moves_slept`` counts
+    them). With ``role_orbits``, a cell whose programs declare
+    ``role_objects`` is searched one configuration per role orbit
+    (``roles.RoleKeys``) counted with the orbit's size, so every count, k
+    and ell stays exact. A DFS whose programs declare ``basis`` counts the
     class (``_run_class``) of each finished run in the Counter ``classes``,
     when given."""
     spec, budget = report.spec, report.budget
@@ -395,21 +395,18 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
             )
         else:
             groups = pattern_groups(spec.n, crash_budget, built.rounds, canonical=True)
-        # last configuration -> outcome, cleared whenever the victim pids change
-        outcomes: dict = {}
-        victim_pids = None
-        for crashed, config, token in chain_patterns(
+        for finals, patterns in chain_patterns(
             built.programs, spec.n, crash_budget, built.rounds, groups
         ):
-            if crashed is not victim_pids:
-                outcomes.clear()
-                victim_pids = crashed
-            outcome = outcomes.get(config)
-            if outcome is None:
-                decisions, flags = sync_decisions(built.programs, config)
-                outcome = outcomes[config] = _Outcome(inputs, decisions, crashed, flags, False)
-            report.states_explored += 1
-            report.record(outcome, base, "pattern", token)
+            runs = sum(finals.values())
+            outcomes = [(_Outcome(inputs, *final, False), count) for final, count in finals.items()]
+            if report.executions_checked + runs < budget.max_runs and _count_passing(
+                report, outcomes, runs
+            ):
+                continue
+            for final, token in patterns():
+                report.states_explored += 1
+                report.record(_Outcome(inputs, *final, False), base, "pattern", token)
         return
 
     root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
@@ -524,11 +521,11 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
                 continue
             before = _tally(report)
             report.cells_explored += 1
-            if not (
-                shared
-                and _fits(report, shared)
-                and _resolve(entry, inputs, assignment, report, shared)
+            if shared and _fits(report, shared) and _count_passing(
+                report, _class_outcomes(entry, spec, inputs, assignment, shared[2]), shared[0]
             ):
+                report.cells_resolved += 1
+            else:
                 classes = Counter() if share and not shared else None
                 _explore_cell(entry, inputs, assignment, report, role_orbits, classes)
                 if classes:
@@ -594,6 +591,14 @@ def explore(
     a role group is redone with role orbits off, so a partial report is
     the unreduced search's. So is one with a cell whose configurations
     outgrow the role encoding's one-byte codes (``roles.CODE_LIMIT``).
+
+    A sync cell counts its crash patterns a group at a time (see
+    ``syncmp.pattern_groups``): each outcome of a group is recorded once with
+    the number of its patterns, and as many states are added. The group is
+    walked pattern by pattern instead, each recorded alone, when an outcome
+    fails its verdict, so the recorded violations keep their patterns and
+    order, or when its patterns would reach ``max_runs``, so a partial
+    search stops on the same pattern.
 
     The DFS of a cell (``shmem.depth_first``) does not build a child that
     its sleep sets show to be a configuration already searched, so it meets

@@ -1,25 +1,37 @@
-"""An independent reference explorer, checked against ``explore``'s DFS.
+"""Independent reference explorers, checked against ``explore``.
 
-The reference shares only the programs' ``step`` with the package. Its
-configuration is everything that fixes a run's future: per pid the program
-state and the pending action, the register rows, each object's winner and
-proposers, the decisions, the crashed pids and the flags. At every
-configuration any live undecided pid may step, or crash within the fault
-budget where the crash rule lets it. It has no eager commits, no sleep sets
-and no folds, and it dedups on the full configuration.
+The async reference shares only the programs' ``step`` with the package.
+Its configuration is everything that fixes a run's future: per pid the
+program state and the pending action, the register rows, each object's
+winner and proposers, the decisions, the crashed pids and the flags. At
+every configuration any live undecided pid may step, or crash within the
+fault budget where the crash rule lets it. It has no eager commits, no sleep
+sets and no folds, and it dedups on the full configuration.
+
+The sync reference runs every canonical crash pattern on its own through
+``run_sync`` and ``check_agreement``: no round memo, no pattern groups and
+no counts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
+import math
 from collections import Counter
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
 
-from partialagreement import ExploreBudget, ProblemSpec, get_algorithm, verify
+from partialagreement import (
+    ExploreBudget, ProblemSpec, check_agreement, enumerate_crash_patterns, get_algorithm,
+    run_sync, verify,
+)
+from partialagreement.algorithms import BroadcastMajority, Built
 from partialagreement.shmem import Decide, Propose, Read, Write
+from partialagreement.syncmp import pattern_groups
 
 
 class Config(NamedTuple):
@@ -184,3 +196,180 @@ def test_a_crash_anywhere_is_dominated_by_a_searched_outcome(cell):
             and all(a == b for p, (a, b) in enumerate(zip(found, decisions)) if p not in crashed)
             for found, found_crashed in searched
         ), (decisions, crashed)
+
+
+# --- the sync half ----------------------------------------------------------
+
+
+class Gossip:
+    """Sends the values it knows and keeps every inbox whole, so two
+    patterns share a state only where they delivered the same messages to
+    it; decides the least value it knows."""
+
+    def __init__(self, value):
+        self.state0 = ((value,),)
+
+    @staticmethod
+    def known(state):
+        return tuple(sorted({*state[0], *(v for inbox in state[1:] for _, vs in inbox for v in vs)}))
+
+    def round_send(self, state, rnd):
+        return state, self.known(state)
+
+    def round_recv(self, state, rnd, inbox):
+        return state + (tuple(sorted(inbox.items())),)
+
+    def finalize(self, state):
+        return Decide(self.known(state)[0])
+
+
+def _entry(name, build):
+    """A sync catalog entry under ``name`` with every field but ``build``
+    taken from min-flood's."""
+    return dataclasses.replace(get_algorithm("min-flood"), name=name, build=build)
+
+
+def _short(spec, inputs, assignment=None):
+    built = get_algorithm("min-flood").build(spec, inputs)
+    return dataclasses.replace(built, rounds=built.rounds - 1)
+
+
+MIN_FLOOD = get_algorithm("min-flood")
+REDUCE_SYNC = get_algorithm("reduce-sync")
+# C5's mutant: one round short of floor(t/ell) + 1
+SHORT = _entry("min-flood-short", _short)
+GOSSIP = _entry("gossip", lambda spec, inputs, assignment=None: Built(
+    {pid: Gossip(inputs[pid]) for pid in range(spec.n)}, rounds=spec.t // spec.ell + 1,
+))
+# a broadcast of first-phase answers that split 2-2: strict_majority breaks
+# the tie to 0 and flags it
+TIE = _entry("tie", lambda spec, inputs, assignment=None: Built(
+    {pid: BroadcastMajority(inputs[pid]) for pid in range(spec.n)}, rounds=1,
+))
+
+
+def flood(n, t, ell, k):
+    return ProblemSpec(n=n, m=n, t=t, k=k, ell=ell, model="sync-mp")
+
+
+def strong(n, t, k):
+    return ProblemSpec(n=n, m=2, t=t, k=k, validity="strong", model="sync-mp")
+
+
+def _assignment(spec, inputs, i):
+    return list(REDUCE_SYNC.oracle_assignments(spec, inputs))[i]
+
+
+# (entry, spec, inputs, first-phase assignment)
+SYNC_CELLS = [
+    (MIN_FLOOD, flood(3, 1, 1, 3), (2, 0, 1), None),
+    (MIN_FLOOD, flood(3, 2, 1, 3), (0, 1, 2), None),
+    (MIN_FLOOD, flood(3, 2, 2, 2), (1, 2, 0), None),
+    (MIN_FLOOD, flood(4, 2, 2, 2), (0, 1, 2, 3), None),
+    (MIN_FLOOD, flood(4, 3, 2, 2), (3, 0, 2, 1), None),
+    (MIN_FLOOD, flood(4, 2, 1, 4), (0, 1, 2, 3), None),
+    (MIN_FLOOD, flood(5, 1, 1, 5), (4, 3, 2, 1, 0), None),
+    (MIN_FLOOD, flood(5, 2, 2, 3), (0, 1, 2, 3, 4), None),
+    (REDUCE_SYNC, strong(4, 1, 4), (0, 0, 1, 1), _assignment(strong(4, 1, 4), (0, 0, 1, 1), 0)),
+    (REDUCE_SYNC, strong(5, 2, 5), (0, 0, 0, 1, 1),
+     _assignment(strong(5, 2, 5), (0, 0, 0, 1, 1), -1)),
+    (REDUCE_SYNC, strong(5, 1, 4), (0, 1, 1, 1, 1),
+     _assignment(strong(5, 1, 4), (0, 1, 1, 1, 1), 2)),
+    (SHORT, flood(4, 2, 1, 4), (0, 1, 2, 3), None),
+    (SHORT, flood(5, 2, 1, 5), (0, 1, 2, 3, 4), None),
+    (GOSSIP, flood(4, 2, 2, 2), (0, 1, 2, 3), None),
+    (GOSSIP, flood(3, 2, 1, 3), (2, 1, 0), None),
+    (TIE, strong(4, 2, 4), (0, 0, 1, 1), None),
+]
+TIE_CELL = SYNC_CELLS[-1]
+# (cell, max_runs), each cap falling inside a pattern group: min-flood,
+# the mutant inside its third run of violations, and gossip
+CAPPED_CELLS = [(SYNC_CELLS[3], 333), (SYNC_CELLS[12], 1021), (SYNC_CELLS[13], 333)]
+
+
+RECORDED = ExploreBudget().max_recorded_violations
+
+
+def sync_cell_id(cell) -> str:
+    entry, spec, inputs, assignment = cell
+    return f"{entry.name}-n{spec.n}-t{spec.t}-ell{spec.ell}-{''.join(map(str, assignment or inputs))}"
+
+
+@functools.cache
+def reference_sync(entry, spec, inputs, assignment, max_runs=None) -> tuple:
+    """What the first ``max_runs`` canonical crash patterns of the cell (all
+    when None), each run alone, give: runs, violations, flagged runs, the
+    empirical k, k over all runs and ell, and the tokens of the violating
+    patterns an explore records, in order."""
+    built = entry.build(spec, inputs, assignment)
+    budget = min(entry.fault_budget(spec), spec.n)
+    patterns = enumerate_crash_patterns(spec.n, budget, built.rounds, canonical=True)
+    runs = violations = flagged = 0
+    outcomes, tokens = [], []
+    for pattern in itertools.islice(patterns, max_runs):
+        trace = run_sync(built.programs, inputs, pattern, built.rounds, spec=spec)
+        runs += 1
+        flagged += bool(trace.flags)
+        if not check_agreement(trace, spec).passed:
+            violations += 1
+            tokens.append(pattern.encode())
+        outcomes.append((trace.decisions, None, None))
+    return (runs, violations, flagged, *thresholds(outcomes, spec.n), tokens[:RECORDED])
+
+
+def summary(report) -> tuple:
+    """The same read off an explore's report, which counts one state per
+    pattern and is exhaustive exactly when no cap was reached."""
+    assert report.states_explored == report.executions_checked
+    assert report.exhaustive == (report.budget.max_runs > report.executions_checked)
+    return (
+        report.executions_checked, report.violations_total, report.flagged_executions,
+        report.empirical_k, report.empirical_k_all_runs, report.empirical_ell,
+        [violation["pattern"] for violation in report.violations],
+    )
+
+
+def searched_sync(entry, spec, inputs, assignment, budget) -> tuple:
+    """The summary of ``explore``'s search of the one cell."""
+    report = verify.ExplorationReport(entry.name, spec, [inputs], budget)
+    try:
+        verify._explore_cell(entry, inputs, assignment, report, role_orbits=False)
+    except verify._BudgetStop:
+        report.exhaustive = False
+    return summary(report)
+
+
+@pytest.mark.parametrize("cell", SYNC_CELLS, ids=sync_cell_id)
+def test_the_sync_search_matches_every_pattern_run_alone(cell):
+    entry, spec, inputs, _ = cell
+    expected = reference_sync(*cell)
+    assert searched_sync(*cell, ExploreBudget()) == expected
+    if entry is MIN_FLOOD:
+        # one input vector of a catalog entry is one cell
+        assert summary(verify.explore(entry.name, spec, [inputs])) == expected
+
+
+def test_the_sync_cells_violate_past_the_recorded_and_flag():
+    found = {sync_cell_id(cell): reference_sync(*cell) for cell in SYNC_CELLS}
+    _, violations, flagged, *_ = found[sync_cell_id(TIE_CELL)]
+    assert violations > RECORDED and flagged > 0
+    assert all(found[sync_cell_id(cell)][1] for cell in SYNC_CELLS if cell[0] is SHORT)
+    capped = reference_sync(*CAPPED_CELLS[1][0], max_runs=CAPPED_CELLS[1][1])
+    assert 0 < capped[1] < found[sync_cell_id(CAPPED_CELLS[1][0])][1]
+
+
+@pytest.mark.parametrize(
+    "cell, max_runs", CAPPED_CELLS,
+    ids=[f"{sync_cell_id(cell)}-{max_runs}-runs" for cell, max_runs in CAPPED_CELLS],
+)
+def test_a_capped_sync_search_stops_on_the_same_pattern(cell, max_runs):
+    entry, spec, inputs, assignment = cell
+    built = entry.build(spec, inputs, assignment)
+    ends = itertools.accumulate(
+        math.prod(map(len, pools))
+        for _, _, pools in pattern_groups(spec.n, spec.t, built.rounds, canonical=True)
+    )
+    assert max_runs not in set(ends)
+    expected = reference_sync(*cell, max_runs=max_runs)
+    assert expected[0] == max_runs
+    assert searched_sync(*cell, ExploreBudget(max_runs=max_runs)) == expected

@@ -218,6 +218,60 @@ def test_run_async_cuts_an_explicit_schedule_at_the_step_bound():
     assert trace.decisions == (None, None, None)
 
 
+class WriteReadWrite:
+    """Writes, reads its own first cell 63 times, then writes again: with
+    n=1 its first step and the 63 settled reads take an eager run to its
+    bound of 64 steps, with the second write still due."""
+
+    state0 = 0
+
+    def step(self, state, obs):
+        if state in (0, 64):
+            return state + 1, Write(state)
+        if state == 65:
+            return state, Decide(obs)
+        return state + 1, Read(0, 0)
+
+
+def test_a_settled_step_that_reaches_the_bound_flags_the_run():
+    run = AsyncRun({0: WriteReadWrite()}, (0,), eager=True)
+    run.step(0)
+    assert run.steps_taken == run.step_bound == 64
+    assert run.nonterminating
+    trace = run_async({0: WriteReadWrite()}, (0,), run.schedule_so_far())
+    assert trace.nonterminating
+    assert len(trace.events) == 64
+    assert trace.schedule == run.schedule_so_far()
+
+
+class ReadCrashedOwner:
+    """pid 1 reads pid 0's first cell 256 times, then writes; pid 0 only
+    writes. Once pid 0 crashes unwritten, the reads are fixed: with n=2 the
+    crash's settling takes an eager run to its bound of 256 steps, with the
+    write still due."""
+
+    state0 = 0
+
+    def __init__(self, pid):
+        self.pid = pid
+
+    def step(self, state, obs):
+        if self.pid == 0 or state == 256:
+            return state, Write(state)
+        return state + 1, Read(0, 0)
+
+
+def test_a_settled_crash_that_reaches_the_bound_flags_the_run():
+    progs = {0: ReadCrashedOwner(0), 1: ReadCrashedOwner(1)}
+    run = AsyncRun(progs, (0, 0), eager=True)
+    run.crash(0)
+    assert run.steps_taken == run.step_bound == 256
+    assert run.nonterminating
+    trace = run_async(progs, (0, 0), run.schedule_so_far())
+    assert trace.nonterminating
+    assert trace.schedule == run.schedule_so_far()
+
+
 def test_step_bound_flags_nontermination():
     class Spinner:
         state0 = ("i",)
@@ -276,13 +330,16 @@ def fixed(run, pid):
 
 
 def settle_by_full_scan(run):
-    """Commit every fixed step, scanning every process in pid order."""
+    """Commit every fixed step, scanning every process in pid order, then
+    flag the run if it stands at its bound with a live pid undecided."""
     for pid in range(run.n):
         while not run.crashed[pid] and run.decided[pid] is None and fixed(run, pid):
             if run.steps_taken >= run.step_bound:
                 run.nonterminating = True
                 return
             run._advance(pid)
+    if run.steps_taken >= run.step_bound and run.live_undecided():
+        run.nonterminating = True
 
 
 class Looper:

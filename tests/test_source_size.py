@@ -16,12 +16,16 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "partialagreement"
 # verify.py at 3,901 tokens compiled at a peak of 1.32 MB, padded to 4,093
 # at 1.39 MB, and padded to 4,105 at 1.61 MB (Python 3.11, tracemalloc
 # around compile()). The sync pattern walk (syncmp.chain_patterns, about
-# 400 tokens) would have taken verify.py past the line; so would cell
+# 560 tokens since it counts each group's patterns round by round) would
+# have taken verify.py past the line; so would cell
 # resolution (about 700 tokens), had the random adversaries not moved to
 # the executors they drive and the input vectors to ProblemSpec. The async
 # DFS then moved beside its sleep sets, into shmem.py (shmem.depth_first):
 # verify.py went from 4,009 to 3,858 tokens and shmem.py from 3,003 to
-# 3,584. Split a module, or move code out of it, before it crosses.
+# 3,584. Counting a pattern group's outcomes kept verify.py at 3,767 tokens
+# (3,781 before) by recording a group and a resolved cell through one
+# helper, _count_passing. Split a module, or move code out of it, before it
+# crosses.
 TOKEN_LIMIT = 4096
 
 

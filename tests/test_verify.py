@@ -970,6 +970,27 @@ def test_the_sync_explorer_runs_each_round_once_per_configuration(monkeypatch):
     assert len(calls) == 50_223 < per_pattern // 4
 
 
+def test_the_sync_explorer_records_each_outcome_of_a_group_once(monkeypatch):
+    # A count, not a time: the explorer walked the crash patterns one by one
+    # and recorded each of the 23,425 runs on its own; a pattern group's
+    # runs are now counted round by round, and each distinct outcome of a
+    # violation-free group is recorded once, with its count.
+    from partialagreement.verify import ExplorationReport
+
+    calls = []
+    record = ExplorationReport.record
+
+    def counting(self, outcome, base, token_key, token, weight=1):
+        calls.append(weight)
+        return record(self, outcome, base, token_key, token, weight)
+
+    monkeypatch.setattr(ExplorationReport, "record", counting)
+    spec = ProblemSpec(n=6, m=6, t=2, k=3, ell=2, model="sync-mp")
+    report = explore("min-flood", spec, [tuple(range(6))])
+    assert report.exhaustive and report.executions_checked == sum(calls) == 23_425
+    assert len(calls) == 155
+
+
 # Every smg-comp configuration of the suite: C6's three, the pinned n=6
 # search, the tight-rules k=7 one, and two "all" sweeps (case 2 n=4 g=2,
 # case 1 n=4 g=4) whose input vectors repeat values; and a case 1 n=10 cell
