@@ -13,6 +13,7 @@ exhaustive one, the DFS of an explore's cell.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,13 +152,17 @@ class AsyncRun:
     single writer and is written once, by construction. A Read of a cell
     past the end of its row (not yet written) observes None.
 
-    clone() is O(1) in the run's length: it copies four n-entry lists and
-    shares everything else.
+    clone() is O(1) in the run's length: it copies four n-entry lists
+    (states, actions, decided, crashed) and shares everything else.
 
-    - ``memo`` caches ``prog.step(state, obs)`` by ``(pid, state, obs)``.
-      Programs are pure and their states and observations hashable, so a
-      cached result equals a fresh one. One dict is shared by a run and
-      every clone made from it, and dies with them.
+    - ``live`` is the bitmask of the pids neither crashed nor decided: a
+      crash or a decide clears the pid's bit. live_undecided() lists it,
+      ``random_walk`` draws from its pids and the step bound reads it.
+    - ``memo`` caches ``prog.step(state, obs)`` by ``(pid, state, obs)``
+      for every step after a program's first. Programs are pure and their
+      states and observations hashable, so a cached result equals a fresh
+      one. One dict is shared by a run and every clone made from it, and
+      dies with them.
     - ``path`` is the steps taken so far, for replay, as a persistent
       linked list of ``(parent, pid)`` nodes (None when empty): a step
       adds a node on top and never touches the shared tail.
@@ -192,6 +197,12 @@ class AsyncRun:
     wrote, are settled; after ``crash(p)`` only those readers; each in pid
     order, as a scan of every process would commit them. The path, every
     token and every key() are the full scan's.
+
+    Every step but a decide ends in ``_commit``, which counts it, adds its
+    path node and folds its observation into the program state through
+    ``memo``. ``_advance`` takes any step and logs its event; settling
+    hands a fixed read's value straight to ``_commit``, as an eager run
+    logs no events.
     """
 
     __slots__ = (
@@ -202,6 +213,7 @@ class AsyncRun:
         "actions",
         "decided",
         "crashed",
+        "live",
         "regs",
         "objects",
         "flags",
@@ -223,9 +235,10 @@ class AsyncRun:
         self.states = [None] * self.n
         self.actions = [None] * self.n
         for pid in range(self.n):
-            self.states[pid], self.actions[pid] = self._program_step(pid, progs[pid].state0, None)
+            self.states[pid], self.actions[pid] = progs[pid].step(progs[pid].state0, None)
         self.decided = [None] * self.n
         self.crashed = [False] * self.n
+        self.live = (1 << self.n) - 1
         self.regs = ((),) * self.n
         self.objects = dict(objects) if objects else {}
         self.flags = frozenset()
@@ -248,6 +261,7 @@ class AsyncRun:
         new.actions = list(self.actions)
         new.decided = list(self.decided)
         new.crashed = list(self.crashed)
+        new.live = self.live
         new.regs = self.regs
         new.objects = self.objects
         new.flags = self.flags
@@ -277,11 +291,7 @@ class AsyncRun:
         )
 
     def live_undecided(self) -> list[int]:
-        return [
-            pid
-            for pid in range(self.n)
-            if not self.crashed[pid] and self.decided[pid] is None
-        ]
+        return list(_pids(self.live))
 
     @property
     def decisions(self) -> tuple:
@@ -291,12 +301,13 @@ class AsyncRun:
         if self.crashed[pid]:
             raise SpecError(f"process {pid} crashed twice")
         self.crashed[pid] = True
+        self.live &= ~(1 << pid)
         self.crash_log += ((pid, self.steps_taken),)
         if self.events is not None:
             self.events.append((self.steps_taken, pid, "crash", None))
         if self.eager:
             self._settle(self._readers(pid))
-        if self.steps_taken >= self.step_bound and self.live_undecided():
+        if self.steps_taken >= self.step_bound and self.live:
             self.nonterminating = True
 
     def step(self, pid: int) -> None:
@@ -308,21 +319,21 @@ class AsyncRun:
         self._advance(pid)
         if self.eager:
             self._settle(self._readers(pid, pid) if wrote else (pid,))
-        if self.steps_taken >= self.step_bound and self.live_undecided():
+        if self.steps_taken >= self.step_bound and self.live:
             self.nonterminating = True
 
     def _readers(self, owner: int, also: int = -1) -> list[int]:
         """The pids whose pending action reads ``owner``'s row, and ``also``."""
-        actions = self.actions
         return [
             pid
-            for pid in range(self.n)
-            if pid == also or (type(actions[pid]) is Read and actions[pid].owner == owner)
+            for pid, act in enumerate(self.actions)
+            if pid == also or (type(act) is Read and act.owner == owner)
         ]
 
     def _settle(self, pids) -> None:
         """Commit the fixed steps of ``pids``, each to its first unfixed one.
-        A committed read or decide writes no register, so ``regs`` holds."""
+        A committed read or decide writes no register, so ``regs`` holds. An
+        eager run logs no events, so a read goes straight to ``_commit``."""
         actions, crashed, regs = self.actions, self.crashed, self.regs
         for pid in pids:
             if crashed[pid]:
@@ -333,14 +344,19 @@ class AsyncRun:
                 if kind is Read:
                     # a written cell never changes, and a crashed owner's
                     # unwritten cell stays empty
-                    if act.index >= len(regs[act.owner]) and not crashed[act.owner]:
+                    owner, index = act
+                    row = regs[owner]
+                    if index >= len(row) and not crashed[owner]:
                         break
                 elif kind is not Decide:
                     break  # a write, a propose, or decided (no action)
                 if self.steps_taken >= self.step_bound:
                     self.nonterminating = True
                     return
-                self._advance(pid)
+                if kind is Read:
+                    self._commit(pid, row[index] if 0 <= index < len(row) else None)
+                else:
+                    self._advance(pid)
 
     def _advance(self, pid: int) -> None:
         act = self.actions[pid]
@@ -370,21 +386,26 @@ class AsyncRun:
                 self.flags = self.flags.union(act.flags)
             if self.events is not None:
                 self.events.append((pos, pid, "decide", act.value))
+            if act.value is not None:  # a Decide(None) leaves the pid stepping
+                self.live &= ~(1 << pid)
+                self.steps_taken += 1
+                self.path = (self.path, pid)
+                self.actions[pid] = None
+                return
         else:
             raise ModelViolationError(f"behavior emitted unknown action {act!r}")
+        self._commit(pid, obs)
+
+    def _commit(self, pid: int, obs) -> None:
+        """Count an undecided pid's step, add its path node and fold ``obs``
+        into its state through ``memo``."""
         self.steps_taken += 1
         self.path = (self.path, pid)
-        if self.decided[pid] is None:
-            self.states[pid], self.actions[pid] = self._program_step(pid, self.states[pid], obs)
-        else:
-            self.actions[pid] = None
-
-    def _program_step(self, pid: int, state, obs):
-        key = (pid, state, obs)
+        key = (pid, self.states[pid], obs)
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = self.progs[pid].step(state, obs)
-        return out
+            out = self.memo[key] = self.progs[pid].step(key[1], obs)
+        self.states[pid], self.actions[pid] = out
 
     def encode(self) -> str:
         """The replay token of the run so far, built only when asked."""
@@ -400,6 +421,13 @@ class AsyncRun:
         return AsyncSchedule(tuple(steps), frozenset(self.crash_log))
 
 
+@functools.cache
+def _pids(mask: int) -> tuple[int, ...]:
+    """The pids whose bit is set in ``mask``, in order: one tuple per mask,
+    so at most 2^n for runs of n processes."""
+    return tuple(pid for pid in range(mask.bit_length()) if mask >> pid & 1)
+
+
 def random_walk(run, rng, crash_budget: int) -> int:
     """Drive an AsyncRun to its end by random choices: each step picks,
     uniformly, a live undecided process to step or, while fewer than
@@ -410,7 +438,7 @@ def random_walk(run, rng, crash_budget: int) -> int:
     visited = 1
     crashes = sum(run.crashed)
     while not run.nonterminating:
-        live = run.live_undecided()
+        live = _pids(run.live)
         if not live:
             break
         options = len(live) * (2 if crashes < crash_budget else 1)
@@ -580,7 +608,7 @@ def run_async(
     while True:
         for pid in crash_at.get(pos, ()):
             run.crash(pid)
-        if run.nonterminating or not run.live_undecided():
+        if run.nonterminating or not run.live:
             break
         if pos < len(schedule.steps):
             pid = schedule.steps[pos]

@@ -400,12 +400,12 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
         ):
             runs = sum(finals.values())
             outcomes = [(_Outcome(inputs, *final, False), count) for final, count in finals.items()]
-            if report.executions_checked + runs < budget.max_runs and _count_passing(
-                report, outcomes, runs
-            ):
+            if _fits(report, (runs, runs)) and _count_passing(report, outcomes, runs):
                 continue
             for final, token in patterns():
                 report.states_explored += 1
+                if report.states_explored > budget.max_states:
+                    raise _BudgetStop
                 report.record(_Outcome(inputs, *final, False), base, "pattern", token)
         return
 
@@ -597,8 +597,10 @@ def explore(
     the number of its patterns, and as many states are added. The group is
     walked pattern by pattern instead, each recorded alone, when an outcome
     fails its verdict, so the recorded violations keep their patterns and
-    order, or when its patterns would reach ``max_runs``, so a partial
-    search stops on the same pattern.
+    order, or when its patterns would reach ``max_runs`` or pass
+    ``max_states``, so a partial search stops on the same pattern: the first
+    whose state passes ``max_states``, as in the DFS, or the run that
+    reaches ``max_runs``.
 
     The DFS of a cell (``shmem.depth_first``) does not build a child that
     its sleep sets show to be a configuration already searched, so it meets

@@ -282,9 +282,14 @@ SYNC_CELLS = [
     (TIE, strong(4, 2, 4), (0, 0, 1, 1), None),
 ]
 TIE_CELL = SYNC_CELLS[-1]
-# (cell, max_runs), each cap falling inside a pattern group: min-flood,
-# the mutant inside its third run of violations, and gossip
-CAPPED_CELLS = [(SYNC_CELLS[3], 333), (SYNC_CELLS[12], 1021), (SYNC_CELLS[13], 333)]
+# (cell, cap, limit), each limit falling inside a pattern group: min-flood,
+# the mutant inside its third run of violations, and gossip, capped on
+# max_runs and on max_states
+CAPPED_CELLS = [
+    (cell, cap, limit)
+    for cap in ("max_runs", "max_states")
+    for cell, limit in ((SYNC_CELLS[3], 333), (SYNC_CELLS[12], 1021), (SYNC_CELLS[13], 333))
+] + [(SYNC_CELLS[3], "max_states", 100)]
 
 
 RECORDED = ExploreBudget().max_recorded_violations
@@ -319,9 +324,11 @@ def reference_sync(entry, spec, inputs, assignment, max_runs=None) -> tuple:
 
 def summary(report) -> tuple:
     """The same read off an explore's report, which counts one state per
-    pattern and is exhaustive exactly when no cap was reached."""
-    assert report.states_explored == report.executions_checked
-    assert report.exhaustive == (report.budget.max_runs > report.executions_checked)
+    pattern, and one more for the pattern that passes ``max_states`` (it is
+    not run), and is exhaustive exactly when no cap was reached."""
+    over = report.states_explored > report.budget.max_states
+    assert report.states_explored == report.executions_checked + over
+    assert report.exhaustive == (not over and report.budget.max_runs > report.executions_checked)
     return (
         report.executions_checked, report.violations_total, report.flagged_executions,
         report.empirical_k, report.empirical_k_all_runs, report.empirical_ell,
@@ -354,22 +361,23 @@ def test_the_sync_cells_violate_past_the_recorded_and_flag():
     _, violations, flagged, *_ = found[sync_cell_id(TIE_CELL)]
     assert violations > RECORDED and flagged > 0
     assert all(found[sync_cell_id(cell)][1] for cell in SYNC_CELLS if cell[0] is SHORT)
-    capped = reference_sync(*CAPPED_CELLS[1][0], max_runs=CAPPED_CELLS[1][1])
-    assert 0 < capped[1] < found[sync_cell_id(CAPPED_CELLS[1][0])][1]
+    cell, _, limit = CAPPED_CELLS[1]
+    capped = reference_sync(*cell, max_runs=limit)
+    assert 0 < capped[1] < found[sync_cell_id(cell)][1]
 
 
 @pytest.mark.parametrize(
-    "cell, max_runs", CAPPED_CELLS,
-    ids=[f"{sync_cell_id(cell)}-{max_runs}-runs" for cell, max_runs in CAPPED_CELLS],
+    "cell, cap, limit", CAPPED_CELLS,
+    ids=[f"{sync_cell_id(cell)}-{limit}-{cap[4:]}" for cell, cap, limit in CAPPED_CELLS],
 )
-def test_a_capped_sync_search_stops_on_the_same_pattern(cell, max_runs):
+def test_a_capped_sync_search_stops_on_the_same_pattern(cell, cap, limit):
     entry, spec, inputs, assignment = cell
     built = entry.build(spec, inputs, assignment)
     ends = itertools.accumulate(
         math.prod(map(len, pools))
         for _, _, pools in pattern_groups(spec.n, spec.t, built.rounds, canonical=True)
     )
-    assert max_runs not in set(ends)
-    expected = reference_sync(*cell, max_runs=max_runs)
-    assert expected[0] == max_runs
-    assert searched_sync(*cell, ExploreBudget(max_runs=max_runs)) == expected
+    assert limit not in set(ends)
+    expected = reference_sync(*cell, max_runs=limit)
+    assert expected[0] == limit
+    assert searched_sync(*cell, ExploreBudget(**{cap: limit})) == expected

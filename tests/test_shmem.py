@@ -400,6 +400,10 @@ def test_eager_settling_matches_a_full_scan(case, data):
         assert eager.key() == reference.key()
         assert eager.schedule_so_far() == reference.schedule_so_far()
         assert eager.nonterminating == reference.nonterminating
+        for run in (eager, reference):
+            assert run.live_undecided() == [
+                p for p in range(len(inputs)) if not run.crashed[p] and run.decided[p] is None
+            ]
 
     same()
     for _ in range(40):

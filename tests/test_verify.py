@@ -700,6 +700,37 @@ def test_a_folded_input_vector_keeps_the_report(config, budget, digest, cells):
     assert (report.cells_explored, report.cells_folded) == cells
 
 
+# (config, budget, digest of to_json, recorded violations, of them with a
+# crash), sampled async explores: every random walk's draws, lengths and
+# outcomes, and the tokens of the violating ones, are in the digest.
+SAMPLED_ASYNC = [
+    (("reduce-set", ProblemSpec(n=4, m=2, t=1, k=4, validity="strong"), [(0, 0, 1, 1)]),
+     ExploreBudget(mode="sample", samples=20, seed=5),
+     "68b4307d5900ede4be701c634560944a34cb1c936271dc1739c79fc74910fb25", 0, 0),
+    (("max-wait", ProblemSpec(n=3, m=2, t=1, k=3), "all"),
+     ExploreBudget(mode="sample", samples=12, seed=11),
+     "fb8c611704d8bda4dcfaeaff83c58c3ae4b9673b88d1f008e05072fd0610b43e", 3, 2),
+    (("smg-comp", ProblemSpec(n=4, m=4, t=4, k=4, model="sm-g", g=2), [(0, 1, 2, 3)]),
+     ExploreBudget(mode="sample", samples=40, seed=2),
+     "e511f9f36efee1a38135f8c879e3fa955831292256bf1c855e89b496439cbe2d", 15, 14),
+]
+
+
+@pytest.mark.parametrize(
+    "config, budget, digest, violations, crashed", SAMPLED_ASYNC,
+    ids=["reduce-set", "max-wait-violating", "smg-comp-crashing"],
+)
+def test_a_sampled_async_explore_keeps_its_report(config, budget, digest, violations, crashed):
+    # Pinned from the stepper that built the live pids as a list at every move.
+    import hashlib
+
+    report = explore(*config, budget)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    schedules = [violation["schedule"] for violation in report.violations]
+    assert len(schedules) == violations
+    assert sum(not schedule.endswith(":") for schedule in schedules) == crashed
+
+
 # --- cells resolved from one shared search -------------------------------------
 
 # The program classes that declare a decision basis (``basis`` and
@@ -989,6 +1020,21 @@ def test_the_sync_explorer_records_each_outcome_of_a_group_once(monkeypatch):
     report = explore("min-flood", spec, [tuple(range(6))])
     assert report.exhaustive and report.executions_checked == sum(calls) == 23_425
     assert len(calls) == 155
+
+
+def test_a_sync_explore_stops_at_max_states():
+    # A max_states inside a pattern group (100 falls in the group of 32
+    # patterns that ends at the 113th) stops the sync explore as it stops
+    # the DFS: on the first pattern whose state passes the cap, before
+    # recording it.
+    spec = ProblemSpec(n=4, m=4, t=2, k=2, ell=2, model="sync-mp")
+    uncapped = explore("min-flood", spec, [(0, 1, 2, 3)])
+    assert uncapped.exhaustive and uncapped.states_explored == 641
+    report = explore("min-flood", spec, [(0, 1, 2, 3)], ExploreBudget(max_states=100))
+    assert not report.exhaustive
+    assert (report.states_explored, report.executions_checked) == (101, 100)
+    exact = explore("min-flood", spec, [(0, 1, 2, 3)], ExploreBudget(max_states=641))
+    assert exact.exhaustive and exact.states_explored == 641
 
 
 # Every smg-comp configuration of the suite: C6's three, the pinned n=6
