@@ -250,12 +250,13 @@ def composition_plan(n: int, g: int) -> dict:
 
 @dataclass
 class Built:
-    """Everything one run needs: programs, fresh shared objects, metadata."""
+    """Everything one run needs: programs, fresh shared objects, the round
+    count (sync) and a reduction's first-phase answers."""
 
     programs: dict
     objects: dict = field(default_factory=dict)
     rounds: int | None = None
-    meta: dict = field(default_factory=dict)
+    first_phase: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ class CatalogEntry:
     phase is a black-box protocol meeting that contract under strong
     validity. The builder answers the first phase from a given compliant
     assignment (one cell of an explore) or the worst-case split, and
-    records the answers as ``meta["first_phase"]``; the programs start from
+    records the answers as ``Built.first_phase``; the programs start from
     their answers and never read the input.
 
     ``symmetry`` declares the pid relabellings the entry commutes with:
@@ -304,9 +305,10 @@ class CatalogEntry:
       (reduce-binary, reduce-smg, reduce-sync): ``strict_majority`` picks
       the value held by more than half of those seen, which no relabelling
       changes. Only its flagged fallback on a tie picks by order, the
-      smallest value, so ``explore`` searches every cell that it reaches
-      from a cell with a flagged run only through a non-monotone
-      relabelling.
+      smallest value, and only a first phase that breaks its contract
+      leaves a tie. So a cell whose search records a violation or a
+      flagged run seeds no fold, and ``explore`` searches every later cell
+      of its orbit.
 
     A program that declares ``basis(state)`` and ``decide_on(basis)``
     (``NoComm``, whose basis is empty, and ``QuorumScan``, whose decision
@@ -392,17 +394,16 @@ def smg_guarantee(spec: ProblemSpec) -> int:
     return max(spec.g, 3 * (ghat // 2))
 
 
-def _build_scan(n, answers, quorum, rule, **meta) -> Built:
+def _build_scan(n, answers, quorum, rule) -> Built:
     """Every pid a QuorumScan of ``answers`` with ``quorum`` and ``rule``."""
-    programs = {pid: QuorumScan(pid, n, answers, quorum, rule) for pid in range(n)}
-    return Built(programs, meta=meta)
+    return Built({pid: QuorumScan(pid, n, answers, quorum, rule) for pid in range(n)})
 
 
 def _build_reduction(spec, inputs, assignment, contract, quorum, rule) -> Built:
     """An async reduction: the first phase answered at build time, then
     its scan (``_build_scan``)."""
     answers = first_phase(spec.n, *contract(spec), inputs, assignment)
-    return _build_scan(spec.n, answers, quorum, rule, first_phase=answers)
+    return Built(_build_scan(spec.n, answers, quorum, rule).programs, first_phase=answers)
 
 
 def _binary_contract(spec):
@@ -451,7 +452,7 @@ def _build_reduce_sync(spec, inputs, assignment=None):
         raise SpecError("reduce-sync needs m=2")
     answers = first_phase(spec.n, *_sync_contract(spec), inputs, assignment)
     programs = {pid: BroadcastMajority(answers[pid]) for pid in range(spec.n)}
-    return Built(programs, rounds=1, meta={"first_phase": answers})
+    return Built(programs, rounds=1, first_phase=answers)
 
 
 CATALOG: dict[str, CatalogEntry] = {

@@ -315,7 +315,7 @@ def cmd_run(args) -> int:
         "algorithm": args.alg,
         "spec": spec.to_dict(),
         "inputs": list(inputs),
-        "assignment": list(built.meta["first_phase"]) if entry.uses_oracle else None,
+        "assignment": list(built.first_phase) if entry.uses_oracle else None,
     }
 
     if entry.flavor == "sync":

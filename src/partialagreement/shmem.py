@@ -132,12 +132,6 @@ class ExecutionTrace:
             "schedule": self.schedule.encode(),
         }
 
-    def to_jsonl(self) -> str:
-        lines = []
-        for pos, pid, kind, payload in self.events:
-            lines.append(f"{pos}\t{pid}\t{kind}\t{payload!r}")
-        return "\n".join(lines)
-
 
 class AsyncRun:
     """Mutable state of one run; scheduling decisions live with the caller.
@@ -380,20 +374,19 @@ class AsyncRun:
             self.objects = {**self.objects, act.obj: obj}
             if self.events is not None:
                 self.events.append((pos, pid, "propose", (act.obj, act.value, obs)))
-        elif kind is Decide:
+        elif kind is Decide and act.value is not None:
             self.decided[pid] = act.value
             if act.flags:
                 self.flags = self.flags.union(act.flags)
             if self.events is not None:
                 self.events.append((pos, pid, "decide", act.value))
-            if act.value is not None:  # a Decide(None) leaves the pid stepping
-                self.live &= ~(1 << pid)
-                self.steps_taken += 1
-                self.path = (self.path, pid)
-                self.actions[pid] = None
-                return
+            self.live &= ~(1 << pid)
+            self.steps_taken += 1
+            self.path = (self.path, pid)
+            self.actions[pid] = None
+            return
         else:
-            raise ModelViolationError(f"behavior emitted unknown action {act!r}")
+            raise ModelViolationError(f"behavior emitted {act!r}, not an action of the model")
         self._commit(pid, obs)
 
     def _commit(self, pid: int, obs) -> None:

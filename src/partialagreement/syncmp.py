@@ -138,16 +138,6 @@ class RoundTrace:
             "pattern": self.pattern.encode(),
         }
 
-    def to_jsonl(self) -> str:
-        lines = []
-        for rnd, (sent, delivered) in enumerate(self.rounds, start=1):
-            for src, dst, payload in delivered:
-                lines.append(f"{rnd}\t{src}\t{dst}\tdeliver\t{payload!r}")
-        for pid, v in enumerate(self.decisions):
-            if v is not None:
-                lines.append(f"{len(self.rounds)}\t{pid}\t-\tdecide\t{v!r}")
-        return "\n".join(lines)
-
 
 def sync_round(programs, config, rnd: int, victims):
     """Run round ``rnd`` from ``config``; return the next configuration and

@@ -462,19 +462,14 @@ def _canonical(vector, symmetry, values, relabel) -> tuple:
 
 
 def _orbit(entry, inputs, assignment) -> tuple:
-    """Two keys, each shared by every cell whose search is the same up to
-    the entry's declared symmetries: the first up to pid symmetry and
-    monotone value relabelling, the second up to pid symmetry and the
-    entry's ``value_symmetry`` (the same key when that is monotone). A plain
-    cell is keyed by its input vector; an oracle cell by its set of proposed
-    values and its assignment, as the programs never read the input and the
-    verdict reads it only as that set."""
+    """A key shared by every cell whose search is the same up to the entry's
+    declared ``symmetry`` and ``value_symmetry``. A plain cell is keyed by
+    its input vector; an oracle cell by its set of proposed values and its
+    assignment, as the programs never read the input and the verdict reads
+    it only as that set."""
     values = set(inputs)
     vector = inputs if assignment is None else assignment
-    orbit = len(values), _canonical(vector, entry.symmetry, values, "monotone")
-    if entry.value_symmetry == "monotone":
-        return orbit, orbit
-    return orbit, (len(values), _canonical(vector, entry.symmetry, values, entry.value_symmetry))
+    return len(values), _canonical(vector, entry.symmetry, values, entry.value_symmetry)
 
 
 def _fits(report, tally) -> bool:
@@ -502,21 +497,18 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
     fold = entry.symmetry is not None and budget.mode != "sample"
     share = fold and entry.flavor == "async"
     shared = None  # the states, runs and run classes of the first cell searched
-    # orbit -> tally of its first cell; None if that cell recorded a
-    # violation, so the recorded list keeps its cells and order. wide holds
-    # the same per orbit under the declared value relabelling, and None also
-    # if that cell had a flagged run, as a tie is broken by value order.
+    # orbit -> states and runs of its first cell; None if that cell recorded
+    # a violation, so the recorded list keeps its cells and order, or a
+    # flagged run, as a tie is broken by value order
     tallies: dict = {}
-    wide: dict = {}
     for inputs in vectors:
         cells = entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None]
         for assignment in cells:
-            orbit, wide_orbit = _orbit(entry, inputs, assignment) if fold else (None, None)
-            tally = tallies[orbit] if orbit in tallies else wide.get(wide_orbit)
+            orbit = _orbit(entry, inputs, assignment) if fold else None
+            tally = tallies.get(orbit)
             if tally is not None and _fits(report, tally):
                 report.states_explored += tally[0]
                 report.executions_checked += tally[1]
-                report.flagged_executions += tally[2]
                 report.cells_folded += 1
                 continue
             before = _tally(report)
@@ -536,9 +528,7 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
                     )
             if fold:
                 delta = tuple(a - b for a, b in zip(_tally(report), before))
-                tally = None if delta[3] else delta[:3]
-                tallies.setdefault(orbit, tally)
-                wide.setdefault(wide_orbit, None if delta[2] else tally)
+                tallies.setdefault(orbit, None if delta[2] or delta[3] else delta[:2])
 
 
 def explore(
@@ -557,16 +547,18 @@ def explore(
     A cell is one input vector with, for a reduction, one oracle
     assignment. An exhaustive search folds the cells by the entry's declared
     ``CatalogEntry.symmetry`` and ``value_symmetry``, across input vectors:
-    a cell in the orbit (see ``_orbit``) of an earlier cell with no
-    violation adds that cell's states, runs and flagged runs instead of
-    being searched. This is sound because the verdict and the empirical k
-    and ell read decisions only as counts per proposed value, and the
-    entry's decision rules commute with the declared relabellings. A
-    flagged run (a strict-majority tie, broken to the smaller value) does
-    not carry over a non-monotone relabelling, so a cell reached only
-    through one from a cell with a flagged run is searched. The cell is
-    searched anyway when the addition would reach a cap, so a partial
-    search stops on the same run.
+    each orbit (see ``_orbit``) is seeded by its first cell, searched or
+    resolved: with that cell's states and runs, or with nothing if it
+    recorded a violation or a flagged run. A later cell of a seeded orbit
+    adds those states and runs instead of being searched; every later cell
+    of an orbit seeded with nothing is searched. This is sound because the
+    verdict and the empirical k and ell read decisions only as counts per
+    proposed value, and the entry's decision rules commute with the declared
+    relabellings. A flagged run (a strict-majority tie, broken to the
+    smaller value, which only a first phase that breaks its contract
+    leaves) may not carry over a relabelling, and a recorded violation
+    keeps its cell and order. The cell is searched anyway when the addition
+    would reach a cap, so a partial search stops on the same run.
 
     Of the cells the fold leaves, an exhaustive async explore whose programs
     declare ``basis`` and ``decide_on`` (see ``CatalogEntry``) searches only

@@ -303,13 +303,29 @@ def test_acting_after_decide_is_rejected():
     assert trace.decisions == (0, 0)
 
 
+class DecidesNothing:
+    state0 = ()
+
+    def step(self, state, obs):
+        return state, Decide(None)
+
+
+def test_a_decide_without_a_value_is_rejected_by_run_async():
+    # A decision is a value; a Decide(None) would leave its pid undecided
+    # and stepping until the step bound.
+    with pytest.raises(ModelViolationError):
+        run_async({0: DecidesNothing()}, (0,), AsyncSchedule())
+
+
+def test_a_decide_without_a_value_is_rejected_by_an_eager_run():
+    with pytest.raises(ModelViolationError):
+        AsyncRun({0: DecidesNothing(), 1: DecidesNothing()}, (0, 1), eager=True)
+
+
 def test_trace_exports():
     spec = ProblemSpec(n=3, m=3, t=1)
     built = max_wait(spec, (1, 0, 2))
     trace = run_async(built.programs, (1, 0, 2), AsyncSchedule(), spec=spec)
-    lines = trace.to_jsonl().splitlines()
-    assert len(lines) == len(trace.events)
-    assert all(len(line.split("\t")) == 4 for line in lines)
     doc = trace.to_dict()
     assert doc["decisions"] == list(trace.decisions)
     assert doc["distinct_inputs"] == 3

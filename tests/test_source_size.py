@@ -27,8 +27,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "partialagreement"
 # helper, _count_passing; stopping a sync cell at max_states took it to
 # 3,783. The stepper's live-pid mask and _commit took shmem.py from 3,587
 # to 3,705 tokens, still below verify.py, whose compile peak stays the
-# package's largest (1.35 MB). Split a module, or move code out of it,
-# before it crosses.
+# package's largest (1.35 MB). Folding each cell by one orbit key took
+# verify.py to 3,698 tokens; rejecting Decide(None) and dropping the
+# to_jsonl exports took shmem.py to 3,654 and syncmp.py to 2,548. Split a
+# module, or move code out of it, before it crosses.
 TOKEN_LIMIT = 4096
 
 

@@ -265,8 +265,6 @@ def test_round_trace_exports():
     built = flood(spec, (2, 1, 0))
     pattern = CrashPattern(((2, 1, frozenset({0})),))
     trace = run_sync(built.programs, (2, 1, 0), pattern, rounds=2, spec=spec)
-    lines = trace.to_jsonl().splitlines()
-    assert all(len(line.split("\t")) == 5 for line in lines)
     doc = trace.to_dict()
     assert doc["decisions"] == [0, 0, None]
     assert doc["crashed"] == {"2": 1}

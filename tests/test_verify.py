@@ -437,13 +437,14 @@ def _images(vector, symmetry, values, relabel):
 def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
     # The soundness fact behind the fold, checked directly: the cells of one
     # orbit have equal tallies. A cell's orbit is its input vector (a plain
-    # cell) or its assignment (an oracle cell) up to the pid group and a
-    # value bijection from its proposed values, applied to both: monotone
-    # ones, and every one the entry declares. Under a non-monotone
-    # bijection a flagged run (a strict-majority tie) may not carry over, so
-    # an orbit whose first cell has one need not have equal tallies; its
-    # cells with equal monotone orbits still must. The folded explore must
-    # also equal the sum over every cell, i.e. the unfolded explorer.
+    # cell) or its assignment (an oracle cell) up to the pid group and the
+    # value bijections from its proposed values that the entry declares,
+    # applied to both. Under a non-monotone bijection a flagged run (a
+    # strict-majority tie) may not carry over, so only an orbit whose first
+    # cell has no flagged run need have equal tallies. explore folds every
+    # later cell of an orbit whose first cell has neither a violation nor a
+    # flagged run, and searches the others. The folded explore must also
+    # equal the sum over every cell, i.e. the unfolded explorer.
     from partialagreement import CATALOG
 
     assert CATALOG["smg-comp"].symmetry is None
@@ -460,30 +461,16 @@ def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
             values = set(inputs)
             for cell in entry.oracle_assignments(spec, inputs) if entry.uses_oracle else [None]:
                 vector = inputs if cell is None else cell
-                fine, wide = (
-                    (len(values), _images(vector, entry.symmetry, values, relabel))
-                    for relabel in ("monotone", entry.value_symmetry)
-                )
+                orbit = len(values), _images(vector, entry.symmetry, values, entry.value_symmetry)
                 tally = _cell_tally(entry, spec, inputs, cell)
                 tallies.append(tally)
-                orbits.setdefault(wide, []).append((fine, (inputs, cell), tally))
-        # explore folds a cell into the first cell of its monotone orbit, or
-        # else of its wide orbit, when that first cell has no violation and,
-        # for the wide orbit, no flagged run
+                orbits.setdefault(orbit, []).append(tally)
         foldable = 0
         for members in orbits.values():
-            first_flagged = members[0][2][3] > 0
-            assert first_flagged or len({tally for _, _, tally in members}) == 1, (alg, members)
+            assert members[0][3] or len(set(members)) == 1, (alg, members)
+            foldable += (members[0][2:4] == (0, 0)) * (len(members) - 1)
             if len(members) > 1:
                 with_orbits.add(alg)
-            firsts: dict = {}
-            for fine, _, tally in members:
-                if fine in firsts:
-                    assert tally == firsts[fine], (alg, members)
-                    foldable += firsts[fine][2] == 0
-                else:
-                    foldable += bool(firsts) and members[0][2][2:4] == (0, 0)
-                    firsts[fine] = tally
 
         report = explore(alg, spec, vectors)
         assert report.cells_folded == foldable
@@ -499,12 +486,36 @@ def test_every_cell_of_a_symmetry_orbit_has_the_same_search():
     assert with_orbits == symmetric
 
 
+def _reduction_specs():
+    """Every small strong-validity configuration of the four reductions."""
+    for n in (3, 4):
+        for t in range(1, n):
+            for alg in ("reduce-binary", "reduce-smg", "reduce-sync"):
+                model = "sync-mp" if alg == "reduce-sync" else "async-rw"
+                yield alg, ProblemSpec(n=n, m=2, t=t, validity="strong", model=model)
+            for m in range(2, t + 2):
+                yield "reduce-set", ProblemSpec(n=n, m=m, t=t, ell=m - 1, validity="strong")
+
+
+def test_no_compliant_first_phase_flags_a_run():
+    # The fact the fold rests on: a strict-majority tie, the only flagged
+    # run, needs a first phase that breaks its contract. So every orbit of
+    # a compliant explore with no violation seeds a fold.
+    specs = list(_reduction_specs())
+    assert len(specs) == 24
+    for alg, spec in specs:
+        report = explore(alg, spec, "all")
+        assert report.exhaustive and report.flagged_executions == 0, (alg, spec)
+        assert report.cells_folded, (alg, spec)
+
+
 def test_a_flagged_cell_keeps_its_swap_images_searched(monkeypatch):
     # A mutant first phase promising k=4 of n=6 leaves some receivers of
     # reduce-sync a 2-2 tie, which strict_majority breaks to 0 and flags.
     # So the cells with two 1s read empirical k over all runs 6, and their
     # 0-1 swap images, with four 1s, read 4: folding one into the other
-    # would change the report. Their monotone and pid images still fold.
+    # would change the report. An orbit whose first cell has a flagged run
+    # seeds no fold, so every later cell of it is searched.
     import dataclasses
 
     from partialagreement import algorithms
@@ -533,9 +544,9 @@ def test_a_flagged_cell_keeps_its_swap_images_searched(monkeypatch):
         report.flagged_executions, report.empirical_k, report.empirical_k_all_runs,
         report.empirical_ell,
     ) == (*total, _least(ks), _least(ks_all), max(ells))
-    # 6 cells searched and 38 folded by pid permutation alone
+    # only the orbits with no flagged run fold
     assert report.cells_explored + report.cells_folded == sum(cells.values()) == 44
-    assert report.cells_folded >= 38
+    assert (report.cells_explored, report.cells_folded) == (32, 12)
 
 
 def _violating_reduce_set():
@@ -863,7 +874,8 @@ def test_a_resolved_cell_keeps_the_report(monkeypatch, config, budget, resolved)
 def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
     # A mutant first phase promising k=2 of n=4 leaves reduce-smg's quorum
     # of n - t = 2 a 1-1 tie, which strict_majority breaks to 0 and flags.
-    # A resolved class takes its flags from the cell's own decisions.
+    # A resolved class takes its flags from the cell's own decisions. A cell
+    # with a flagged run seeds no fold, so 14 of the 16 cells resolve.
     import dataclasses
 
     from partialagreement import algorithms
@@ -879,7 +891,7 @@ def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
     assert (mismatches, cells) == ([], 16)
     report = explore("reduce-smg", spec, [(0, 0, 1, 1)])
     assert (report.flagged_executions, report.violations_total, report.cells_resolved) == (
-        658, 0, 4,
+        658, 0, 14,
     )
     _without_basis(monkeypatch)
     assert explore("reduce-smg", spec, [(0, 0, 1, 1)]).to_json() == report.to_json()
