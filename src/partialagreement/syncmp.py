@@ -17,11 +17,15 @@ over every round and logs every message. ``pattern_groups`` enumerates the
 crash patterns a group at a time, one group per (victims, rounds), and
 ``chain_patterns``, the explorer's walk, checks and splits each group once,
 runs it round by round with a count per configuration, and gives each of
-its outcomes with the number of patterns that reach it, its rounds going
-through a memo keyed by (round, configuration, round victims). That is
-sound only because ``round_send``, ``round_recv`` and ``finalize`` are
-pure: a program that kept hidden state or read anything else would make
-the memo replay a stale round, or count two patterns into one state.
+its outcomes with the number of patterns that reach it. A survivor's next
+state depends only on which of the round's victims reach it, so a round
+runs each survivor's ``round_recv`` once per subset of those victims, kept
+in a table keyed by (round, configuration, round-victim pids), and a
+configuration steps to the product, over survivors, of their distinct next
+states. That is sound only because ``round_send``, ``round_recv`` and
+``finalize`` are pure: a program that kept hidden state or read anything
+else would make the table replay a stale round, or count two patterns into
+one state.
 ``random_pattern`` draws one pattern, for sampled explores and seeded CLI
 runs.
 """
@@ -29,6 +33,7 @@ runs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -304,28 +309,62 @@ def chain_patterns(programs, n: int, t: int, rounds: int, groups):
       ``finals``, and an object whose ``encode()`` is the pattern's token.
       Call it before asking for the next group.
 
-    Each group is checked once, as ``CrashPattern.validate`` checks every
-    pattern of it (SpecError), before any round, and its victims are split
-    by round once. Round r steps each configuration of the layer of counts
-    (``{start: 1}`` before round 1) under every joint choice of the round-r
-    victims' reach sets, and adds the counts up by next configuration. Every
-    round goes through a memo keyed by (round, configuration, round
-    victims), which ``patterns()`` reads again; it is cleared whenever the
-    victim pids change, which bounds it while the groups of one victims
-    tuple come together. So a round is run once per distinct key, whether
-    ``patterns()`` is called or not.
+    Each group is checked once, before any round (SpecError): as
+    ``CrashPattern.validate`` checks every pattern of it, and for product
+    form, either one pattern (each pool one reach set; recipients that are
+    not survivors are ignored) or every pool every subset of its round's
+    survivors. A survivor's next state depends only on which of the round's
+    victims reach it, so a round goes through a table keyed by (round,
+    configuration, round-victim pids) that runs each live pid's
+    ``round_send`` once and each survivor's ``round_recv`` once per mask,
+    the subset of the round's victims that reach it. In a larger group each
+    round victim reaches any subset of the survivors apart from the others,
+    so round r steps each configuration of the layer of counts
+    (``{start: 1}`` before round 1) to the product, over survivors, of their
+    distinct next states, each counted by the masks that reach it, and adds
+    the counts up by next configuration. A one-pattern group, and each
+    pattern of ``patterns()``, reads the table through the pattern's masks
+    instead. The table is cleared whenever the victim pids change, which
+    bounds it while the groups of one victims tuple come together.
     """
     start = (tuple(programs[pid].state0 for pid in range(n)), tuple(range(n)))
-    memo: dict = {}
-    decided: dict = {}  # last configuration -> outcome, cleared with memo
+    table: dict = {}
+    decided: dict = {}  # last configuration -> outcome, cleared with table
     last = crashed = None
 
-    def advance(rnd, config, victims):
-        key = (rnd, config, victims)
-        nxt = memo.get(key)
-        if nxt is None:
-            nxt = memo[key] = sync_round(programs, config, rnd, victims)[0]
-        return nxt
+    def stepped(rnd, config, falling):
+        """``(survivors, nexts, tallies)``: ``nexts[j][mask]`` is survivor j's
+        next state when the victims in ``mask`` reach it (bit i for
+        ``falling[i]``), and ``tallies[j]`` its distinct ones, counted."""
+        key = (rnd, config, falling)
+        row = table.get(key)
+        if row is None:
+            states, alive = config
+            bits = {pid: 1 << i for i, pid in enumerate(falling)}
+            sent, payloads = {}, {}
+            for pid in alive:
+                sent[pid], payloads[pid] = programs[pid].round_send(states[pid], rnd)
+            inboxes = [
+                {src: payload for src, payload in payloads.items()
+                 if src not in bits or mask & bits[src]}
+                for mask in range(1 << len(falling))
+            ]
+            survivors = tuple(pid for pid in alive if pid not in bits)
+            nexts = [
+                [programs[pid].round_recv(sent[pid], rnd, inbox) for inbox in inboxes]
+                for pid in survivors
+            ]
+            tallies = [list(Counter(by_mask).items()) for by_mask in nexts]
+            row = table[key] = survivors, nexts, tallies
+        return row
+
+    def after(config, falling, survivors, picks):
+        states = list(config[0])
+        for pid in falling:
+            states[pid] = None
+        for pid, state in zip(survivors, picks):
+            states[pid] = state
+        return tuple(states), survivors
 
     def final(config):
         out = decided.get(config)
@@ -334,38 +373,57 @@ def chain_patterns(programs, n: int, t: int, rounds: int, groups):
             out = decided[config] = decisions, crashed, flags
         return out
 
+    def walk(shape, reached):
+        config = start
+        for rnd, falling, at in shape:
+            survivors, nexts, _ = stepped(rnd, config, falling)
+            bits = [(1 << bit, reached[i]) for bit, i in enumerate(at)]
+            config = after(config, falling, survivors, [
+                row[sum(b for b, rcpts in bits if pid in rcpts)]
+                for pid, row in zip(survivors, nexts)
+            ])
+        return final(config)
+
     for victims, rnds, pools in groups:
-        reach = (frozenset().union(*pool) for pool in pools)
+        reach = [frozenset().union(*pool) for pool in pools]
         CrashPattern(tuple(zip(victims, rnds, reach))).validate(n, t, rounds)
+        one = all(len(pool) == 1 for pool in pools)
+        # a larger group lets each victim reach any set of its round's survivors
+        for i, pool in enumerate(() if one else pools):
+            alive = frozenset(range(n)) - {p for p, r in zip(victims, rnds) if r <= rnds[i]}
+            if not (reach[i] <= alive and len(set(pool)) == len(pool) == 1 << len(alive)):
+                raise SpecError(f"victim {victims[i]} must reach one set, or any set of survivors")
+        shape = []  # per round: its victims, and their indices in the group
+        for rnd in range(1, rounds + 1):
+            at = [i for i, r in enumerate(rnds) if r == rnd]
+            shape.append((rnd, tuple(victims[i] for i in at), at))
         if victims != last:
-            memo.clear()
+            table.clear()
             decided.clear()
             last, crashed = victims, frozenset(victims)
-        split = [
-            (rnd, [(victims[i], i) for i, r in enumerate(rnds) if r == rnd])
-            for rnd in range(1, rounds + 1)
-        ]
-        layer = {start: 1}
-        for rnd, at in split:
-            pairs = [[(pid, rcpts) for rcpts in pools[i]] for pid, i in at]
-            choices = list(itertools.product(*pairs))
-            counts: dict = {}
+        if one:
+            finals = {walk(shape, [pool[0] for pool in pools]): 1}
+        else:
+            layer = {start: 1}
+            for rnd, falling, _ in shape:
+                counts: dict = {}
+                for config, count in layer.items():
+                    survivors, _, tallies = stepped(rnd, config, falling)
+                    for picks in itertools.product(*tallies):
+                        weight = count
+                        for _, times in picks:
+                            weight *= times
+                        nxt = after(config, falling, survivors, [state for state, _ in picks])
+                        counts[nxt] = counts.get(nxt, 0) + weight
+                layer = counts
+            finals = {}
             for config, count in layer.items():
-                for choice in choices:
-                    nxt = advance(rnd, config, choice)
-                    counts[nxt] = counts.get(nxt, 0) + count
-            layer = counts
-        finals: dict = {}
-        for config, count in layer.items():
-            out = final(config)
-            finals[out] = finals.get(out, 0) + count
+                out = final(config)
+                finals[out] = finals.get(out, 0) + count
 
         def patterns():
             for reached in itertools.product(*pools):
-                config = start
-                for rnd, at in split:
-                    config = advance(rnd, config, tuple([(pid, reached[i]) for pid, i in at]))
-                yield final(config), _Token(victims, rnds, reached)
+                yield walk(shape, reached), _Token(victims, rnds, reached)
 
         yield finals, patterns
 

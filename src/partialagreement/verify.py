@@ -585,7 +585,11 @@ def explore(
     outgrow the role encoding's one-byte codes (``roles.CODE_LIMIT``).
 
     A sync cell counts its crash patterns a group at a time (see
-    ``syncmp.pattern_groups``): each outcome of a group is recorded once with
+    ``syncmp.pattern_groups``), round by round: a survivor's next state
+    depends only on which of the round's victims reach it, so each survivor
+    steps once per subset of them and a configuration steps to the product
+    of the survivors' distinct next states, counted
+    (``syncmp.chain_patterns``). Each outcome of a group is recorded once with
     the number of its patterns, and as many states are added. The group is
     walked pattern by pattern instead, each recorded alone, when an outcome
     fails its verdict, so the recorded violations keep their patterns and

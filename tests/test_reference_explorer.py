@@ -10,7 +10,7 @@ sets and no folds, and it dedups on the full configuration.
 
 The sync reference runs every canonical crash pattern on its own through
 ``run_sync`` and ``check_agreement``: no round memo, no pattern groups and
-no counts.
+no counts. It is also compared on seeded random sync programs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
+import zlib
 from collections import Counter
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -31,7 +33,7 @@ from partialagreement import (
 )
 from partialagreement.algorithms import BroadcastMajority, Built
 from partialagreement.shmem import Decide, Propose, Read, Write
-from partialagreement.syncmp import pattern_groups
+from partialagreement.syncmp import pattern_groups, random_pattern
 
 
 class Config(NamedTuple):
@@ -309,9 +311,14 @@ def reference_sync(entry, spec, inputs, assignment, max_runs=None) -> tuple:
     built = entry.build(spec, inputs, assignment)
     budget = min(entry.fault_budget(spec), spec.n)
     patterns = enumerate_crash_patterns(spec.n, budget, built.rounds, canonical=True)
+    return run_alone(built, spec, inputs, itertools.islice(patterns, max_runs))
+
+
+def run_alone(built, spec, inputs, patterns) -> tuple:
+    """``reference_sync``'s summary of ``patterns``, each run alone."""
     runs = violations = flagged = 0
     outcomes, tokens = [], []
-    for pattern in itertools.islice(patterns, max_runs):
+    for pattern in patterns:
         trace = run_sync(built.programs, inputs, pattern, built.rounds, spec=spec)
         runs += 1
         flagged += bool(trace.flags)
@@ -381,3 +388,70 @@ def test_a_capped_sync_search_stops_on_the_same_pattern(cell, cap, limit):
     expected = reference_sync(*cell, max_runs=limit)
     assert expected[0] == limit
     assert searched_sync(*cell, ExploreBudget(**{cap: limit})) == expected
+
+
+# --- random sync programs -----------------------------------------------------
+
+
+class RandomSync:
+    """A pure sync program drawn from ``salt``: its state is one of ``size``
+    ints, its send and receive are fixed hashes of the salt, the round and
+    what it holds, the receive hashing the whole inbox, its sources and
+    their order, and it decides the input that its state picks."""
+
+    def __init__(self, salt, size, inputs):
+        self.salt, self.size, self.inputs = salt, size, inputs
+        self.state0 = salt % size
+
+    def _hash(self, *parts) -> int:
+        return zlib.crc32(repr((self.salt, *parts)).encode())
+
+    def round_send(self, state, rnd):
+        h = self._hash("send", state, rnd)
+        return h % self.size, h // self.size % (self.size + 1)
+
+    def round_recv(self, state, rnd, inbox):
+        return self._hash("recv", state, rnd, tuple(inbox.items())) % self.size
+
+    def finalize(self, state):
+        return Decide(self.inputs[state % len(self.inputs)])
+
+
+def random_sync_cell(n, t, rounds, seed):
+    """A cell of random programs on n pids for ``rounds`` rounds with fault
+    budget t, its programs, inputs, k and ell drawn from ``seed``."""
+    rng = random.Random(seed)
+    size = rng.randint(2, 5)
+    salts = [rng.getrandbits(32) for _ in range(n)]
+    inputs = tuple(rng.randrange(n) for _ in range(n))
+    # agreement of n - 1 or n pids on one value, so most cells violate and
+    # their violating groups are walked pattern by pattern
+    spec = ProblemSpec(n=n, m=n, t=t, k=rng.randint(n - 1, n), ell=1, model="sync-mp")
+    entry = _entry(f"random-{seed}", lambda spec, inputs, assignment=None: Built(
+        {pid: RandomSync(salts[pid], size, inputs) for pid in range(n)}, rounds=rounds,
+    ))
+    return entry, spec, inputs, None
+
+
+# (n, t, rounds, seed): every fault budget of n in 2..4 and 1 to 3 rounds
+RANDOM_SYNC = [
+    (n, t, rounds, seed)
+    for seed, (n, t, rounds) in enumerate(
+        (n, t, rounds) for n in (2, 3, 4) for t in range(1, n + 1) for rounds in (1, 2, 3)
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "n, t, rounds, seed", RANDOM_SYNC, ids=[f"n{n}-t{t}-r{r}-s{s}" for n, t, r, s in RANDOM_SYNC],
+)
+def test_a_random_sync_program_matches_every_pattern_run_alone(n, t, rounds, seed):
+    cell = random_sync_cell(n, t, rounds, seed)
+    entry, spec, inputs, _ = cell
+    assert searched_sync(*cell, ExploreBudget()) == reference_sync(*cell)
+    # sampled: the same patterns as the explore draws, from its cell's stream
+    budget = ExploreBudget(mode="sample", samples=60, seed=seed)
+    rng = random.Random(f"{budget.seed}|{inputs}|None")
+    drawn = [random_pattern(rng, n, t, rounds) for _ in range(budget.samples)]
+    expected = run_alone(entry.build(spec, inputs), spec, inputs, drawn)
+    assert searched_sync(*cell, budget) == expected

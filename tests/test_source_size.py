@@ -29,8 +29,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "partialagreement"
 # to 3,705 tokens, still below verify.py, whose compile peak stays the
 # package's largest (1.35 MB). Folding each cell by one orbit key took
 # verify.py to 3,698 tokens; rejecting Decide(None) and dropping the
-# to_jsonl exports took shmem.py to 3,654 and syncmp.py to 2,548. Split a
-# module, or move code out of it, before it crosses.
+# to_jsonl exports took shmem.py to 3,654 and syncmp.py to 2,548. Stepping
+# a sync round once per recipient (syncmp.chain_patterns' round table) took
+# syncmp.py to 3,038, still below verify.py. Split a module, or move code
+# out of it, before it crosses.
 TOKEN_LIMIT = 4096
 
 

@@ -190,21 +190,37 @@ def test_the_pattern_groups_flatten_to_the_enumerator(canonical):
     assert "pattern_groups" not in partialagreement.__all__
 
 
+def _with_empty_first(pattern):
+    """``pattern`` as a one-pattern group, and with an empty reach set first
+    in each pool."""
+    victims, rnds, pools = pattern.as_group()
+    return [(victims, rnds, pools), (victims, rnds, [(frozenset(),) + p for p in pools])]
+
+
 @pytest.mark.parametrize(
-    "pattern, t",
+    "groups, n, t",
     [
-        (CrashPattern(((0, 1, frozenset()), (0, 2, frozenset()))), 2),
-        (CrashPattern(((0, 3, frozenset()),)), 1),
-        (CrashPattern(((0, 1, frozenset({7})),)), 1),
-        (CrashPattern(((0, 1, frozenset()), (1, 1, frozenset()))), 1),
+        (_with_empty_first(CrashPattern(((0, 1, frozenset()), (0, 2, frozenset())))), 2, 2),
+        (_with_empty_first(CrashPattern(((0, 3, frozenset()),))), 2, 1),
+        (_with_empty_first(CrashPattern(((0, 1, frozenset({7})),))), 2, 1),
+        (_with_empty_first(CrashPattern(((0, 1, frozenset()), (1, 1, frozenset())))), 2, 1),
+        # two valid reach sets, but not every subset of the survivors {1, 2}
+        ([((0,), (1,), [(frozenset(), frozenset({1}))])], 3, 1),
+        # one pool of every subset, with a pool of one reach set: neither one
+        # pattern nor every victim free
+        ([((0, 1), (1, 2), [tuple(map(frozenset, ((), (1,), (2,), (1, 2)))), (frozenset({2}),)])],
+         3, 2),
     ],
-    ids=["repeated-victim", "round-outside", "recipient-outside", "over-budget"],
+    ids=["repeated-victim", "round-outside", "recipient-outside", "over-budget", "pool-not-product",
+         "pools-mixed"],
 )
-def test_a_bad_group_is_refused_before_any_round(pattern, t):
+def test_a_bad_group_is_refused_before_any_round(groups, n, t):
     # test_pattern_validation's cases (n=2, rounds=2), as a one-pattern group
     # and with an empty reach set first in each pool, where a bad recipient
     # is only in the group's second pattern: the group's check covers every
-    # pattern of it, and comes before its first round.
+    # pattern of it, and comes before its first round. So does the check
+    # that each pool is one reach set or every subset of its round's
+    # survivors.
     calls = []
 
     class Counting:
@@ -218,9 +234,8 @@ def test_a_bad_group_is_refused_before_any_round(pattern, t):
             calls.append(rnd)
             return state
 
-    victims, rnds, pools = pattern.as_group()
-    for group in ((victims, rnds, pools), (victims, rnds, [(frozenset(),) + p for p in pools])):
-        walk = chain_patterns({0: Counting(), 1: Counting()}, 2, t, 2, [group])
+    for group in groups:
+        walk = chain_patterns({pid: Counting() for pid in range(n)}, n, t, 2, [group])
         with pytest.raises(SpecError):
             next(walk)
     assert calls == []

@@ -742,6 +742,37 @@ def test_a_sampled_async_explore_keeps_its_report(config, budget, digest, violat
     assert sum(not schedule.endswith(":") for schedule in schedules) == crashed
 
 
+# (config, budget, digest of to_json), sync explores: two exhaustive
+# min-flood searches and two sampled ones, whose drawn patterns may name dead
+# pids and the victim itself among the recipients.
+SYNC_REPORTS = [
+    (("min-flood", ProblemSpec(n=4, m=4, t=4, k=4, ell=3, model="sync-mp"), "all"), None,
+     "1a14d8fb21a485ca70924177f904bb17b742ad8b8e6db9e51be1ab69b7ad9972"),
+    (("min-flood", ProblemSpec(n=6, m=6, t=3, k=6, ell=2, model="sync-mp"), [tuple(range(6))]),
+     None, "44da7a3e6bbe0202a5ff6e3e27b121538d3c5f1f5becffed62a6742b0a6b77ff"),
+    (("min-flood", ProblemSpec(n=6, m=6, t=3, k=6, ell=2, model="sync-mp"), [tuple(range(6))]),
+     ExploreBudget(mode="sample", samples=400, seed=7),
+     "8677ef8d50e8bd60c17ac6ba7da49f70298048556f551e1585d9033888579f09"),
+    (("reduce-sync", ProblemSpec(n=5, m=2, t=2, k=5, validity="strong", model="sync-mp"),
+      [(0, 0, 0, 1, 1), (0, 1, 1, 0, 1)]),
+     ExploreBudget(mode="sample", samples=100, seed=3),
+     "873a1ab042ab5dc1c48e3c7de6031a614ac7a5c344a9275f2d34a3e25fac2b53"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, budget, digest", SYNC_REPORTS,
+    ids=["min-flood-n4-all", "min-flood-n6", "min-flood-sampled", "reduce-sync-sampled"],
+)
+def test_a_sync_explore_keeps_its_report(config, budget, digest):
+    # Pinned from the explorer that stepped every joint choice of a round's
+    # victims' reach sets.
+    import hashlib
+
+    report = explore(*config, budget)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
 # --- cells resolved from one shared search -------------------------------------
 
 # The program classes that declare a decision basis (``basis`` and
@@ -989,8 +1020,9 @@ def test_min_flood_one_round_short_violates_and_replays(
 
 def test_the_sync_explorer_runs_each_round_once_per_configuration(monkeypatch):
     # A count, not a time: run_sync pays one round_recv per survivor per
-    # round per pattern, and the explorer one per survivor per distinct
-    # (round, configuration, round victims) within a victim set.
+    # round per pattern, and the explorer one per survivor per reach mask (a
+    # subset of the round's victims) per distinct (round, configuration,
+    # round-victim pids) within a victim set.
     from partialagreement import algorithms, enumerate_crash_patterns
 
     calls = []
@@ -1010,7 +1042,7 @@ def test_the_sync_explorer_runs_each_round_once_per_configuration(monkeypatch):
         for rnd in (1, 2)
     )
     assert per_pattern == 211_404
-    assert len(calls) == 50_223 < per_pattern // 4
+    assert len(calls) == 3_323 < per_pattern // 4
 
 
 def test_the_sync_explorer_records_each_outcome_of_a_group_once(monkeypatch):
