@@ -12,12 +12,13 @@ A sync behavior is a pure state machine: ``state0``,
 ``round_recv(state, rnd, inbox) -> state`` with ``inbox = {src: payload}``
 in ascending src order, and ``finalize(state) -> Decide``.
 
-``sync_round`` runs one round from a configuration; ``run_sync`` chains it
-over every round and logs every message. ``pattern_groups`` enumerates the
-crash patterns a group at a time, one group per (victims, rounds), and
-``chain_patterns``, the explorer's walk, checks and splits each group once,
-runs it round by round with a count per configuration, and gives each of
-its outcomes with the number of patterns that reach it. A survivor's next
+``sync_round`` runs one round from a configuration. ``run_sync`` chains it
+over every round and logs every message; ``pattern_outcome`` chains it for
+the outcome of each pattern that the explorer runs alone. ``pattern_groups``
+enumerates the crash patterns a group at a time, one group per (victims,
+rounds), and ``chain_patterns``, the explorer's count, runs each canonical
+group round by round with a count per configuration and gives each of its
+outcomes with the number of patterns that reach it. A survivor's next
 state depends only on which of the round's victims reach it, so a round
 runs each survivor's ``round_recv`` once per subset of those victims, kept
 in a table keyed by (round, configuration, round-victim pids), and a
@@ -79,14 +80,6 @@ class CrashPattern:
     def in_round(self, rnd: int) -> tuple:
         """The victims of round ``rnd``, as ``((pid, recipients_reached), ...)``."""
         return tuple((p, rcpts) for p, r, rcpts in self.victims if r == rnd)
-
-    def as_group(self) -> tuple:
-        """This pattern as a one-pattern group (see ``pattern_groups``)."""
-        return (
-            tuple(p for p, _, _ in self.victims),
-            tuple(r for _, r, _ in self.victims),
-            [(rcpts,) for _, _, rcpts in self.victims],
-        )
 
     def encode(self) -> str:
         items = [
@@ -271,9 +264,13 @@ def enumerate_crash_patterns(
     that round never observe the delivery, so those subsets are no-op
     duplicates); verdicts are unaffected.
     """
-    for victims, rnds, pools in pattern_groups(n, t, rounds, canonical=canonical):
-        for reached in itertools.product(*pools):
-            yield CrashPattern(tuple(zip(victims, rnds, reached)))
+    for group in pattern_groups(n, t, rounds, canonical=canonical):
+        yield from _patterns(*group)
+
+
+def _patterns(victims, rnds, pools):
+    for reached in itertools.product(*pools):
+        yield CrashPattern(tuple(zip(victims, rnds, reached)))
 
 
 def _subsets(pool):
@@ -283,49 +280,36 @@ def _subsets(pool):
     return out
 
 
-class _Token:
-    """A crash pattern's replay token, built only when encoded."""
+def pattern_outcome(programs, pattern: CrashPattern, rounds: int) -> tuple:
+    """``pattern`` run alone through ``rounds`` rounds of ``sync_round``, as
+    ``run_sync`` runs it: ``(decisions, crashed, flags)``, the victim pids
+    as a frozenset and the rest as ``sync_decisions`` gives them."""
+    pids = tuple(range(len(programs)))
+    config = (tuple(programs[pid].state0 for pid in pids), pids)
+    for rnd in range(1, rounds + 1):
+        config, _ = sync_round(programs, config, rnd, pattern.in_round(rnd))
+    decisions, flags = sync_decisions(programs, config)
+    return decisions, frozenset(pattern.crash_round()), flags
 
-    __slots__ = ("victims", "rnds", "reached")
 
-    def __init__(self, victims, rnds, reached):
-        self.victims, self.rnds, self.reached = victims, rnds, reached
+def chain_patterns(programs, n: int, t: int, rounds: int):
+    """Count every canonical crash pattern (``pattern_groups``) through
+    ``rounds`` rounds, a group at a time and round by round. Yield
+    ``(finals, patterns)`` per group, in order: ``finals`` maps each outcome
+    of the group (as ``pattern_outcome`` gives it) to the number of its
+    patterns that end there, and ``patterns`` lazily yields the group's
+    ``CrashPattern``s in product order.
 
-    def encode(self) -> str:
-        return CrashPattern(tuple(zip(self.victims, self.rnds, self.reached))).encode()
-
-
-def chain_patterns(programs, n: int, t: int, rounds: int, groups):
-    """Run every pattern of ``groups`` (as ``pattern_groups`` yields them)
-    through ``rounds`` rounds, a group at a time and round by round. Yield
-    ``(finals, patterns)`` per group, in order:
-
-    - ``finals`` maps each outcome of the group, ``(decisions, crashed,
-      flags)`` with the victim pids as a frozenset and the rest as
-      ``sync_decisions`` gives them, to the number of its patterns that end
-      there;
-    - ``patterns()`` walks the group again, pattern by pattern in product
-      order, and yields ``(outcome, token)`` per pattern: its key in
-      ``finals``, and an object whose ``encode()`` is the pattern's token.
-      Call it before asking for the next group.
-
-    Each group is checked once, before any round (SpecError): as
-    ``CrashPattern.validate`` checks every pattern of it, and for product
-    form, either one pattern (each pool one reach set; recipients that are
-    not survivors are ignored) or every pool every subset of its round's
-    survivors. A survivor's next state depends only on which of the round's
-    victims reach it, so a round goes through a table keyed by (round,
-    configuration, round-victim pids) that runs each live pid's
-    ``round_send`` once and each survivor's ``round_recv`` once per mask,
-    the subset of the round's victims that reach it. In a larger group each
-    round victim reaches any subset of the survivors apart from the others,
-    so round r steps each configuration of the layer of counts
-    (``{start: 1}`` before round 1) to the product, over survivors, of their
-    distinct next states, each counted by the masks that reach it, and adds
-    the counts up by next configuration. A one-pattern group, and each
-    pattern of ``patterns()``, reads the table through the pattern's masks
-    instead. The table is cleared whenever the victim pids change, which
-    bounds it while the groups of one victims tuple come together.
+    A survivor's next state depends only on which of the round's victims
+    reach it, and in a canonical group each round victim reaches any subset
+    of its round's survivors apart from the others. So a round goes through
+    a table keyed by (round, configuration, round-victim pids) that runs
+    each live pid's ``round_send`` once and each survivor's ``round_recv``
+    once per mask (the subset of the victims that reach it), and keeps each
+    survivor's distinct next states, counted by mask. Round r steps each
+    configuration of the layer of counts to the product, over survivors, of
+    those next states, and adds the counts up by next configuration. The
+    table is cleared whenever the victim pids change.
     """
     start = (tuple(programs[pid].state0 for pid in range(n)), tuple(range(n)))
     table: dict = {}
@@ -333,9 +317,8 @@ def chain_patterns(programs, n: int, t: int, rounds: int, groups):
     last = crashed = None
 
     def stepped(rnd, config, falling):
-        """``(survivors, nexts, tallies)``: ``nexts[j][mask]`` is survivor j's
-        next state when the victims in ``mask`` reach it (bit i for
-        ``falling[i]``), and ``tallies[j]`` its distinct ones, counted."""
+        """``(survivors, tallies)``: ``tallies[j]`` lists survivor j's
+        distinct next states, each with the number of masks that reach it."""
         key = (rnd, config, falling)
         row = table.get(key)
         if row is None:
@@ -350,82 +333,43 @@ def chain_patterns(programs, n: int, t: int, rounds: int, groups):
                 for mask in range(1 << len(falling))
             ]
             survivors = tuple(pid for pid in alive if pid not in bits)
-            nexts = [
-                [programs[pid].round_recv(sent[pid], rnd, inbox) for inbox in inboxes]
+            tallies = [
+                list(Counter(programs[pid].round_recv(sent[pid], rnd, inbox)
+                             for inbox in inboxes).items())
                 for pid in survivors
             ]
-            tallies = [list(Counter(by_mask).items()) for by_mask in nexts]
-            row = table[key] = survivors, nexts, tallies
+            row = table[key] = survivors, tallies
         return row
 
-    def after(config, falling, survivors, picks):
-        states = list(config[0])
-        for pid in falling:
-            states[pid] = None
-        for pid, state in zip(survivors, picks):
-            states[pid] = state
-        return tuple(states), survivors
-
-    def final(config):
-        out = decided.get(config)
-        if out is None:
-            decisions, flags = sync_decisions(programs, config)
-            out = decided[config] = decisions, crashed, flags
-        return out
-
-    def walk(shape, reached):
-        config = start
-        for rnd, falling, at in shape:
-            survivors, nexts, _ = stepped(rnd, config, falling)
-            bits = [(1 << bit, reached[i]) for bit, i in enumerate(at)]
-            config = after(config, falling, survivors, [
-                row[sum(b for b, rcpts in bits if pid in rcpts)]
-                for pid, row in zip(survivors, nexts)
-            ])
-        return final(config)
-
-    for victims, rnds, pools in groups:
-        reach = [frozenset().union(*pool) for pool in pools]
-        CrashPattern(tuple(zip(victims, rnds, reach))).validate(n, t, rounds)
-        one = all(len(pool) == 1 for pool in pools)
-        # a larger group lets each victim reach any set of its round's survivors
-        for i, pool in enumerate(() if one else pools):
-            alive = frozenset(range(n)) - {p for p, r in zip(victims, rnds) if r <= rnds[i]}
-            if not (reach[i] <= alive and len(set(pool)) == len(pool) == 1 << len(alive)):
-                raise SpecError(f"victim {victims[i]} must reach one set, or any set of survivors")
-        shape = []  # per round: its victims, and their indices in the group
-        for rnd in range(1, rounds + 1):
-            at = [i for i, r in enumerate(rnds) if r == rnd]
-            shape.append((rnd, tuple(victims[i] for i in at), at))
+    for victims, rnds, pools in pattern_groups(n, t, rounds, canonical=True):
         if victims != last:
             table.clear()
             decided.clear()
             last, crashed = victims, frozenset(victims)
-        if one:
-            finals = {walk(shape, [pool[0] for pool in pools]): 1}
-        else:
-            layer = {start: 1}
-            for rnd, falling, _ in shape:
-                counts: dict = {}
-                for config, count in layer.items():
-                    survivors, _, tallies = stepped(rnd, config, falling)
-                    for picks in itertools.product(*tallies):
-                        weight = count
-                        for _, times in picks:
-                            weight *= times
-                        nxt = after(config, falling, survivors, [state for state, _ in picks])
-                        counts[nxt] = counts.get(nxt, 0) + weight
-                layer = counts
-            finals = {}
+        layer = {start: 1}
+        for rnd in range(1, rounds + 1):
+            falling = tuple(pid for pid, r in zip(victims, rnds) if r == rnd)
+            counts: dict = {}
             for config, count in layer.items():
-                out = final(config)
-                finals[out] = finals.get(out, 0) + count
-
-        def patterns():
-            for reached in itertools.product(*pools):
-                yield walk(shape, reached), _Token(victims, rnds, reached)
-
-        yield finals, patterns
+                survivors, tallies = stepped(rnd, config, falling)
+                for picks in itertools.product(*tallies):
+                    states = list(config[0])
+                    for pid in falling:
+                        states[pid] = None
+                    weight = count
+                    for pid, (state, times) in zip(survivors, picks):
+                        states[pid] = state
+                        weight *= times
+                    nxt = tuple(states), survivors
+                    counts[nxt] = counts.get(nxt, 0) + weight
+            layer = counts
+        finals: Counter = Counter()
+        for config, count in layer.items():
+            if config not in decided:
+                decisions, flags = sync_decisions(programs, config)
+                decided[config] = decisions, crashed, flags
+            finals[decided[config]] += count
+        yield finals, _patterns(victims, rnds, pools)
 
 
 def random_pattern(rng, n, t, rounds) -> CrashPattern:

@@ -27,7 +27,7 @@ from .core import (
 )
 from .objects import check_contract
 from .shmem import AsyncRun, Decide, depth_first, random_walk
-from .syncmp import chain_patterns, pattern_groups, random_pattern
+from .syncmp import chain_patterns, pattern_outcome, random_pattern
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,9 @@ class ExplorationReport:
 
     def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
         """Count ``weight`` finished runs (a role orbit). ``token`` is the
-        finished run itself (an ``AsyncRun``) or its crash pattern's token
-        (see ``syncmp.chain_patterns``); its ``encode()``, the replay
-        schedule or pattern, is called and stored under ``token_key`` only
-        if the run is recorded as a violation."""
+        finished run itself (an ``AsyncRun``) or its ``CrashPattern``; its
+        ``encode()``, the replay schedule or pattern, is called and stored
+        under ``token_key`` only if the run is recorded as a violation."""
         self.executions_checked += weight
         if outcome.flags:
             self.flagged_executions += weight
@@ -363,18 +362,18 @@ def _count_passing(report, outcomes, states) -> bool:
 
 
 def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) -> None:
-    """Search one cell into ``report``: its crash patterns (sync), a group at
-    a time (``syncmp.chain_patterns``, see explore; a sampled pattern is a
-    group of one), its ``samples`` random runs (async sample mode), or the
-    DFS of the configurations reachable from its start, one per
-    ``AsyncRun.key`` (``shmem.depth_first``, whose sleep sets leave unbuilt
-    the children the DFS would find seen, and ``report.moves_slept`` counts
-    them). With ``role_orbits``, a cell whose programs declare
-    ``role_objects`` is searched one configuration per role orbit
-    (``roles.RoleKeys``) counted with the orbit's size, so every count, k
-    and ell stays exact. A DFS whose programs declare ``basis`` counts the
-    class (``_run_class``) of each finished run in the Counter ``classes``,
-    when given."""
+    """Search one cell into ``report``: its crash patterns (sync), counted a
+    group at a time (``syncmp.chain_patterns``, see explore), or its
+    ``samples`` random patterns, each run alone (``syncmp.pattern_outcome``);
+    its ``samples`` random runs (async sample mode), or the DFS of the
+    configurations reachable from its start, one per ``AsyncRun.key``
+    (``shmem.depth_first``, whose sleep sets leave unbuilt the children the
+    DFS would find seen, and ``report.moves_slept`` counts them). With
+    ``role_orbits``, a cell whose programs declare ``role_objects`` is
+    searched one configuration per role orbit (``roles.RoleKeys``) counted
+    with the orbit's size, so every count, k and ell stays exact. A DFS
+    whose programs declare ``basis`` counts the class (``_run_class``) of
+    each finished run in the Counter ``classes``, when given."""
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment)
     if classes is not None and not all(hasattr(p, "basis") for p in built.programs.values()):
@@ -388,25 +387,23 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
     rng = random.Random(f"{budget.seed}|{inputs}|{assignment}") if budget.mode == "sample" else None
 
     if entry.flavor == "sync":
-        if rng:
-            groups = (
-                random_pattern(rng, spec.n, crash_budget, built.rounds).as_group()
-                for _ in range(budget.samples)
-            )
-        else:
-            groups = pattern_groups(spec.n, crash_budget, built.rounds, canonical=True)
-        for finals, patterns in chain_patterns(
-            built.programs, spec.n, crash_budget, built.rounds, groups
-        ):
-            runs = sum(finals.values())
-            outcomes = [(_Outcome(inputs, *final, False), count) for final, count in finals.items()]
-            if _fits(report, (runs, runs)) and _count_passing(report, outcomes, runs):
-                continue
-            for final, token in patterns():
+        def run_alone(patterns):
+            for pattern in patterns:
                 report.states_explored += 1
                 if report.states_explored > budget.max_states:
                     raise _BudgetStop
-                report.record(_Outcome(inputs, *final, False), base, "pattern", token)
+                outcome = pattern_outcome(built.programs, pattern, built.rounds)
+                report.record(_Outcome(inputs, *outcome, False), base, "pattern", pattern)
+
+        if rng:
+            run_alone(random_pattern(rng, spec.n, crash_budget, built.rounds)
+                      for _ in range(budget.samples))
+            return
+        for finals, patterns in chain_patterns(built.programs, spec.n, crash_budget, built.rounds):
+            runs = sum(finals.values())
+            outcomes = [(_Outcome(inputs, *final, False), count) for final, count in finals.items()]
+            if not (_fits(report, (runs, runs)) and _count_passing(report, outcomes, runs)):
+                run_alone(patterns)
         return
 
     root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
@@ -584,19 +581,21 @@ def explore(
     the unreduced search's. So is one with a cell whose configurations
     outgrow the role encoding's one-byte codes (``roles.CODE_LIMIT``).
 
-    A sync cell counts its crash patterns a group at a time (see
+    A sync cell counts its canonical crash patterns a group at a time (see
     ``syncmp.pattern_groups``), round by round: a survivor's next state
     depends only on which of the round's victims reach it, so each survivor
     steps once per subset of them and a configuration steps to the product
     of the survivors' distinct next states, counted
     (``syncmp.chain_patterns``). Each outcome of a group is recorded once with
-    the number of its patterns, and as many states are added. The group is
-    walked pattern by pattern instead, each recorded alone, when an outcome
-    fails its verdict, so the recorded violations keep their patterns and
-    order, or when its patterns would reach ``max_runs`` or pass
-    ``max_states``, so a partial search stops on the same pattern: the first
-    whose state passes ``max_states``, as in the DFS, or the run that
-    reaches ``max_runs``.
+    the number of its patterns, and as many states are added. The group's
+    patterns are run one by one instead, through ``syncmp.sync_round`` as
+    ``run_sync`` replays them (``syncmp.pattern_outcome``), and each is
+    recorded alone, when an outcome fails its verdict, so the recorded
+    violations keep their patterns and order, or when its patterns would
+    reach ``max_runs`` or pass ``max_states``, so a partial search stops on
+    the same pattern: the first whose state passes ``max_states``, as in the
+    DFS, or the run that reaches ``max_runs``. A sampled sync explore runs
+    each drawn pattern the same way.
 
     The DFS of a cell (``shmem.depth_first``) does not build a child that
     its sleep sets show to be a configuration already searched, so it meets

@@ -33,7 +33,7 @@ from partialagreement import (
 )
 from partialagreement.algorithms import BroadcastMajority, Built
 from partialagreement.shmem import Decide, Propose, Read, Write
-from partialagreement.syncmp import pattern_groups, random_pattern
+from partialagreement.syncmp import chain_patterns, pattern_groups, random_pattern
 
 
 class Config(NamedTuple):
@@ -425,7 +425,7 @@ def random_sync_cell(n, t, rounds, seed):
     salts = [rng.getrandbits(32) for _ in range(n)]
     inputs = tuple(rng.randrange(n) for _ in range(n))
     # agreement of n - 1 or n pids on one value, so most cells violate and
-    # their violating groups are walked pattern by pattern
+    # their violating groups are run pattern by pattern
     spec = ProblemSpec(n=n, m=n, t=t, k=rng.randint(n - 1, n), ell=1, model="sync-mp")
     entry = _entry(f"random-{seed}", lambda spec, inputs, assignment=None: Built(
         {pid: RandomSync(salts[pid], size, inputs) for pid in range(n)}, rounds=rounds,
@@ -455,3 +455,41 @@ def test_a_random_sync_program_matches_every_pattern_run_alone(n, t, rounds, see
     drawn = [random_pattern(rng, n, t, rounds) for _ in range(budget.samples)]
     expected = run_alone(entry.build(spec, inputs), spec, inputs, drawn)
     assert searched_sync(*cell, budget) == expected
+
+
+# A cell compares its groups in order while their patterns total at most
+# this, and always its first group.
+GROUP_PATTERNS_COMPARED = 2_000
+GROUP_CELLS = [random_sync_cell(*case) for case in RANDOM_SYNC] + [
+    cell for cell in SYNC_CELLS if cell[0] in (GOSSIP, TIE)
+]
+
+
+@pytest.mark.parametrize("cell", GROUP_CELLS, ids=sync_cell_id)
+def test_each_pattern_group_counts_its_patterns_run_alone(cell):
+    # Not only summaries: each group's patterns and counts, outcome by
+    # outcome, against the enumerator's patterns, split by the group sizes
+    # and run alone.
+    entry, spec, inputs, assignment = cell
+    built = entry.build(spec, inputs, assignment)
+    budget = min(entry.fault_budget(spec), spec.n)
+    sizes = [
+        math.prod(map(len, pools))
+        for _, _, pools in pattern_groups(spec.n, budget, built.rounds, canonical=True)
+    ]
+    patterns = enumerate_crash_patterns(spec.n, budget, built.rounds, canonical=True)
+    groups = chain_patterns(built.programs, spec.n, budget, built.rounds)
+    compared = 0
+    for size in sizes:
+        if compared + size > GROUP_PATTERNS_COMPARED and compared:
+            return
+        finals, lazy = next(groups)
+        group = list(itertools.islice(patterns, size))
+        assert list(lazy) == group
+        alone = Counter()
+        for pattern in group:
+            trace = run_sync(built.programs, inputs, pattern, built.rounds)
+            alone[trace.decisions, frozenset(trace.crashed), trace.flags] += 1
+        assert finals == alone
+        compared += size
+    assert next(groups, None) is None

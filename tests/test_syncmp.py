@@ -18,7 +18,7 @@ from partialagreement import (
     enumerate_crash_patterns,
     run_sync,
 )
-from partialagreement.syncmp import chain_patterns, pattern_groups
+from partialagreement.syncmp import pattern_groups
 
 
 def flood(spec, inputs):
@@ -187,59 +187,8 @@ def test_the_pattern_groups_flatten_to_the_enumerator(canonical):
             assert total == sum(
                 math.comb(n, size) * (rounds * 2**n) ** size for size in range(min(t, n) + 1)
             )
-    assert "pattern_groups" not in partialagreement.__all__
-
-
-def _with_empty_first(pattern):
-    """``pattern`` as a one-pattern group, and with an empty reach set first
-    in each pool."""
-    victims, rnds, pools = pattern.as_group()
-    return [(victims, rnds, pools), (victims, rnds, [(frozenset(),) + p for p in pools])]
-
-
-@pytest.mark.parametrize(
-    "groups, n, t",
-    [
-        (_with_empty_first(CrashPattern(((0, 1, frozenset()), (0, 2, frozenset())))), 2, 2),
-        (_with_empty_first(CrashPattern(((0, 3, frozenset()),))), 2, 1),
-        (_with_empty_first(CrashPattern(((0, 1, frozenset({7})),))), 2, 1),
-        (_with_empty_first(CrashPattern(((0, 1, frozenset()), (1, 1, frozenset())))), 2, 1),
-        # two valid reach sets, but not every subset of the survivors {1, 2}
-        ([((0,), (1,), [(frozenset(), frozenset({1}))])], 3, 1),
-        # one pool of every subset, with a pool of one reach set: neither one
-        # pattern nor every victim free
-        ([((0, 1), (1, 2), [tuple(map(frozenset, ((), (1,), (2,), (1, 2)))), (frozenset({2}),)])],
-         3, 2),
-    ],
-    ids=["repeated-victim", "round-outside", "recipient-outside", "over-budget", "pool-not-product",
-         "pools-mixed"],
-)
-def test_a_bad_group_is_refused_before_any_round(groups, n, t):
-    # test_pattern_validation's cases (n=2, rounds=2), as a one-pattern group
-    # and with an empty reach set first in each pool, where a bad recipient
-    # is only in the group's second pattern: the group's check covers every
-    # pattern of it, and comes before its first round. So does the check
-    # that each pool is one reach set or every subset of its round's
-    # survivors.
-    calls = []
-
-    class Counting:
-        state0 = 0
-
-        def round_send(self, state, rnd):
-            calls.append(rnd)
-            return state, state
-
-        def round_recv(self, state, rnd, inbox):
-            calls.append(rnd)
-            return state
-
-    for group in groups:
-        walk = chain_patterns({pid: Counting() for pid in range(n)}, n, t, 2, [group])
-        with pytest.raises(SpecError):
-            next(walk)
-    assert calls == []
-    assert "chain_patterns" not in partialagreement.__all__
+    internal = {"pattern_groups", "chain_patterns", "pattern_outcome"}
+    assert not internal & set(partialagreement.__all__)
 
 
 def test_canonical_mode_preserves_reachable_outcomes():

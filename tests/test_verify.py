@@ -1045,6 +1045,39 @@ def test_the_sync_explorer_runs_each_round_once_per_configuration(monkeypatch):
     assert len(calls) == 3_323 < per_pattern // 4
 
 
+def test_a_sampled_sync_explore_runs_each_pattern_once(monkeypatch):
+    # A count, not a time: a sampled explore runs each drawn pattern alone,
+    # one round_recv per survivor per round, as run_sync does; no round of
+    # it runs a survivor once per subset of the round's victims.
+    import random
+
+    from partialagreement import algorithms
+    from partialagreement.syncmp import random_pattern
+
+    calls = []
+    round_recv = algorithms.MinFlood.round_recv
+
+    def counting(self, pref, rnd, inbox):
+        calls.append(rnd)
+        return round_recv(self, pref, rnd, inbox)
+
+    monkeypatch.setattr(algorithms.MinFlood, "round_recv", counting)
+    spec = ProblemSpec(n=6, m=6, t=5, k=6, ell=1, model="sync-mp")
+    inputs = tuple(range(6))
+    budget = ExploreBudget(mode="sample", samples=300, seed=11)
+    report = explore("min-flood", spec, [inputs], budget)
+    assert report.executions_checked == budget.samples
+    # the explore's stream for its one cell, and min-flood's t/ell + 1 rounds
+    rng = random.Random(f"{budget.seed}|{inputs}|None")
+    drawn = [random_pattern(rng, 6, 5, 6) for _ in range(budget.samples)]
+    per_pattern = sum(
+        sum(1 for p in range(6) if pattern.crash_round().get(p, 7) > rnd)
+        for pattern in drawn
+        for rnd in range(1, 7)
+    )
+    assert len(calls) == per_pattern == 8_089
+
+
 def test_the_sync_explorer_records_each_outcome_of_a_group_once(monkeypatch):
     # A count, not a time: the explorer walked the crash patterns one by one
     # and recorded each of the 23,425 runs on its own; a pattern group's
