@@ -265,10 +265,12 @@ class CatalogEntry:
 
     ``oracle_contract`` (spec -> (k, ell)) marks a reduction whose first
     phase is a black-box protocol meeting that contract under strong
-    validity. The builder answers the first phase from a given compliant
-    assignment (one cell of an explore) or the worst-case split, and
-    records the answers as ``Built.first_phase``; the programs start from
-    their answers and never read the input.
+    validity. It raises the reduction's SpecError on a spec the reduction
+    does not apply to, and the builder and ``explore`` call it first. The
+    builder answers the first phase from a given compliant assignment (one
+    cell of an explore) or the worst-case split, and records the answers
+    as ``Built.first_phase``; the programs start from their answers and
+    never read the input.
 
     ``symmetry`` declares the pid relabellings the entry commutes with:
     "rotation" (p -> p+r), "any" (every permutation) or None. Relabelling
@@ -407,40 +409,42 @@ def _build_reduction(spec, inputs, assignment, contract, quorum, rule) -> Built:
 
 
 def _binary_contract(spec):
+    if spec.m != 2:
+        raise SpecError("reduce-binary needs m=2")
     return (ceil_div(spec.n, 2) + 1, 1)
 
 
 def _build_reduce_binary(spec, inputs, assignment=None):
-    if spec.m != 2:
-        raise SpecError("reduce-binary needs m=2")
     return _build_reduction(spec, inputs, assignment, _binary_contract, spec.n - 1, "majority")
 
 
 def _set_contract(spec):
+    if spec.m > spec.t + 1:
+        raise SpecError(f"reduce-set needs m <= t+1, got m={spec.m}, t={spec.t}")
     return (spec.n // spec.m + spec.n % spec.m + 1, 1)
 
 
 def _build_reduce_set(spec, inputs, assignment=None):
-    if spec.m > spec.t + 1:
-        raise SpecError(f"reduce-set needs m <= t+1, got m={spec.m}, t={spec.t}")
     return _build_reduction(
         spec, inputs, assignment, _set_contract, spec.n - (spec.m - 1), "mode-max"
     )
 
 
 def _smg_contract(spec):
-    return (ceil_div(spec.n + spec.t - 1, 2) + 1, 1)
-
-
-def _build_reduce_smg(spec, inputs, assignment=None):
     if spec.m != 2:
         raise SpecError("reduce-smg needs m=2")
     if not spec.n > spec.t >= 1:
         raise SpecError(f"reduce-smg needs n > t >= 1, got n={spec.n}, t={spec.t}")
+    return (ceil_div(spec.n + spec.t - 1, 2) + 1, 1)
+
+
+def _build_reduce_smg(spec, inputs, assignment=None):
     return _build_reduction(spec, inputs, assignment, _smg_contract, spec.n - spec.t, "majority")
 
 
 def _sync_contract(spec):
+    if spec.m != 2:
+        raise SpecError("reduce-sync needs m=2")
     return (ceil_div(spec.n + spec.t + 1, 2), 1)
 
 
@@ -448,8 +452,6 @@ def _build_reduce_sync(spec, inputs, assignment=None):
     # The first phase is a black box answered before the broadcast round;
     # its round cost is accounting, not simulation. A victim of the single
     # round with no recipients models a crash inside the first phase.
-    if spec.m != 2:
-        raise SpecError("reduce-sync needs m=2")
     answers = first_phase(spec.n, *_sync_contract(spec), inputs, assignment)
     programs = {pid: BroadcastMajority(answers[pid]) for pid in range(spec.n)}
     return Built(programs, rounds=1, first_phase=answers)

@@ -32,10 +32,6 @@ class ModelViolationError(RuntimeError):
 class BudgetExceededError(RuntimeError):
     """An enumeration outgrew its combinatorial budget."""
 
-    def __init__(self, message: str, count: int):
-        super().__init__(message)
-        self.count = count
-
 
 def _order_pattern(vector) -> tuple:
     """``vector`` with each value replaced by its rank among its values."""
@@ -132,8 +128,7 @@ class ProblemSpec:
         if total > cap:
             raise BudgetExceededError(
                 f"{total} input assignments exceed the cap {cap}; "
-                "pass explicit vectors or raise the budget",
-                total,
+                "pass explicit vectors or raise the budget"
             )
         vectors = itertools.product(range(self.m), repeat=self.n)
         if inputs_mode == "canonical":

@@ -2,7 +2,8 @@
 phase of the reductions.
 
 ConsensusObject is a wait-free first-value-wins agreement object for up to
-``capacity`` distinct proposers; it is the only shared object. A
+``capacity`` distinct proposers; it is the only shared object, and a value
+(its winner and proposers): ``propose`` returns the next object. A
 reduction's first phase is a black-box protocol meeting an (n, k, ell)
 agreement contract under strong validity. It is not an object: its answers
 are an assignment over all n processes, fixed when the reduction is built
@@ -14,44 +15,33 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator
 
 from .core import ModelViolationError, SpecError, best_witness
 
 
+@dataclass(frozen=True, slots=True)
 class ConsensusObject:
-    """First proposal wins; every propose returns the winner."""
+    """First proposal wins: a propose returns the next object and the winner."""
 
-    __slots__ = ("capacity", "winner", "proposers")
+    capacity: int
+    winner: int | None = None
+    proposers: frozenset = frozenset()
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise SpecError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.winner = None
-        self.proposers: frozenset = frozenset()
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise SpecError(f"capacity must be >= 1, got {self.capacity}")
 
-    def propose(self, pid: int, value: int) -> int:
+    def propose(self, pid: int, value: int) -> tuple[ConsensusObject, int]:
         if pid in self.proposers:
             raise ModelViolationError(f"process {pid} proposed twice on one object")
         if len(self.proposers) + 1 > self.capacity:
             raise ModelViolationError(
                 f"object capacity {self.capacity} exceeded by proposer {pid}"
             )
-        self.proposers = self.proposers | {pid}
-        if self.winner is None:
-            self.winner = value
-        return self.winner
-
-    def clone(self) -> "ConsensusObject":
-        new = object.__new__(ConsensusObject)
-        new.capacity = self.capacity
-        new.winner = self.winner
-        new.proposers = self.proposers
-        return new
-
-    def key(self):
-        return ("consensus", self.capacity, self.winner, self.proposers)
+        winner = value if self.winner is None else self.winner
+        return ConsensusObject(self.capacity, winner, self.proposers | {pid}), winner
 
 
 def agreement_holds(assignment, n, k, ell, inputs) -> bool:

@@ -17,8 +17,9 @@ every step of a run onto a step of the relabelled run, because
 - the program states hold no pid and no value, as ``role_objects``
   declares (a ``ProposeChain`` state is its length and the proposes it
   has issued);
-- ``ConsensusObject`` treats values as opaque: the first proposal wins
-  whatever it is, and the renamed object has the same capacity;
+- a ``ConsensusObject`` is a value (capacity, winner, proposers) that
+  treats values as opaque: the first proposal wins whatever it is, and
+  the renamed object has the same capacity;
 - the crash hints (``no_more_visible``) read the role's state only;
 - the root is fixed by construction, as every program starts in
   ``state0`` and every object empty.

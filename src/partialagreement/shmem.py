@@ -147,7 +147,8 @@ class AsyncRun:
     past the end of its row (not yet written) observes None.
 
     clone() is O(1) in the run's length: it copies four n-entry lists
-    (states, actions, decided, crashed) and shares everything else.
+    (states, actions, decided, crashed) and shares everything else: every
+    shared part of the configuration is a value, and ``memo`` a cache.
 
     - ``live`` is the bitmask of the pids neither crashed nor decided: a
       crash or a decide clears the pid's bit. live_undecided() lists it,
@@ -163,25 +164,26 @@ class AsyncRun:
       ``crash_log`` holds ``(pid, position)`` per crash, the position
       being the number of steps taken before it. schedule_so_far()
       unwinds both into an AsyncSchedule.
-    - ``regs``, ``flags`` and the ``objects`` dict are never changed in
-      place: a write, a flagged decision or a propose replaces them (a
-      propose copies the one object it touches).
+    - ``regs``, ``flags`` and the ``objects`` dict of ``ConsensusObject``
+      values are never changed in place: a write, a flagged decision or a
+      propose replaces them.
 
     The run owns its step bound: a step or a crash that leaves, its settling
     included, ``step_bound`` or more steps taken and a live pid undecided,
     or a fixed step due at the bound, marks it ``nonterminating``, and
     ``run_async``, ``random_walk`` and ``depth_first`` all stop on that
-    flag. A run logs its ``events`` exactly when it is not eager:
-    ``run_async``'s replay run. A clone logs none.
+    flag. A run settles exactly when it keeps no ``events`` log: only
+    ``run_async``'s run logs, and it is never cloned. A clone logs none.
 
-    With eager=True, steps whose outcome is already fixed are committed
-    immediately: local decides, reads of written cells (write-once
-    registers make the value immutable), and reads of cells whose owner
-    crashed before writing (permanently empty). Those steps commute with
-    every other enabled step, so folding them never changes the reachable
-    decision outcomes; it only collapses equivalent interleavings. A write
-    or a propose is never committed eagerly, as what a reader or a later
-    proposer observes depends on its order.
+    With eager=True the run keeps no log, and steps whose outcome is
+    already fixed are committed immediately: local decides, reads of
+    written cells (write-once registers make the value immutable), and
+    reads of cells whose owner crashed before writing (permanently empty).
+    Those steps commute with every other enabled step, so folding them
+    never changes the reachable decision outcomes; it only collapses
+    equivalent interleavings. A write or a propose is never committed
+    eagerly, as what a reader or a later proposer observes depends on its
+    order.
 
     Whether a process's step is fixed reads only its pending action and
     the row and crashed flag of the owner it reads, and a committed read or
@@ -195,7 +197,7 @@ class AsyncRun:
     Every step but a decide ends in ``_commit``, which counts it, adds its
     path node and folds its observation into the program state through
     ``memo``. ``_advance`` takes any step and logs its event; settling
-    hands a fixed read's value straight to ``_commit``, as an eager run
+    hands a fixed read's value straight to ``_commit``, as a settling run
     logs no events.
     """
 
@@ -214,7 +216,6 @@ class AsyncRun:
         "steps_taken",
         "step_bound",
         "nonterminating",
-        "eager",
         "events",
         "path",
         "crash_log",
@@ -234,12 +235,11 @@ class AsyncRun:
         self.crashed = [False] * self.n
         self.live = (1 << self.n) - 1
         self.regs = ((),) * self.n
-        self.objects = dict(objects) if objects else {}
+        self.objects = objects or {}
         self.flags = frozenset()
         self.steps_taken = 0
         self.step_bound = default_step_bound(self.n)
         self.nonterminating = False
-        self.eager = eager
         self.events = None if eager else []
         self.path = None
         self.crash_log = ()
@@ -262,7 +262,6 @@ class AsyncRun:
         new.steps_taken = self.steps_taken
         new.step_bound = self.step_bound
         new.nonterminating = self.nonterminating
-        new.eager = self.eager
         new.events = None
         new.path = self.path
         new.crash_log = self.crash_log
@@ -270,8 +269,8 @@ class AsyncRun:
         return new
 
     def key(self):
-        """States, actions, decisions, crashed flags, register rows, object
-        keys and flags, unpacked into one flat tuple. The runs of one search
+        """States, actions, decisions, crashed flags, register rows, objects
+        and flags, unpacked into one flat tuple. The runs of one search
         share n and their objects, so every field sits at the same position
         in each key, and two keys are equal exactly when each field is."""
         return (
@@ -280,7 +279,7 @@ class AsyncRun:
             *self.decided,
             *self.crashed,
             *self.regs,
-            *[obj.key() for obj in self.objects.values()],
+            *self.objects.values(),
             self.flags,
         )
 
@@ -299,7 +298,7 @@ class AsyncRun:
         self.crash_log += ((pid, self.steps_taken),)
         if self.events is not None:
             self.events.append((self.steps_taken, pid, "crash", None))
-        if self.eager:
+        if self.events is None:
             self._settle(self._readers(pid))
         if self.steps_taken >= self.step_bound and self.live:
             self.nonterminating = True
@@ -311,7 +310,7 @@ class AsyncRun:
             raise ModelViolationError(f"process {pid} acted after deciding")
         wrote = type(self.actions[pid]) is Write
         self._advance(pid)
-        if self.eager:
+        if self.events is None:
             self._settle(self._readers(pid, pid) if wrote else (pid,))
         if self.steps_taken >= self.step_bound and self.live:
             self.nonterminating = True
@@ -326,8 +325,8 @@ class AsyncRun:
 
     def _settle(self, pids) -> None:
         """Commit the fixed steps of ``pids``, each to its first unfixed one.
-        A committed read or decide writes no register, so ``regs`` holds. An
-        eager run logs no events, so a read goes straight to ``_commit``."""
+        A committed read or decide writes no register, so ``regs`` holds. A
+        settling run logs no events, so a read goes straight to ``_commit``."""
         actions, crashed, regs = self.actions, self.crashed, self.regs
         for pid in pids:
             if crashed[pid]:
@@ -368,9 +367,7 @@ class AsyncRun:
             if self.events is not None:
                 self.events.append((pos, pid, "write", (len(row), act.payload)))
         elif kind is Propose:
-            # the objects dict is shared with clones: copy, never mutate
-            obj = self.objects[act.obj].clone()
-            obs = obj.propose(pid, act.value)
+            obj, obs = self.objects[act.obj].propose(pid, act.value)
             self.objects = {**self.objects, act.obj: obj}
             if self.events is not None:
                 self.events.append((pos, pid, "propose", (act.obj, act.value, obs)))

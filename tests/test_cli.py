@@ -338,6 +338,24 @@ def test_sync_algorithm_refuses_another_model(capsys):
     assert code == 0 and json.loads(out)["spec"]["model"] == "sync-mp"
 
 
+def test_run_and_explore_give_a_reduction_its_own_diagnosis(capsys):
+    # explore checks a reduction's contract before it builds a cell, so the
+    # contract carries the reduction's own spec checks
+    for alg, n, m, t, message in (
+        ("reduce-binary", 3, 3, 1, "reduce-binary needs m=2"),
+        ("reduce-sync", 3, 3, 1, "reduce-sync needs m=2"),
+        ("reduce-smg", 3, 3, 1, "reduce-smg needs m=2"),
+        ("reduce-smg", 3, 2, 3, "reduce-smg needs n > t >= 1, got n=3, t=3"),
+        ("reduce-set", 3, 5, 1, "reduce-set needs m <= t+1, got m=5, t=1"),
+    ):
+        spec = ["--alg", alg, "--n", str(n), "--m", str(m), "--t", str(t)]
+        inputs = ",".join(str(p % m) for p in range(n))
+        for argv in (["run", *spec, "--inputs", inputs], ["explore", *spec]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 64 and out == "", argv
+            assert err.splitlines() == [f"invalid configuration: {message}"], (argv, err)
+
+
 def test_explore_reports_the_oracle_cell_fold(capsys):
     by = "folded by pid {} and {} value relabelling"
     code, out, _ = run_cli(

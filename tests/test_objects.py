@@ -32,25 +32,39 @@ class Outcome:
 
 
 def test_first_value_wins():
-    obj = ConsensusObject(capacity=3)
-    assert obj.propose(0, 2) == 2
-    assert obj.propose(1, 0) == 2
-    assert obj.winner == 2
+    obj, winner = ConsensusObject(capacity=3).propose(0, 2)
+    assert winner == 2
+    obj, winner = obj.propose(1, 0)
+    assert winner == 2
+    assert obj == ConsensusObject(3, 2, frozenset({0, 1}))
 
 
 def test_capacity_rule():
-    obj = ConsensusObject(capacity=2)
-    obj.propose(0, 1)
-    obj.propose(1, 0)
+    obj, _ = ConsensusObject(capacity=2).propose(0, 1)
+    obj, _ = obj.propose(1, 0)
     with pytest.raises(ModelViolationError):
         obj.propose(2, 1)
 
 
 def test_double_propose_rejected():
-    obj = ConsensusObject(capacity=2)
-    obj.propose(0, 1)
+    obj, _ = ConsensusObject(capacity=2).propose(0, 1)
     with pytest.raises(ModelViolationError):
         obj.propose(0, 0)
+
+
+def test_a_propose_leaves_its_object_unchanged():
+    empty = ConsensusObject(capacity=2)
+    after, _ = empty.propose(0, 1)
+    assert empty == ConsensusObject(2) and empty.winner is None and not empty.proposers
+    assert after.propose(1, 0) == (ConsensusObject(2, 1, frozenset({0, 1})), 1)
+    assert after == ConsensusObject(2, 1, frozenset({0}))
+    # the empty object still lets another pid win first
+    assert empty.propose(1, 0) == (ConsensusObject(2, 0, frozenset({1})), 0)
+
+
+def test_a_consensus_object_needs_a_capacity():
+    with pytest.raises(SpecError):
+        ConsensusObject(0)
 
 
 def test_wait_freedom_crash_of_first_proposer_does_not_block():
@@ -79,7 +93,10 @@ def test_wait_freedom_crash_of_first_proposer_does_not_block():
 
 def test_linearizability_all_returns_equal_first_proposal():
     obj = ConsensusObject(capacity=4)
-    returns = [obj.propose(pid, v) for pid, v in ((0, 3), (1, 1), (2, 0), (3, 3))]
+    returns = []
+    for pid, v in ((0, 3), (1, 1), (2, 0), (3, 3)):
+        obj, winner = obj.propose(pid, v)
+        returns.append(winner)
     assert returns == [3, 3, 3, 3]
 
 

@@ -28,8 +28,8 @@ from typing import NamedTuple
 import pytest
 
 from partialagreement import (
-    ExploreBudget, ProblemSpec, check_agreement, enumerate_crash_patterns, get_algorithm,
-    run_sync, verify,
+    ConsensusObject, ExploreBudget, ProblemSpec, check_agreement, enumerate_crash_patterns,
+    get_algorithm, run_sync, verify,
 )
 from partialagreement.algorithms import BroadcastMajority, Built
 from partialagreement.shmem import Decide, Propose, Read, Write
@@ -76,11 +76,10 @@ def _step(progs, names, config, pid) -> Config:
                   crashed, flags)
 
 
-def reference_outcomes(alg, spec, inputs, assignment, can_crash) -> set:
+def reference_outcomes(entry, spec, inputs, assignment, can_crash) -> set:
     """The ``(decisions, crashed, flags)`` of every finished run of the cell.
     ``can_crash(view, pid)`` is the crash rule, given a view that exposes the
     run's ``progs``, ``states`` and ``actions``."""
-    entry = get_algorithm(alg)
     built = entry.build(spec, inputs, assignment)
     progs, n = built.programs, spec.n
     budget = min(entry.fault_budget(spec), n)
@@ -113,10 +112,10 @@ def reference_outcomes(alg, spec, inputs, assignment, can_crash) -> set:
     return outcomes
 
 
-def explored_cell(alg, spec, inputs, assignment, role_orbits) -> verify.ExplorationReport:
+def explored_cell(entry, spec, inputs, assignment, role_orbits) -> verify.ExplorationReport:
     """The report of ``explore``'s search of one cell, unfolded."""
-    report = verify.ExplorationReport(alg, spec, [inputs], ExploreBudget())
-    verify._explore_cell(get_algorithm(alg), inputs, assignment, report, role_orbits)
+    report = verify.ExplorationReport(entry.name, spec, [inputs], ExploreBudget())
+    verify._explore_cell(entry, inputs, assignment, report, role_orbits)
     return report
 
 
@@ -140,9 +139,9 @@ SMG_G4 = ProblemSpec(n=4, m=4, t=2, model="sm-g", g=4)
 BINARY = ProblemSpec(n=4, m=2, t=1, validity="strong")
 DISSENT = (0, 1, 0, 0)
 
-# (algorithm, spec, inputs, first-phase assignment): every async entry, both
+# (entry, spec, inputs, first-phase assignment): every async entry, both
 # smg-comp cases, and reduction cells with and without dissent.
-CELLS = [
+CELLS = [(get_algorithm(alg), *cell) for alg, *cell in (
     ("max-wait", ProblemSpec(n=3, m=2, t=1), (0, 1, 1), None),
     ("max-wait", ProblemSpec(n=3, m=3, t=2), (0, 1, 2), None),
     ("smg-comp", SMG_G2, (0, 1, 2, 3), None),
@@ -153,15 +152,15 @@ CELLS = [
     ("reduce-set", ProblemSpec(n=3, m=3, t=2, validity="strong"), (0, 1, 2), (0, 1, 1)),
     ("reduce-smg", ProblemSpec(n=4, m=2, t=1, validity="strong"), (0, 0, 1, 1), (1, 0, 0, 0)),
     ("no-comm", ProblemSpec(n=3, m=2, t=1), (0, 1, 1), None),
-]
+)]
 # With crashes anywhere the reference takes seconds on each n=4 reduction
 # cell, so one dissenting cell stands for them there.
 DOMINANCE_CELLS = [c for c in CELLS if c[1].n == 3 or c[3] in (None, DISSENT)]
 
 
 def cell_id(cell) -> str:
-    alg, spec, inputs, assignment = cell
-    return f"{alg}-{'.'.join(map(str, assignment or inputs))}-t{spec.t}"
+    entry, spec, inputs, assignment = cell
+    return f"{entry.name}-{'.'.join(map(str, assignment or inputs))}-t{spec.t}"
 
 
 @functools.cache
@@ -193,11 +192,105 @@ def test_a_crash_anywhere_is_dominated_by_a_searched_outcome(cell):
     # subset of the crashed pids and the same decisions elsewhere.
     searched = {(o.decisions, o.crashed) for o in explored_cell(*cell, role_orbits=False).verdicts}
     for decisions, crashed, _ in reference_outcomes(*cell, lambda view, pid: True):
-        assert any(
-            found_crashed <= crashed
-            and all(a == b for p, (a, b) in enumerate(zip(found, decisions)) if p not in crashed)
-            for found, found_crashed in searched
-        ), (decisions, crashed)
+        assert dominated(searched, decisions, crashed), (decisions, crashed)
+
+
+def dominated(searched, decisions, crashed) -> bool:
+    """Whether a ``(decisions, crashed)`` of ``searched`` has a subset of
+    ``crashed`` and the same decisions at every other pid."""
+    return any(
+        found_crashed <= crashed
+        and all(a == b for p, (a, b) in enumerate(zip(found, decisions)) if p not in crashed)
+        for found, found_crashed in searched
+    )
+
+
+# --- random async programs ----------------------------------------------------
+
+
+class RandomAsync:
+    """An acyclic program of ``ops``, then a decide of the last value it
+    observed, or of its input. Its state is the index of its pending
+    operation and its current value, which it writes and proposes. An
+    operation is ("write",), ("read", owner, index, skip), where ``skip``
+    skips the next operation when the cell is empty, or ("propose", obj)."""
+
+    def __init__(self, ops, value):
+        self.ops = ops
+        self.state0 = (-1, value)
+
+    def step(self, state, obs):
+        pc, value = state
+        if obs is not None:
+            value = obs
+        elif pc >= 0 and self.ops[pc][0] == "read" and self.ops[pc][3]:
+            pc += 1
+        pc += 1
+        if pc >= len(self.ops):
+            return (pc, value), Decide(value)
+        op = self.ops[pc]
+        if op[0] == "write":
+            return (pc, value), Write(value)
+        if op[0] == "read":
+            return (pc, value), Read(op[1], op[2])
+        return (pc, value), Propose(op[1], value)
+
+
+def random_async_cell(n, t, seed):
+    """A cell of random programs on n pids with fault budget t, drawn from
+    ``seed``: each pid gets 3 to 5 operations, one propose on each of 0 to 2
+    objects of capacity n and the rest writes of its own row and reads of
+    any row at index 0 or 1."""
+    rng = random.Random(seed)
+    inputs = tuple(rng.randrange(n) for _ in range(n))
+    programs = {}
+    for pid in range(n):
+        ops = [("propose", obj) for obj in rng.sample("AB", rng.randint(0, 2))]
+        size = rng.randint(3, 5)
+        while len(ops) < size:
+            if rng.random() < 0.5:
+                ops.append(("write",))
+            else:
+                ops.append(("read", rng.randrange(n), rng.randint(0, 1), rng.random() < 0.5))
+        rng.shuffle(ops)
+        programs[pid] = RandomAsync(tuple(ops), inputs[pid])
+    entry = dataclasses.replace(
+        get_algorithm("no-comm"), name=f"random-{seed}",
+        build=lambda spec, inputs, assignment=None: Built(
+            programs, objects={"A": ConsensusObject(n), "B": ConsensusObject(n)},
+        ),
+    )
+    return entry, ProblemSpec(n=n, m=n, t=t), inputs, None
+
+
+# (n, t, seed): 20 seeds for every fault budget of n in {2, 3}
+RANDOM_ASYNC = [
+    (n, t, seed)
+    for seed, (n, t) in enumerate(
+        (n, t) for n in (2, 3) for t in range(1, n + 1) for _ in range(20)
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "n, t, seed", RANDOM_ASYNC, ids=[f"n{n}-t{t}-s{s}" for n, t, s in RANDOM_ASYNC],
+)
+def test_a_random_async_program_keeps_the_reference_outcomes(n, t, seed):
+    # A subset, not equality: the search commits fixed reads and decides
+    # at once, so it never crashes a process just before one, and these
+    # programs declare no crash hint. At the last re-anchor 233 of 300
+    # random programs matched exactly, and 84 of these 100 do, the rest
+    # differing only by such crashes, whose outcomes the searched ones
+    # dominate. Equality waits for the crash-relevance fix (ROADMAP item 1).
+    cell = random_async_cell(n, t, seed)
+    report = explored_cell(*cell, role_orbits=False)
+    assert not any(outcome.nonterminating for outcome in report.verdicts)
+    searched = {(o.decisions, o.crashed, o.flags) for o in report.verdicts}
+    assert searched
+    assert searched <= reference_outcomes(*cell, verify._crash_can_matter)
+    found = {(decisions, crashed) for decisions, crashed, _ in searched}
+    for decisions, crashed, _ in reference_outcomes(*cell, lambda view, pid: True):
+        assert dominated(found, decisions, crashed), (decisions, crashed)
 
 
 # --- the sync half ----------------------------------------------------------

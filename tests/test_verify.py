@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partialagreement import (
+    ConsensusObject,
     ExploreBudget,
     ProblemSpec,
     check_agreement,
@@ -1304,9 +1305,11 @@ def _relabelled(run, pids, objects, values):
         image.decided[q] = None if run.decided[p] is None else values[run.decided[p]]
     image.objects = dict(run.objects)
     for name, obj in run.objects.items():
-        moved = image.objects[objects[name]] = obj.clone()
-        moved.winner = None if obj.winner is None else values[obj.winner]
-        moved.proposers = frozenset(pids[p] for p in obj.proposers)
+        image.objects[objects[name]] = ConsensusObject(
+            obj.capacity,
+            None if obj.winner is None else values[obj.winner],
+            frozenset(pids[p] for p in obj.proposers),
+        )
     return image
 
 
