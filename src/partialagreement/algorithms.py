@@ -98,12 +98,19 @@ class QuorumScan:
     owner's answer. A scanning state ``(cursor, last, mask)`` therefore
     tracks the answers seen as an owner bitmask: the set of (owner, answer)
     pairs seen is a bijection of it. A decision keeps ``(cursor, -1,
-    mask)``, its basis in the mask. The scan's (next cursor, read) pairs are precomputed per (pid,
-    n) (``_scan_table``), and a decision is cached by rule and sorted
+    mask)``, its basis in the mask.
+
+    The state is pid-relative: the cursor and the last owner read are
+    offsets from the pid, and the mask is rotated so that bit 0 is the pid
+    itself (``basis`` rotates it back to owners). So no state holds a pid,
+    and the states of pids p and p+r at the images of one configuration
+    under rotation by r are equal (``rotation.RotationKeys``). The scan's
+    (next cursor, read) pairs are precomputed per (pid, n)
+    (``_scan_table``), and a decision is cached by rule and sorted
     observed answers (``_decision``).
     """
 
-    __slots__ = ("pid", "n", "answers", "quorum", "rule", "start", "scan")
+    __slots__ = ("pid", "n", "answers", "quorum", "rule", "scan")
 
     state0 = _INIT
 
@@ -113,7 +120,6 @@ class QuorumScan:
         self.answers = answers
         self.quorum = quorum
         self.rule = rule
-        self.start = (pid + 1) % n
         self.scan = _scan_table(pid, n)
 
     def no_more_visible(self, state):
@@ -122,18 +128,23 @@ class QuorumScan:
 
     def step(self, state, obs):
         if state is _INIT or state[0] == "i":
-            return (self.start, -1, 1 << self.pid), Write(self.answers[self.pid])
+            return (1 % self.n, -1, 1), Write(self.answers[self.pid])
         cursor, last, mask = state
         if last >= 0 and obs is not None:
             mask |= 1 << last
         if mask.bit_count() >= self.quorum:
-            return (cursor, -1, mask), self.decide_on(mask)
+            return (cursor, -1, mask), self.decide_on(self._owners(mask))
         nxt, read = self.scan[cursor]
         return (nxt, cursor, mask), read
 
+    def _owners(self, mask):
+        """The owners of the pid-relative ``mask``, as bit o for owner o."""
+        pid, n = self.pid, self.n
+        return (mask << pid | mask >> n - pid) & (1 << n) - 1
+
     def basis(self, state):
         # a decision keeps the owners it read in its state
-        return state[2]
+        return self._owners(state[2])
 
     def decide_on(self, basis):
         """Apply the rule to the answers of the owners in ``basis``."""
@@ -143,10 +154,11 @@ class QuorumScan:
 
 @functools.cache
 def _scan_table(pid, n):
-    """Per cursor of ``pid``'s scan, the next cursor and the read to issue.
-    One table serves every cell: a table built per program churned the heap
-    enough to raise the benchmark's sample-replay peak RSS by about 0.25 MB."""
-    return tuple((_next_other(c, pid, n), Read(c, 0)) for c in range(n))
+    """Per cursor of ``pid``'s scan, an offset from ``pid``, the next cursor
+    and the read to issue. One table serves every cell: a table built per
+    program churned the heap enough to raise the benchmark's sample-replay
+    peak RSS by about 0.25 MB."""
+    return tuple((_next_other(c, 0, n), Read((pid + c) % n, 0)) for c in range(n))
 
 
 @functools.cache
@@ -280,7 +292,9 @@ class CatalogEntry:
     search (see ``explore``). Why each declaration holds:
 
     - ``QuorumScan`` (max-wait and the async reductions): rotation, as
-      every scan starts at pid+1 and runs cyclically (``_next_other``).
+      every scan starts at pid+1 and runs cyclically (``_next_other``),
+      and quorum, rule, crash hint and fault budget are the same for
+      every pid.
     - ``NoComm``, ``MinFlood``, ``BroadcastMajority``: any permutation, as
       every process runs the same program and the crash patterns are
       enumerated over all pids.
@@ -324,8 +338,14 @@ class CatalogEntry:
     equalities (a key holds values only where the value-free part of the
     configuration fixes them), equal crash hints and equal eager steps: the
     DFS meets the same configurations in the same order, and each finished
-    run keeps its bases, crashed pids and nontermination. ``explore``
-    therefore searches one cell and resolves the others from its runs (see
+    run keeps its bases, crashed pids and nontermination. The pid
+    ``symmetry`` then holds inside that shared graph too: rotating pids
+    maps a cell onto the cell of the rotated values, whose graph is the
+    same up to values, so rotation maps the graph onto itself; and as
+    ``QuorumScan`` keeps its state pid-relative, a configuration's image
+    is its pids' value-free local parts shifted. ``explore`` therefore
+    searches the graph once, one configuration per rotation orbit, and
+    resolves every cell from its runs (``rotation.shared_search``, see
     ``verify.explore``). An entry qualifies when every program of its cells
     declares both, so ``smg-comp``, whose proposers observe a winner
     value, never does.

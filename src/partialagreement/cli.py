@@ -389,12 +389,13 @@ def cmd_explore(args) -> int:
             f"{report.cells_folded} folded by pid {group} and "
             f"{entry.value_symmetry} value relabelling)"
         )
-    if report.cells_resolved:
-        searched = report.cells_explored - report.cells_resolved
+    if report.shared:
+        searched, states = report.shared
+        resolved = report.cells_resolved
         lines.append(
-            f"searches: {searched} cell{'s' * (searched > 1)} searched "
-            f"({report.states_searched} states), {report.cells_resolved} resolved from "
-            f"{'it' if searched == 1 else 'the first'}"
+            f"searches: {searched} states searched up to pid rotation ({states} with their "
+            f"images), {resolved} cell{'s' * (resolved != 1)} resolved, "
+            f"{report.cells_explored - resolved} searched"
         )
     if report.group_order > 1:
         order = report.group_order

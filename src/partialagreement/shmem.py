@@ -451,10 +451,13 @@ def depth_first(root, crash_budget, can_crash, visit=None):
     p)`` holds (it must read p's own state and action only). The children
     are searched in that order: crashes by pid, then steps by pid.
     ``weight`` is 1 for a configuration whose ``key()`` is new, or with
-    ``visit`` (``RoleKeys.visit``) ``visit(run, seen)``: the size of a new
-    orbit, or None, for the caller to stop. A configuration of weight 0 is
-    skipped. ``done`` says the run has ended (nonterminating, or no live
-    undecided pid); ``slept`` counts the children not built, as below.
+    ``visit`` ``visit(run, seen)``: the size of a new orbit, 0 for a seen
+    one, or None, for the caller to stop. ``roles.RoleKeys.visit`` keys a
+    cell up to its role symmetry, and ``rotation.RotationKeys.visit`` the
+    value-free graph an explore's cells share up to pid rotation. A
+    configuration of weight 0 is skipped. ``done`` says the run has ended
+    (nonterminating, or no live undecided pid); ``slept`` counts the
+    children not built, as below.
 
     Sleep sets (Godefroid, LNCS 1032, 1996). At a settled configuration a
     move is a Write, a Propose, a spin Read (of an unwritten cell whose
@@ -477,10 +480,10 @@ def depth_first(root, crash_budget, can_crash, visit=None):
     in ``seen`` (by induction, if u was asleep): its subtree is finished.
     So its child r·u·t, which is r·t·u, was built, or was asleep and is in
     ``seen`` by induction, and the child u of r·t would have weighed 0. The
-    same holds orbit by orbit under role orbits, as the children and
-    ``can_crash`` commute with the relabellings. A run the step bound cuts
-    may take steps the other order does not, so once one is met, nothing
-    more sleeps.
+    same holds orbit by orbit under role or rotation orbits, as the
+    children and ``can_crash`` commute with the relabellings. A run the
+    step bound cuts may take steps the other order does not, so once one
+    is met, nothing more sleeps.
     """
     n = root.n
     seen = set()

@@ -9,8 +9,8 @@ driven across every contract-compliant first-phase assignment.
 
 A cell (one input vector, with one first-phase assignment for a reduction)
 is searched, folded onto an earlier cell of its symmetry orbit, or, for
-programs that declare a decision basis, resolved from the runs of the one
-cell an exhaustive async explore searches (see explore).
+programs that declare a decision basis, resolved from the one search of
+their shared cell graph up to pid rotation (see explore).
 """
 
 from __future__ import annotations
@@ -157,16 +157,18 @@ class ExplorationReport:
     empirical_ell: int | None = None
     exhaustive: bool = True
     notes: list = field(default_factory=list)
-    # Cells searched or resolved, cells folded by pid symmetry and value
-    # relabelling, and cells resolved from the shared search's runs (see
-    # explore), states searched, children the DFS's sleep sets did not build
-    # (see shmem.depth_first) and the largest role group searched under
-    # (see _explore_cell), and the verdict per distinct outcome (see
-    # verdict); not serialised, as they leave the report unchanged.
+    # Cells searched or resolved, folded by pid symmetry and value
+    # relabelling, and resolved from the shared search (see explore), states
+    # searched, the shared search's states and the states they stand for
+    # (see rotation.shared_search), children the DFS's sleep sets did not build
+    # (see shmem.depth_first), the largest role group searched under (see
+    # _explore_cell), and the verdict per distinct outcome (see verdict);
+    # not serialised, as they leave the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
     cells_resolved: int = 0
     states_searched: int = 0
+    shared: tuple = ()
     moves_slept: int = 0
     group_order: int = 1
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
@@ -309,42 +311,47 @@ def _async_outcome(run) -> _Outcome:
 _UNDECIDED = Decide(None)
 
 
-def _run_class(run) -> int:
+def _run_class(run, shift=0) -> int:
     """The class of a finished run (see explore), an int: its
     nonterminating bit, then per pid n + 2 bits: its decision basis,
-    whether it decided and whether it crashed."""
+    whether it decided and whether it crashed. With ``shift``, that of the
+    run with pid p moved to p + shift and each basis rotated with it."""
     n = run.n
     cls = run.nonterminating
     for pid in range(n):
         bits = run.crashed[pid] << n + 1
         if run.decided[pid] is not None:
-            bits |= 1 << n | run.progs[pid].basis(run.states[pid])
-        cls |= bits << 1 + pid * (n + 2)
+            basis = run.progs[pid].basis(run.states[pid])
+            bits |= 1 << n | (basis << shift | basis >> n - shift) & (1 << n) - 1
+        cls |= bits << 1 + (pid + shift) % n * (n + 2)
     return cls
 
 
-def _class_outcomes(entry, spec, inputs, assignment, runs) -> list:
-    """Each class of the ``runs`` Counter of run classes (see explore),
-    with its count, as its outcome in this cell: decided by the cell's own
-    programs."""
+def _class_outcomes(entry, spec, inputs, assignment, runs):
+    """The outcomes in this cell of the ``runs`` Counter of run classes
+    (see explore), each with the count of its classes' runs: decided by the
+    cell's own programs, once per pid and basis."""
     progs = entry.build(spec, inputs, assignment=assignment).programs
     n = len(inputs)
-    outcomes = []
+    decides = {}
+    outcomes = Counter()
     for cls, count in runs.items():
-        decides = []
+        decided = []
         for pid in range(n):
-            bits = cls >> 1 + pid * (n + 2)
-            decided = bits >> n & 1
-            decides.append(progs[pid].decide_on(bits & (1 << n) - 1) if decided else _UNDECIDED)
+            bits = cls >> 1 + pid * (n + 2) & (2 << n) - 1
+            if (pid, bits) not in decides:
+                decide = progs[pid].decide_on(bits ^ 1 << n) if bits >> n else _UNDECIDED
+                decides[pid, bits] = decide
+            decided.append(decides[pid, bits])
         outcome = _Outcome(
             inputs,
-            tuple(decide.value for decide in decides),
+            tuple(decide.value for decide in decided),
             frozenset(p for p in range(n) if cls >> (p + 1) * (n + 2) & 1),
-            frozenset().union(*(decide.flags for decide in decides)),
+            frozenset().union(*(decide.flags for decide in decided)),
             bool(cls & 1),
         )
-        outcomes.append((outcome, count))
-    return outcomes
+        outcomes[outcome] += count
+    return outcomes.items()
 
 
 def _count_passing(report, outcomes, states) -> bool:
@@ -361,7 +368,7 @@ def _count_passing(report, outcomes, states) -> bool:
     return True
 
 
-def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) -> None:
+def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
     """Search one cell into ``report``: its crash patterns (sync), counted a
     group at a time (``syncmp.chain_patterns``, see explore), or its
     ``samples`` random patterns, each run alone (``syncmp.pattern_outcome``);
@@ -371,13 +378,9 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
     DFS would find seen, and ``report.moves_slept`` counts them). With
     ``role_orbits``, a cell whose programs declare ``role_objects`` is
     searched one configuration per role orbit (``roles.RoleKeys``) counted
-    with the orbit's size, so every count, k and ell stays exact. A DFS
-    whose programs declare ``basis`` counts the class (``_run_class``) of
-    each finished run in the Counter ``classes``, when given."""
+    with the orbit's size, so every count, k and ell stays exact."""
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment)
-    if classes is not None and not all(hasattr(p, "basis") for p in built.programs.values()):
-        classes = None
     crash_budget = min(entry.fault_budget(spec), spec.n)
     base = {"inputs": list(inputs)}
     if entry.flavor == "sync":
@@ -431,8 +434,6 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits, classes=None) 
             raise _BudgetStop
         if done:
             report.record(_async_outcome(run), base, "schedule", run, weight)
-            if classes is not None:
-                classes[_run_class(run)] += 1
 
 
 def _canonical(vector, symmetry, values, relabel) -> tuple:
@@ -493,7 +494,7 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
     spec, budget = report.spec, report.budget
     fold = entry.symmetry is not None and budget.mode != "sample"
     share = fold and entry.flavor == "async"
-    shared = None  # the states, runs and run classes of the first cell searched
+    shared = None  # the states, runs and run classes of the shared search
     # orbit -> states and runs of its first cell; None if that cell recorded
     # a violation, so the recorded list keeps its cells and order, or a
     # flagged run, as a tie is broken by value order
@@ -510,19 +511,16 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
                 continue
             before = _tally(report)
             report.cells_explored += 1
+            if share:
+                from . import rotation  # loaded by the first shared search
+
+                share, shared = False, rotation.shared_search(entry, inputs, assignment, report)
             if shared and _fits(report, shared) and _count_passing(
                 report, _class_outcomes(entry, spec, inputs, assignment, shared[2]), shared[0]
             ):
                 report.cells_resolved += 1
             else:
-                classes = Counter() if share and not shared else None
-                _explore_cell(entry, inputs, assignment, report, role_orbits, classes)
-                if classes:
-                    shared = (
-                        report.states_explored - before[0],
-                        report.executions_checked - before[1],
-                        classes,
-                    )
+                _explore_cell(entry, inputs, assignment, report, role_orbits)
             if fold:
                 delta = tuple(a - b for a, b in zip(_tally(report), before))
                 tallies.setdefault(orbit, None if delta[2] or delta[3] else delta[:2])
@@ -558,19 +556,21 @@ def explore(
     would reach a cap, so a partial search stops on the same run.
 
     Of the cells the fold leaves, an exhaustive async explore whose programs
-    declare ``basis`` and ``decide_on`` (see ``CatalogEntry``) searches only
-    the first, and keeps the class of each of its finished runs
-    (``_run_class``): per pid its decision basis or undecided, the crashed
-    pids and nontermination. Every cell then has the same runs up to values,
-    so each later cell is resolved: each class is decided by that cell's own
-    programs (``_class_outcomes``) and recorded with its count, and the
-    first cell's states are added. The cell is searched instead when a class
-    fails its verdict there, so the recorded violations keep their cells and
-    order, or when the addition would reach a cap, so a partial search stops
-    on the same run. A resolved cell seeds its orbit's tally as a searched
-    one does. Sampled explores (one random stream per cell), sync entries
-    and ``smg-comp`` are never resolved. The classes are counted in one
-    Counter and dropped when the explore returns.
+    declare ``basis`` and ``decide_on`` (see ``CatalogEntry``) resolves
+    each, the first included, from one DFS of the graph they share up to
+    values, run one configuration per pid-rotation orbit
+    (``rotation.shared_search``). It counts the class (``_run_class``: per pid
+    its decision basis or undecided, the crashed pids and nontermination)
+    of each distinct rotation of each finished run, so its states, runs
+    and classes are the unreduced DFS's. Each class is decided by the
+    cell's own programs (``_class_outcomes``) and recorded with its count,
+    and the search's states are added. The cell is searched unreduced
+    when a class fails its verdict there, so the recorded violations keep
+    their cells and order, or when the addition would reach a cap, so a
+    partial search stops on the same run; a shared search that would not
+    fit the caps, or meets the step bound, is dropped. A resolved cell
+    seeds its orbit's tally as a searched one does. Sampled explores, sync
+    entries and ``smg-comp`` are never resolved.
 
     Within a cell, programs that declare ``role_objects`` (``smg-comp``'s)
     are searched up to their role symmetry (see ``roles``), one

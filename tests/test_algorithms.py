@@ -50,9 +50,10 @@ def test_strict_majority():
 def _reaching(prog, answers):
     """Each mask of owners, with a scanning state and observation whose step
     knows it: the mask itself after the write, and for a mask holding pid 1,
-    the mask without it and a read of cell 1 that saw its answer."""
+    the mask without it and a read of cell 1 that saw its answer. ``prog``
+    is pid 0's, whose pid-relative cursors and masks are its owners'."""
     for mask in range(1 << prog.n):
-        yield mask, (prog.start, -1, mask), None
+        yield mask, (1, -1, mask), None
         if mask & 2:
             yield mask, (prog.scan[1][0], 1, mask & ~2), answers[1]
 

@@ -397,27 +397,28 @@ def test_explore_reports_the_oracle_cell_fold(capsys):
 
 
 def test_explore_reports_the_cells_resolved_from_one_search(capsys):
-    line = "searches: 1 cell searched (616 states), {} resolved from it"
+    line = (
+        "searches: 158 states searched up to pid rotation (616 with their images), "
+        "{} cells resolved, {} searched"
+    )
     code, out, _ = run_cli(
         capsys,
         "explore", "--alg", "reduce-binary", "--n", "4", "--t", "1", "--validity", "strong",
         "--inputs", "0,0,1,1",
     )
-    assert code == 0 and line.format(1) in out.splitlines()
+    assert code == 0 and line.format(2, 0) in out.splitlines()
     code, out, _ = run_cli(
         capsys, "explore", "--alg", "max-wait", "--n", "4", "--m", "4", "--t", "1", "--k", "2",
         "--inputs", "canonical",
     )
-    assert code == 0 and line.format(19) in out.splitlines()
+    assert code == 0 and line.format(20, 0) in out.splitlines()
     # Violating cells are searched, and sampled, sync and smg-comp explores
     # never resolve a cell.
     code, out, _ = run_cli(
         capsys, "explore", "--alg", "max-wait", "--n", "4", "--m", "2", "--t", "1", "--k", "3",
     )
     assert code == 1
-    assert "searches: 5 cells searched (3080 states), 3 resolved from the first" in (
-        out.splitlines()
-    )
+    assert line.format(4, 4) in out.splitlines()
     for args in (
         ("--alg", "reduce-binary", "--n", "4", "--t", "1", "--inputs", "0,0,1,1", "--sample"),
         ("--alg", "reduce-sync", "--n", "4", "--t", "1", "--validity", "strong"),

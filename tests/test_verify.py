@@ -794,23 +794,22 @@ def _cells(entry, spec, vectors):
 
 def _resolution_mismatches(alg, spec, vectors):
     """The cells whose tally, searched alone, differs from the tally that
-    their resolution from the search of the first cell gives."""
-    from partialagreement import CATALOG, verify
+    their resolution from the shared search up to pid rotation gives."""
+    from partialagreement import CATALOG, rotation, verify
 
     entry = CATALOG[alg]
     cells = _cells(entry, spec, vectors)
-    shared = verify.ExplorationReport(alg, spec, vectors, ExploreBudget())
-    runs = Counter()
-    verify._explore_cell(entry, *cells[0], shared, role_orbits=True, classes=runs)
-    assert sum(runs.values()) == shared.executions_checked > 0
+    report = verify.ExplorationReport(alg, spec, vectors, ExploreBudget())
+    states, runs, classes = rotation.shared_search(entry, *cells[0], report)
+    assert sum(classes.values()) == runs > 0
     mismatches = []
     for inputs, cell in cells:
         # no violation is recorded, so none needs a schedule
         budget = ExploreBudget(max_recorded_violations=0)
         report = verify.ExplorationReport(alg, spec, [inputs], budget)
-        for outcome, count in verify._class_outcomes(entry, spec, inputs, cell, runs):
+        for outcome, count in verify._class_outcomes(entry, spec, inputs, cell, classes):
             report.record(outcome, None, None, None, count)
-        report.states_explored += shared.states_explored
+        report.states_explored += states
         if _cell_counts(report) != _cell_tally(entry, spec, inputs, cell):
             mismatches.append((inputs, cell))
     return mismatches, len(cells)
@@ -848,7 +847,7 @@ def test_every_cell_resolves_to_its_own_search(alg, spec, vectors):
     # The premise of resolution, checked directly: the programs never branch
     # on a value and write only their own fixed value, so every cell of an
     # explore has the same configuration graph up to values, and each cell
-    # searched alone has the tally that the first cell's run classes,
+    # searched alone has the tally that the shared search's run classes,
     # decided by the cell's own programs, give. Violating cells included.
     mismatches, cells = _resolution_mismatches(alg, spec, vectors)
     assert cells > 1
@@ -870,15 +869,16 @@ VIOLATING_REDUCE_SET = (
     "reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), [(0, 1, 2, 2)],
 )
 # (config, budget, cells resolved): every PLAIN_FOLDS row and the two
-# reductions, each with and without resolution.
+# reductions, each with and without resolution. The first cell resolves too,
+# from the shared search, unless it fails a verdict or meets a cap.
 RESOLVED_REPORTS = [
     *((config, budget, resolved) for (config, budget, _, _), resolved in zip(
-        PLAIN_FOLDS, (19, 0, 1, 19, 4, 0, 0, 3)
+        PLAIN_FOLDS, (20, 1, 2, 20, 5, 0, 0, 4)
     )),
-    (REDUCE_BINARY_4, ExploreBudget(), 1),
-    *((REDUCE_BINARY_4, ExploreBudget(max_runs=r, max_states=s), 1)
+    (REDUCE_BINARY_4, ExploreBudget(), 2),
+    *((REDUCE_BINARY_4, ExploreBudget(max_runs=r, max_states=s), 2)
       for r, s, _, _ in PARTIAL_SEARCHES),
-    (VIOLATING_REDUCE_SET, ExploreBudget(max_recorded_violations=1000), 5),
+    (VIOLATING_REDUCE_SET, ExploreBudget(max_recorded_violations=1000), 6),
 ]
 
 
@@ -907,7 +907,8 @@ def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
     # A mutant first phase promising k=2 of n=4 leaves reduce-smg's quorum
     # of n - t = 2 a 1-1 tie, which strict_majority breaks to 0 and flags.
     # A resolved class takes its flags from the cell's own decisions. A cell
-    # with a flagged run seeds no fold, so 14 of the 16 cells resolve.
+    # with a flagged run seeds no fold, so 15 of the 16 cells are explored,
+    # and each of them, the first included, resolves from the shared search.
     import dataclasses
 
     from partialagreement import algorithms
@@ -921,9 +922,12 @@ def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
     spec = ProblemSpec(n=4, m=2, t=2, k=2, validity="strong")
     mismatches, cells = _resolution_mismatches("reduce-smg", spec, [(0, 0, 1, 1)])
     assert (mismatches, cells) == ([], 16)
+    tie = next(iter(entry.oracle_assignments(spec, (0, 0, 1, 1))))
+    orbits, plain = _orbit_and_plain_searches("reduce-smg", spec, (0, 0, 1, 1), tie)
+    assert orbits == plain
     report = explore("reduce-smg", spec, [(0, 0, 1, 1)])
     assert (report.flagged_executions, report.violations_total, report.cells_resolved) == (
-        658, 0, 14,
+        658, 0, 15,
     )
     _without_basis(monkeypatch)
     assert explore("reduce-smg", spec, [(0, 0, 1, 1)]).to_json() == report.to_json()
@@ -954,6 +958,85 @@ def test_the_resolution_check_catches_a_value_branching_program(monkeypatch):
     assert report.cells_resolved
     monkeypatch.delattr(StopsAtOne.__base__, "basis")
     assert explore("reduce-binary", spec, FEW).to_json() != report.to_json()
+
+
+def _basis_sweep(alg, sizes=range(2, 6)):
+    """A cell (spec, inputs, assignment) of ``alg`` at each n of ``sizes``
+    and each t it accepts, on one input vector: its first compliant cell."""
+    from partialagreement import CATALOG, SpecError
+
+    entry = CATALOG[alg]
+    for n in sizes:
+        for t in range(n + 1):
+            m = t + 1 if alg == "reduce-set" else 2
+            inputs = tuple(p % m for p in range(n))
+            try:
+                spec = ProblemSpec(n=n, m=m, t=t)
+                cells = list(entry.oracle_assignments(spec, inputs)) if entry.uses_oracle else [None]
+                entry.build(spec, inputs, cells[0])
+            except (SpecError, IndexError):
+                continue  # the entry does not accept t, or no cell complies
+            yield spec, inputs, cells[0]
+
+
+def _orbit_and_plain_searches(alg, spec, inputs, assignment):
+    """The states, runs and Counter of run classes of the cell's shared
+    search up to pid rotation, and the same of its plain DFS."""
+    from partialagreement import CATALOG, rotation, shmem, verify
+
+    entry = CATALOG[alg]
+    report = verify.ExplorationReport(alg, spec, [inputs], ExploreBudget())
+    orbits = rotation.shared_search(entry, inputs, assignment, report)
+    root = AsyncRun(entry.build(spec, inputs, assignment).programs, inputs, eager=True)
+    crash_budget = min(entry.fault_budget(spec), spec.n)
+    states, classes = 0, Counter()
+    for run, weight, done, _ in shmem.depth_first(root, crash_budget, verify._crash_can_matter):
+        states += weight
+        if done:
+            classes[verify._run_class(run)] += 1
+    return orbits, (states, classes.total(), classes)
+
+
+@pytest.mark.parametrize("alg", sorted(BASIS_ENTRIES))
+def test_the_shared_search_counts_every_configuration_once(alg):
+    # The premise of the search up to pid rotation, checked directly: each
+    # orbit weighed by its size, and each finished one counted in the class
+    # of every distinct rotation of its run, give exactly the states, runs
+    # and run classes of the plain DFS of the cell.
+    searches = list(_basis_sweep(alg))
+    assert len(searches) >= 4
+    for spec, inputs, assignment in searches:
+        orbits, plain = _orbit_and_plain_searches(alg, spec, inputs, assignment)
+        assert orbits == plain, (spec, inputs, assignment)
+
+
+def test_the_shared_search_check_catches_a_rotation_breaking_program(monkeypatch):
+    # A mutant QuorumScan whose pid 0 scans the others in reverse order
+    # breaks the pid rotation its entry declares from n = 4 on. The check
+    # above catches it, and an explore that trusted the declaration would
+    # report a search that never happened.
+    from partialagreement import algorithms
+
+    scan_table = algorithms._scan_table
+
+    def reversed_at_pid_0(pid, n):
+        table = scan_table(pid, n)
+        if pid:
+            return table
+        # from cursor c to c - 1, skipping the own cursor 0
+        return tuple(((c - 2) % (n - 1) + 1, read) for c, (_, read) in enumerate(table))
+
+    monkeypatch.setattr(algorithms, "_scan_table", reversed_at_pid_0)
+    broken = []
+    for spec, inputs, assignment in _basis_sweep("max-wait", range(2, 5)):
+        orbits, plain = _orbit_and_plain_searches("max-wait", spec, inputs, assignment)
+        if orbits != plain:
+            broken.append(spec.n)
+    assert broken and min(broken) == 4
+    spec = ProblemSpec(n=4, m=2, t=1, k=3)
+    report = explore("max-wait", spec, FEW)
+    _without_basis(monkeypatch)
+    assert explore("max-wait", spec, FEW).to_json() != report.to_json()
 
 
 # --- the sync explorer --------------------------------------------------------
@@ -1483,8 +1566,9 @@ def test_the_moves_the_relation_calls_independent_commute(monkeypatch, anywhere)
 
 def _searches(monkeypatch, alg, spec, inputs, budget):
     """The report of an explore, and what its DFS yielded, in order: per
-    configuration its key, replay schedule, weight and whether it ended."""
-    from partialagreement import shmem, verify
+    configuration its key, replay schedule, weight and whether it ended,
+    the shared search's up to pid rotation included."""
+    from partialagreement import rotation, shmem, verify
 
     yielded = []
 
@@ -1495,6 +1579,7 @@ def _searches(monkeypatch, alg, spec, inputs, budget):
             yield item
 
     monkeypatch.setattr(verify, "depth_first", recorded)
+    monkeypatch.setattr(rotation, "depth_first", recorded)
     return explore(alg, spec, inputs, budget), yielded
 
 
@@ -1532,9 +1617,12 @@ def test_sleep_sets_change_only_the_children_built(monkeypatch, alg, spec, input
     _never_independent(monkeypatch)
     unslept, yielded_unslept = _searches(monkeypatch, alg, spec, inputs, budget)
     assert unslept.moves_slept == 0
-    if alg != "no-comm" and spec.g != spec.n:
+    if alg != "no-comm" and spec.g != spec.n and (alg, rule) != ("reduce-binary", False):
         # no-comm has no move; a case 1 smg-comp cell (g = n) proposes to
-        # one object, and its capped cell here never crashes
+        # one object, and its capped cell here never crashes. Every
+        # reduce-binary n=3 cell resolves from the shared search, whose 10
+        # configurations up to pid rotation, under the hinted crashes, have
+        # no child a sleep set holds.
         assert report.moves_slept > 0
     assert yielded == yielded_unslept
     assert report.to_json() == unslept.to_json()
@@ -1591,7 +1679,7 @@ def test_the_sleep_sets_prune_a_pinned_number_of_children():
     spec = ProblemSpec(n=5, m=2, t=2, k=5, validity="strong")
     reduce_smg = explore("reduce-smg", spec, [(0, 0, 0, 1, 1)])
     assert (reduce_smg.states_explored, reduce_smg.states_searched, reduce_smg.moves_slept) == (
-        172224, 14352, 4799
+        172224, 2872, 696
     )
 
 
