@@ -397,13 +397,10 @@ def cmd_explore(args) -> int:
             f"images), {resolved} cell{'s' * (resolved != 1)} resolved, "
             f"{report.cells_explored - resolved} searched"
         )
-    if report.group_order > 1:
-        order = report.group_order
-        group = f"group of {order}" if report.cells_explored == 1 else f"groups of up to {order}"
-        lines.append(
-            f"states: {report.states_explored} "
-            f"({report.states_searched} searched up to role symmetry, {group})"
-        )
+    if report.roles:
+        searched, states, orders = zip(*report.roles)
+        group = f"group of {orders[0]}" if len(orders) == 1 else f"groups of up to {max(orders)}"
+        lines.append(f"states: {sum(states)} ({sum(searched)} searched up to role symmetry, {group})")
     lines += [f"note: {n}" for n in report.notes]
     for v in report.violations[:5]:
         lines.append(f"violation: {json.dumps(v, sort_keys=True)}")

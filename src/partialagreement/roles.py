@@ -3,11 +3,12 @@ tuple of objects each proposes to (``smg-comp``'s ``ProposeChain`` and
 ``NoComm`` programs).
 
 ``role_group`` finds the relabellings of pids, objects and values that map
-a built cell onto itself, and ``RoleKeys`` keys the cell's async
-configurations up to them. The explorer (``verify._explore_cell``) asks
-``role_keys`` for the keys of a cell and runs its DFS (``shmem.depth_first``)
-with them; it imports this module when it first searches a cell where some
-program proposes to an object it declares in ``role_objects``.
+a built cell onto itself, and ``RoleKeys`` encodes the cell's async
+configurations for a search up to them. The explorer
+(``verify._explore_cell``) imports this module when it first searches a
+cell where some program proposes to an object it declares in
+``role_objects``, and asks ``role_search`` to resolve the cell before it
+searches it plainly.
 
 Why a relabelling maps the runs of the cell onto its runs: it maps pids,
 objects and values together, and each program onto the program at the
@@ -45,9 +46,8 @@ from .shmem import Propose
 # peak RSS of 17 against 140 MB. Case 1 searches are small and lose from
 # 120 elements on: n=5 g=5 (120) 4.5 against 1.1 ms, n=10 g=10 inputs with
 # 1, 2, 3 and 4 copies of a value (288) 0.22 against 0.11 s, n=6 g=6 (720)
-# 23 against 5 ms, n=7 g=7 (5040) 270 against 13 ms. A limit is part of
-# the search: raising it for case 2 would change which violations are
-# recorded, and that is left open (ROADMAP item 5).
+# 23 against 5 ms, n=7 g=7 (5040) 270 against 13 ms. A limit that weighs
+# the group against the search is left open (ROADMAP item 6).
 ROLE_GROUP_LIMIT = 288
 
 # Value codes and local-part ids of one cell, in one byte (see RoleKeys).
@@ -130,17 +130,6 @@ def role_group(built, inputs) -> list:
             if len(group) > ROLE_GROUP_LIMIT:
                 return [identity]
     return group
-
-
-def role_keys(built, inputs):
-    """A ``RoleKeys`` for the cell, or None when its group is the identity
-    or its value codes leave no byte for a local part (see ``RoleKeys``).
-    Objects take no code, so their number is not limited; a cell whose
-    local parts later outgrow the byte is left to ``RoleKeys.visit``."""
-    if len(set(inputs)) + 1 >= CODE_LIMIT:
-        return None
-    group = role_group(built, inputs)
-    return RoleKeys(built, inputs, group) if len(group) > 1 else None
 
 
 class RoleKeys:
@@ -230,21 +219,30 @@ class RoleKeys:
         parts += [code[obj.winner] for obj in run.objects.values()]
         return bytes(parts)
 
-    def visit(self, run, seen: set) -> int | None:
-        """The size of ``run``'s orbit if no configuration of it is in
-        ``seen``, else 0; None if the cell outgrew its codes, for the
-        explore to be redone unreduced. Adds the configuration and its
-        orbit's least image, the orbit's key."""
-        raw = self.encode(run)
-        if raw is None:
-            return None
-        if raw in seen:
-            return 0
-        images = {bytes(move(raw.translate(table))) for move, table in self.elements}
-        least = min(images)
-        known = least in seen
-        seen.add(raw)
-        if known:
-            return 0
-        seen.add(least)
-        return len(images)
+    def images(self, raw) -> set:
+        """The encodings of the configuration's images, one per element."""
+        return {bytes(move(raw.translate(table))) for move, table in self.elements}
+
+
+def role_search(built, inputs, root, crash_budget, report) -> bool:
+    """Whether the cell was resolved from its ``rotation.orbit_search``
+    from ``root`` up to its role group (``RoleKeys``): each distinct outcome
+    recorded once with its count (``verify._count_passing``), and its
+    states searched, the states they stand for and its group's order
+    appended to ``report.roles``. False, with only the states searched
+    counted, for the cell to be searched plainly, when the group is the
+    identity, the value codes leave no byte for a local part, the search
+    gives none or an outcome fails its verdict."""
+    from . import rotation, verify
+
+    group = role_group(built, inputs) if len(set(inputs)) + 1 < CODE_LIMIT else []
+    before = report.states_searched
+    outcomes = Counter()
+    found = len(group) > 1 and rotation.orbit_search(
+        RoleKeys(built, inputs, group), root, crash_budget, report,
+        lambda run, weight: outcomes.update({verify._async_outcome(run): weight}),
+    )
+    if not (found and verify._count_passing(report, outcomes.items(), found[0])):
+        return False
+    report.roles.append((report.states_searched - before, found[0], len(group)))
+    return True

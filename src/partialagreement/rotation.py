@@ -1,14 +1,9 @@
-"""Pid rotation of the cell graph that an exhaustive async explore shares
-among its cells when every program declares ``basis`` (``no-comm``,
-``max-wait`` and the async reductions). The explorer (``verify``) imports
-this module when it first shares a search.
-
-``shared_search`` runs the one DFS from which ``explore`` resolves every
-cell, one configuration per rotation orbit (``RotationKeys``), counted
-with the orbit's size, so its states, runs and run classes are exactly
-those of the unreduced DFS (symmetry reduction: Emerson and Sistla, 1996;
-Ip and Dill, 1996). Why rotation maps that graph onto itself is
-``algorithms.CatalogEntry``'s ``symmetry`` and ``basis`` text.
+"""The search of an async cell up to a symmetry group (Emerson and
+Sistla, 1996; Ip and Dill, 1996), and the one up to pid rotation of the
+cell graph an exhaustive async explore shares when every program declares
+``basis`` (``no-comm``, ``max-wait`` and the async reductions), as
+``algorithms.CatalogEntry`` argues. ``verify`` imports this module when it
+first shares a search, and ``roles`` when it first searches a role cell.
 """
 
 from __future__ import annotations
@@ -17,6 +12,47 @@ from collections import Counter
 
 from . import verify
 from .shmem import AsyncRun, Read, depth_first
+
+
+def orbit_search(keys, root, crash_budget, report, finished):
+    """The states and runs of the DFS (``shmem.depth_first``) from
+    ``root``, one configuration per orbit of the group ``keys`` encodes
+    (``keys.encode(run)``, None once the codes run out; ``keys.images(raw)``,
+    its images), so they are the unreduced DFS's: a configuration is new if
+    neither it nor its orbit's least image is seen, it weighs the orbit's
+    size, and a finished one is passed to ``finished(run, weight)``. None when
+    the codes run out, a run meets the step bound (its steps depend on the
+    path that reached it), or the counts would not fit what ``report`` has
+    left of its caps. The states searched and children slept count in
+    ``report``; the sleep sets stay sound orbit by orbit, as the group maps
+    the children and crash hints of a configuration onto its image's.
+    """
+    encode, images_of = keys.encode, keys.images
+
+    def visit(run, seen):
+        raw = encode(run)
+        if raw is None or raw in seen:
+            return None if raw is None else 0
+        images = images_of(raw)
+        least = min(images)
+        weight = 0 if least in seen else len(images)
+        seen.add(raw)
+        seen.add(least)
+        return weight
+
+    states = runs = 0
+    for run, weight, done, slept in depth_first(root, crash_budget, verify._crash_can_matter, visit):
+        if weight is None or run.nonterminating:
+            return None
+        report.states_searched += 1
+        report.moves_slept += slept
+        states += weight
+        runs += done and weight
+        if not verify._fits(report, (states, runs)):
+            return None
+        if done:
+            finished(run, weight)
+    return states, runs
 
 
 class RotationKeys:
@@ -29,8 +65,7 @@ class RotationKeys:
     whether crashed, the own row's length), assigned when first seen. The
     program states hold no pid (``QuorumScan``'s are pid-relative, and a
     ``NoComm``'s is constant), so no local part does, and rotating the
-    configuration by r shifts the tuple by r. The orbit's key is the least
-    of the n shifts, and its size the number of distinct ones.
+    configuration by r shifts the tuple by r.
 
     Within one cell, the declared ``basis`` fixes every value of a
     configuration by its value-free part: a row holds the owner's fixed
@@ -42,9 +77,7 @@ class RotationKeys:
         self.n = n
         self.ids: dict = {}
 
-    def visit(self, run, seen: set) -> int:
-        """The size of ``run``'s orbit if no configuration of it is in
-        ``seen``, else 0. Adds the configuration and its orbit's key."""
+    def encode(self, run) -> tuple:
         n, ids = self.n, self.ids
         parts = []
         for pid, state, act, decided, crashed, row in zip(
@@ -53,55 +86,32 @@ class RotationKeys:
             act = ((act.owner - pid) % n, act.index) if type(act) is Read else type(act)
             local = (state, act, decided is None, crashed, len(row))
             parts.append(ids.setdefault(local, len(ids)))
-        raw = tuple(parts)
-        if raw in seen:
-            return 0
-        images = {raw[r:] + raw[:r] for r in range(n)}
-        least = min(images)
-        known = least in seen
-        seen.add(raw)
-        if known:
-            return 0
-        seen.add(least)
-        return len(images)
+        return tuple(parts)
+
+    def images(self, raw) -> set:
+        """The n shifts of ``raw``."""
+        return {raw[r:] + raw[:r] for r in range(self.n)}
 
 
 def shared_search(entry, inputs, assignment, report):
-    """The states, runs and Counter of run classes (``verify._run_class``)
-    of the cell's DFS up to pid rotation (``RotationKeys``), for ``explore``
-    to resolve every cell from: each orbit adds its size, and each finished
-    one the class of every distinct rotation of its run. None if a program
-    declares no ``basis``, a run meets the step bound, or the counts would
-    not fit what ``report`` has left of its caps. The states searched and
-    the children slept count in ``report``, and the searched states and
-    the states they stand for in ``report.shared``.
-
-    The DFS (``shmem.depth_first``) meets one configuration per orbit. As
-    rotation maps the graph onto itself, it maps the children, the crash
-    hints and the step bound of a configuration onto those of its image,
-    so the sleep sets stay sound orbit by orbit. A run the step bound cuts
-    depends on the path that reached it, which differs between the two
-    searches, so the search is dropped at the first one.
-    """
+    """The ``orbit_search`` of the cell up to pid rotation, counting the
+    class (``verify._run_class``) of each distinct rotation of a finished
+    run, for ``explore`` to resolve every cell from; None also if a program
+    declares no ``basis``. Its states searched and the states they stand
+    for go to ``report.shared``."""
     spec = report.spec
     built = entry.build(spec, inputs, assignment)
     if not all(hasattr(p, "basis") for p in built.programs.values()):
         return None
-    keys = RotationKeys(spec.n)
     root = AsyncRun(built.programs, inputs, eager=True)
     crash_budget = min(entry.fault_budget(spec), spec.n)
-    visits = depth_first(root, crash_budget, verify._crash_can_matter, keys.visit)
     before = report.states_searched
-    states = runs = 0
     classes = Counter()
-    for run, weight, done, slept in visits:
-        report.states_searched += 1
-        report.moves_slept += slept
-        states += weight
-        runs += done and weight
-        if run.nonterminating or not verify._fits(report, (states, runs)):
-            return None
-        if done:
-            classes.update(verify._run_class(run, r) for r in range(weight))
-    report.shared = report.states_searched - before, states
-    return states, runs, classes
+    found = orbit_search(
+        RotationKeys(spec.n), root, crash_budget, report,
+        lambda run, weight: classes.update(verify._run_class(run, r) for r in range(weight)),
+    )
+    if not found:
+        return None
+    report.shared = report.states_searched - before, found[0]
+    return (*found, classes)

@@ -452,9 +452,9 @@ def depth_first(root, crash_budget, can_crash, visit=None):
     are searched in that order: crashes by pid, then steps by pid.
     ``weight`` is 1 for a configuration whose ``key()`` is new, or with
     ``visit`` ``visit(run, seen)``: the size of a new orbit, 0 for a seen
-    one, or None, for the caller to stop. ``roles.RoleKeys.visit`` keys a
-    cell up to its role symmetry, and ``rotation.RotationKeys.visit`` the
-    value-free graph an explore's cells share up to pid rotation. A
+    one, or None, for the caller to stop. ``rotation.orbit_search`` gives
+    the visit that keys a configuration up to one cell's role group, or up to
+    the pid rotation of the value-free graph the cells share. A
     configuration of weight 0 is skipped. ``done`` says the run has ended
     (nonterminating, or no live undecided pid); ``slept`` counts the
     children not built, as below.

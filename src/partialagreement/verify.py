@@ -8,9 +8,9 @@ aggregating empirical thresholds. Oracle-backed reductions are additionally
 driven across every contract-compliant first-phase assignment.
 
 A cell (one input vector, with one first-phase assignment for a reduction)
-is searched, folded onto an earlier cell of its symmetry orbit, or, for
-programs that declare a decision basis, resolved from the one search of
-their shared cell graph up to pid rotation (see explore).
+is searched, folded onto an earlier cell of its symmetry orbit, or resolved
+from one search up to a group: the pid rotation of the graph that cells
+with a decision basis share, or a role cell's own role group (see explore).
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ class ExploreBudget:
     mode "auto" enumerates exhaustively and fails soft (partial report)
     past the caps; mode "sample" replaces schedule/pattern enumeration with
     ``samples`` seeded random runs per cell. Every field but ``mode`` is an
-    int, and the caps and ``samples`` are positive (SpecError otherwise).
+    int, the caps and ``samples`` are positive and ``max_recorded_violations``
+    is not negative, 0 recording none (SpecError otherwise).
     """
 
     max_runs: int = 500_000
@@ -130,6 +131,8 @@ class ExploreBudget:
         for name in ("max_runs", "max_states", "max_input_vectors", "samples"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_recorded_violations < 0:
+            raise SpecError(f"max_recorded_violations must be >= 0, got {self.max_recorded_violations}")
         if self.mode not in ("auto", "sample"):
             raise SpecError(f"mode must be 'auto' or 'sample', got {self.mode!r}")
 
@@ -161,20 +164,21 @@ class ExplorationReport:
     # relabelling, and resolved from the shared search (see explore), states
     # searched, the shared search's states and the states they stand for
     # (see rotation.shared_search), children the DFS's sleep sets did not build
-    # (see shmem.depth_first), the largest role group searched under (see
-    # _explore_cell), and the verdict per distinct outcome (see verdict);
-    # not serialised, as they leave the report unchanged.
+    # (see shmem.depth_first), per cell resolved up to role symmetry its
+    # states searched, the states they stand for and its group's order (see
+    # roles.role_search), and the verdict per distinct outcome (see
+    # verdict); not serialised, as they leave the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
     cells_resolved: int = 0
     states_searched: int = 0
     shared: tuple = ()
     moves_slept: int = 0
-    group_order: int = 1
+    roles: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
-        """Count ``weight`` finished runs (a role orbit). ``token`` is the
+        """Count ``weight`` finished runs (see _count_passing). ``token`` is the
         finished run itself (an ``AsyncRun``) or its ``CrashPattern``; its
         ``encode()``, the replay schedule or pattern, is called and stored
         under ``token_key`` only if the run is recorded as a violation."""
@@ -254,20 +258,23 @@ class ExplorationReport:
 def explore_from_replay(encoding: str | dict) -> ExplorationReport:
     """The explore that ``encoding``, a ``replay_encoding``, describes. Any
     other key set to a true value, such as an explore option that is gone,
-    asks for a search this explorer cannot reproduce: SpecError."""
-    d = json.loads(encoding) if isinstance(encoding, str) else encoding
-    extra = [k for k in d if d[k] and k not in _REPLAY_KEYS]
+    asks for a search this explorer cannot reproduce. That, and an encoding
+    that is not such an object of such values, is a SpecError; the explore
+    itself runs only once the encoding is read."""
+    try:
+        d = json.loads(encoding) if isinstance(encoding, str) else encoding
+        extra = [k for k in d if d[k] and k not in _REPLAY_KEYS]
+        mode = d["inputs_mode"]
+        if not isinstance(mode, str):
+            mode = [tuple(v) for v in mode]
+        spec, budget = ProblemSpec.from_dict(d["spec"]), ExploreBudget(**d["budget"])
+    except KeyError as exc:
+        raise SpecError(f"replay encoding lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad replay encoding: {exc}") from None
     if extra:
         raise SpecError(f"cannot replay an explore that sets {extra}")
-    mode = d["inputs_mode"]
-    if not isinstance(mode, str):
-        mode = [tuple(v) for v in mode]
-    return explore(
-        d["algorithm"],
-        ProblemSpec.from_dict(d["spec"]),
-        inputs_mode=mode,
-        budget=ExploreBudget(**d["budget"]),
-    )
+    return explore(d["algorithm"], spec, mode, budget)
 
 
 class _BudgetStop(Exception):
@@ -293,7 +300,13 @@ def _crash_can_matter(run, pid) -> bool:
     remaining actions are invisible to others (post-write scans, local
     decide) is dominated by letting it run: it removes a decision (never
     adds offenders) and burns fault budget. Those branches are skipped. It
-    reads ``pid``'s own state only, as ``shmem.depth_first`` requires."""
+    reads ``pid``'s own state only, as ``shmem.depth_first`` requires.
+
+    The hints read the state stored after the pending action was emitted,
+    as if that action had happened: so the DFS never crashes a
+    ``QuorumScan`` or ``NoComm`` pid, and crashes a ``ProposeChain`` pid
+    only while a propose before its last one is pending, never just before
+    its last propose (ROADMAP item 1)."""
     hint = getattr(run.progs[pid], "no_more_visible", None)
     return hint is None or not hint(run.states[pid])
 
@@ -356,8 +369,8 @@ def _class_outcomes(entry, spec, inputs, assignment, runs):
 
 def _count_passing(report, outcomes, states) -> bool:
     """Record each ``(outcome, count)`` of ``outcomes`` with its count, then
-    add ``states``: a shared search's run classes decided in a resolved cell,
-    or the outcomes of a crash-pattern group (see explore). Counts nothing
+    add ``states``: a cell's outcomes from a search up to pid rotation or up
+    to its role group, or a crash-pattern group's (see explore). Counts nothing
     and returns False, for the runs to be searched one by one, if an outcome
     fails its verdict."""
     if not all(report.verdict(outcome).passed for outcome, _ in outcomes):
@@ -368,17 +381,15 @@ def _count_passing(report, outcomes, states) -> bool:
     return True
 
 
-def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
+def _explore_cell(entry, inputs, assignment, report) -> None:
     """Search one cell into ``report``: its crash patterns (sync), counted a
     group at a time (``syncmp.chain_patterns``, see explore), or its
     ``samples`` random patterns, each run alone (``syncmp.pattern_outcome``);
     its ``samples`` random runs (async sample mode), or the DFS of the
     configurations reachable from its start, one per ``AsyncRun.key``
     (``shmem.depth_first``, whose sleep sets leave unbuilt the children the
-    DFS would find seen, and ``report.moves_slept`` counts them). With
-    ``role_orbits``, a cell whose programs declare ``role_objects`` is
-    searched one configuration per role orbit (``roles.RoleKeys``) counted
-    with the orbit's size, so every count, k and ell stays exact."""
+    DFS would find seen, and ``report.moves_slept`` counts them) if
+    ``roles.role_search`` does not resolve it."""
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment)
     crash_budget = min(entry.fault_budget(spec), spec.n)
@@ -416,24 +427,19 @@ def _explore_cell(entry, inputs, assignment, report, role_orbits) -> None:
             report.states_explored += random_walk(run, rng, crash_budget)
             report.record(_async_outcome(run), base, "schedule", run)
         return
-    keys = None
-    if role_orbits and any(getattr(prog, "role_objects", None) for prog in built.programs.values()):
+    if any(getattr(prog, "role_objects", None) for prog in built.programs.values()):
         from . import roles  # loaded by the first such cell
 
-        keys = roles.role_keys(built, inputs)
-        if keys:
-            report.group_order = max(report.group_order, len(keys.elements))
-    visits = depth_first(root, crash_budget, _crash_can_matter, keys and keys.visit)
-    for run, weight, done, slept in visits:
-        if weight is None:  # the cell outgrew its codes: redo unreduced
-            raise _BudgetStop
+        if roles.role_search(built, inputs, root, crash_budget, report):
+            return
+    for run, _, done, slept in depth_first(root, crash_budget, _crash_can_matter):
         report.states_searched += 1
         report.moves_slept += slept
-        report.states_explored += weight
+        report.states_explored += 1
         if report.states_explored > budget.max_states:
             raise _BudgetStop
         if done:
-            report.record(_async_outcome(run), base, "schedule", run, weight)
+            report.record(_async_outcome(run), base, "schedule", run)
 
 
 def _canonical(vector, symmetry, values, relabel) -> tuple:
@@ -489,7 +495,7 @@ def _tally(report) -> tuple:
     )
 
 
-def _explore_cells(entry, vectors, report, role_orbits) -> None:
+def _explore_cells(entry, vectors, report) -> None:
     """Search or fold every cell of ``vectors`` into ``report`` (see explore)."""
     spec, budget = report.spec, report.budget
     fold = entry.symmetry is not None and budget.mode != "sample"
@@ -520,7 +526,7 @@ def _explore_cells(entry, vectors, report, role_orbits) -> None:
             ):
                 report.cells_resolved += 1
             else:
-                _explore_cell(entry, inputs, assignment, report, role_orbits)
+                _explore_cell(entry, inputs, assignment, report)
             if fold:
                 delta = tuple(a - b for a, b in zip(_tally(report), before))
                 tallies.setdefault(orbit, None if delta[2] or delta[3] else delta[:2])
@@ -540,62 +546,52 @@ def explore(
     partial report flagged non-exhaustive rather than an exception.
 
     A cell is one input vector with, for a reduction, one oracle
-    assignment. An exhaustive search folds the cells by the entry's declared
-    ``CatalogEntry.symmetry`` and ``value_symmetry``, across input vectors:
-    each orbit (see ``_orbit``) is seeded by its first cell, searched or
-    resolved: with that cell's states and runs, or with nothing if it
-    recorded a violation or a flagged run. A later cell of a seeded orbit
-    adds those states and runs instead of being searched; every later cell
-    of an orbit seeded with nothing is searched. This is sound because the
-    verdict and the empirical k and ell read decisions only as counts per
-    proposed value, and the entry's decision rules commute with the declared
+    assignment. Every reduction below keeps the report the unreduced
+    search's by one rule: it counts the work of a cell (of a crash-pattern
+    group, for sync) only when every outcome passes its verdict and the
+    counts fit the caps, and searches it plainly otherwise, so the recorded
+    violations keep their cells and order and a partial search stops on
+    the same run. Sampled explores are never folded or resolved.
+
+    An exhaustive search folds the cells by the entry's declared
+    ``CatalogEntry.symmetry`` and ``value_symmetry``: each orbit
+    (``_orbit``) is seeded by its first cell, searched or resolved, with
+    that cell's states and runs, or with nothing if it recorded a violation
+    or a flagged run. A later cell of a seeded orbit adds those states and
+    runs instead of being searched. This is sound because the verdict and
+    the empirical k and ell read decisions only as counts per proposed
+    value, and the entry's decision rules commute with the declared
     relabellings. A flagged run (a strict-majority tie, broken to the
     smaller value, which only a first phase that breaks its contract
-    leaves) may not carry over a relabelling, and a recorded violation
-    keeps its cell and order. The cell is searched anyway when the addition
-    would reach a cap, so a partial search stops on the same run.
+    leaves) may not carry over a relabelling.
 
     Of the cells the fold leaves, an exhaustive async explore whose programs
     declare ``basis`` and ``decide_on`` (see ``CatalogEntry``) resolves
     each, the first included, from one DFS of the graph they share up to
     values, run one configuration per pid-rotation orbit
-    (``rotation.shared_search``). It counts the class (``_run_class``: per pid
-    its decision basis or undecided, the crashed pids and nontermination)
-    of each distinct rotation of each finished run, so its states, runs
-    and classes are the unreduced DFS's. Each class is decided by the
-    cell's own programs (``_class_outcomes``) and recorded with its count,
-    and the search's states are added. The cell is searched unreduced
-    when a class fails its verdict there, so the recorded violations keep
-    their cells and order, or when the addition would reach a cap, so a
-    partial search stops on the same run; a shared search that would not
-    fit the caps, or meets the step bound, is dropped. A resolved cell
-    seeds its orbit's tally as a searched one does. Sampled explores, sync
-    entries and ``smg-comp`` are never resolved.
-
-    Within a cell, programs that declare ``role_objects`` (``smg-comp``'s)
-    are searched up to their role symmetry (see ``roles``), one
-    configuration per orbit counted with the orbit's size. As every count
-    stays exact, that search reaches a cap only where the unreduced one
-    does; an explore that reaches a cap after some cell was searched under
-    a role group is redone with role orbits off, so a partial report is
-    the unreduced search's. So is one with a cell whose configurations
-    outgrow the role encoding's one-byte codes (``roles.CODE_LIMIT``).
+    (``rotation.shared_search``). It counts the class (``_run_class``: per
+    pid its decision basis or undecided, the crashed pids and
+    nontermination) of each distinct rotation of each finished run. Each
+    class is decided by the cell's own programs (``_class_outcomes``) and
+    recorded with its count, and the search's states are added. A cell
+    whose programs declare ``role_objects`` (``smg-comp``'s) is resolved
+    the same way from one search of its own configurations up to its role
+    group (``roles.role_search``), each distinct outcome recorded once with
+    its count. A symmetry search that would not fit the caps, meets the
+    step bound or outgrows its codes (``roles.CODE_LIMIT``) is dropped.
 
     A sync cell counts its canonical crash patterns a group at a time (see
     ``syncmp.pattern_groups``), round by round: a survivor's next state
     depends only on which of the round's victims reach it, so each survivor
     steps once per subset of them and a configuration steps to the product
     of the survivors' distinct next states, counted
-    (``syncmp.chain_patterns``). Each outcome of a group is recorded once with
-    the number of its patterns, and as many states are added. The group's
-    patterns are run one by one instead, through ``syncmp.sync_round`` as
-    ``run_sync`` replays them (``syncmp.pattern_outcome``), and each is
-    recorded alone, when an outcome fails its verdict, so the recorded
-    violations keep their patterns and order, or when its patterns would
-    reach ``max_runs`` or pass ``max_states``, so a partial search stops on
-    the same pattern: the first whose state passes ``max_states``, as in the
-    DFS, or the run that reaches ``max_runs``. A sampled sync explore runs
-    each drawn pattern the same way.
+    (``syncmp.chain_patterns``). Each outcome of a group is recorded once
+    with the number of its patterns, and as many states are added. A group
+    searched plainly, and each pattern of a sampled explore, runs one
+    pattern at a time as ``run_sync`` replays it
+    (``syncmp.pattern_outcome``); a partial search stops on the first
+    pattern whose state passes ``max_states``, as in the DFS, or on the one
+    that reaches ``max_runs``.
 
     The DFS of a cell (``shmem.depth_first``) does not build a child that
     its sleep sets show to be a configuration already searched, so it meets
@@ -607,14 +603,11 @@ def explore(
         check_contract(spec.n, entry.oracle_contract(spec)[0])
     budget = budget or ExploreBudget()
     vectors = spec.input_vectors(inputs_mode, budget.max_input_vectors)
-    for role_orbits in (True, False):
-        report = ExplorationReport(algorithm, spec, inputs_mode, budget)
-        try:
-            _explore_cells(entry, vectors, report, role_orbits)
-        except _BudgetStop:
-            report.exhaustive = False
-        if report.exhaustive or report.group_order == 1:
-            break
+    report = ExplorationReport(algorithm, spec, inputs_mode, budget)
+    try:
+        _explore_cells(entry, vectors, report)
+    except _BudgetStop:
+        report.exhaustive = False
     if budget.mode == "sample":
         report.exhaustive = False
     if entry.uses_oracle:

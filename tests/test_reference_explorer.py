@@ -112,10 +112,10 @@ def reference_outcomes(entry, spec, inputs, assignment, can_crash) -> set:
     return outcomes
 
 
-def explored_cell(entry, spec, inputs, assignment, role_orbits) -> verify.ExplorationReport:
+def explored_cell(entry, spec, inputs, assignment) -> verify.ExplorationReport:
     """The report of ``explore``'s search of one cell, unfolded."""
     report = verify.ExplorationReport(entry.name, spec, [inputs], ExploreBudget())
-    verify._explore_cell(entry, inputs, assignment, report, role_orbits)
+    verify._explore_cell(entry, inputs, assignment, report)
     return report
 
 
@@ -170,9 +170,10 @@ def ruled_outcomes(cell) -> set:
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
-def test_the_search_finds_the_reference_outcomes(cell):
+def test_the_search_finds_the_reference_outcomes(cell, unreduced):
     outcomes = ruled_outcomes(cell)
-    report = explored_cell(*cell, role_orbits=False)
+    with unreduced():
+        report = explored_cell(*cell)
     assert not any(outcome.nonterminating for outcome in report.verdicts)
     assert {(o.decisions, o.crashed, o.flags) for o in report.verdicts} == outcomes
     assert outcomes
@@ -180,17 +181,18 @@ def test_the_search_finds_the_reference_outcomes(cell):
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_role_orbits_keep_the_reference_thresholds(cell):
-    report = explored_cell(*cell, role_orbits=True)
+    report = explored_cell(*cell)
     expected = thresholds(ruled_outcomes(cell), cell[1].n)
     assert (report.empirical_k, report.empirical_k_all_runs, report.empirical_ell) == expected
 
 
 @pytest.mark.parametrize("cell", DOMINANCE_CELLS, ids=cell_id)
-def test_a_crash_anywhere_is_dominated_by_a_searched_outcome(cell):
+def test_a_crash_anywhere_is_dominated_by_a_searched_outcome(cell, unreduced):
     # A crash the rule skips leaves only reads and a decide: letting the
     # process decide instead gives an outcome the search finds, with a
     # subset of the crashed pids and the same decisions elsewhere.
-    searched = {(o.decisions, o.crashed) for o in explored_cell(*cell, role_orbits=False).verdicts}
+    with unreduced():
+        searched = {(o.decisions, o.crashed) for o in explored_cell(*cell).verdicts}
     for decisions, crashed, _ in reference_outcomes(*cell, lambda view, pid: True):
         assert dominated(searched, decisions, crashed), (decisions, crashed)
 
@@ -275,7 +277,7 @@ RANDOM_ASYNC = [
 @pytest.mark.parametrize(
     "n, t, seed", RANDOM_ASYNC, ids=[f"n{n}-t{t}-s{s}" for n, t, s in RANDOM_ASYNC],
 )
-def test_a_random_async_program_keeps_the_reference_outcomes(n, t, seed):
+def test_a_random_async_program_keeps_the_reference_outcomes(n, t, seed, unreduced):
     # A subset, not equality: the search commits fixed reads and decides
     # at once, so it never crashes a process just before one, and these
     # programs declare no crash hint. At the last re-anchor 233 of 300
@@ -283,7 +285,8 @@ def test_a_random_async_program_keeps_the_reference_outcomes(n, t, seed):
     # differing only by such crashes, whose outcomes the searched ones
     # dominate. Equality waits for the crash-relevance fix (ROADMAP item 1).
     cell = random_async_cell(n, t, seed)
-    report = explored_cell(*cell, role_orbits=False)
+    with unreduced():
+        report = explored_cell(*cell)
     assert not any(outcome.nonterminating for outcome in report.verdicts)
     searched = {(o.decisions, o.crashed, o.flags) for o in report.verdicts}
     assert searched
@@ -440,7 +443,7 @@ def searched_sync(entry, spec, inputs, assignment, budget) -> tuple:
     """The summary of ``explore``'s search of the one cell."""
     report = verify.ExplorationReport(entry.name, spec, [inputs], budget)
     try:
-        verify._explore_cell(entry, inputs, assignment, report, role_orbits=False)
+        verify._explore_cell(entry, inputs, assignment, report)
     except verify._BudgetStop:
         report.exhaustive = False
     return summary(report)

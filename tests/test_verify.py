@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -207,10 +208,46 @@ def test_a_malformed_budget_is_refused():
 
     spec = ProblemSpec(n=3, m=2, t=1, k=2)
     encoding = json.loads(explore("max-wait", spec, "all", ExploreBudget(max_runs=5)).replay_encoding())
-    for name, value in [("mode", "smaple"), ("max_runs", "5"), ("seed", 1.5), ("samples", True)]:
+    for name, value in [
+        ("mode", "smaple"), ("max_runs", "5"), ("seed", 1.5), ("samples", True),
+        ("max_recorded_violations", -3),
+    ]:
         bad = {**encoding, "budget": {**encoding["budget"], name: value}}
         with pytest.raises(SpecError):
             explore_from_replay(bad)
+    # zero records none
+    spec = ProblemSpec(n=3, m=2, t=1, k=3)
+    report = explore("no-comm", spec, "all", ExploreBudget(max_recorded_violations=0))
+    assert (report.violations_total, report.violations) == (6, [])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda encoding: encoding[:-1],
+        lambda encoding: f"[{encoding}]",
+        lambda encoding: {k: v for k, v in json.loads(encoding).items() if k != "inputs_mode"},
+        lambda encoding: {**json.loads(encoding), "inputs_mode": [1, 2]},
+        lambda encoding: {**json.loads(encoding), "budget": {"bogus": 1}},
+        lambda encoding: {**json.loads(encoding), "budget": []},
+    ],
+    ids=["not-json", "a-list", "no-inputs-mode", "inputs-mode-of-ints", "bogus-budget", "list-budget"],
+)
+def test_a_malformed_replay_encoding_is_refused(change):
+    from partialagreement import SpecError
+
+    report = explore("max-wait", ProblemSpec(n=3, m=2, t=1, k=2), "all", ExploreBudget(max_runs=5))
+    with pytest.raises(SpecError):
+        explore_from_replay(change(report.replay_encoding()))
+
+
+def test_an_error_of_the_replayed_explore_surfaces_unchanged():
+    from partialagreement import BudgetExceededError
+
+    spec = ProblemSpec(n=6, m=4, t=1, k=2)
+    encoding = json.loads(explore("no-comm", spec, [(0, 1, 2, 3, 0, 1)]).replay_encoding())
+    with pytest.raises(BudgetExceededError):
+        explore_from_replay({**encoding, "inputs_mode": "all", "budget": {"max_input_vectors": 100}})
 
 
 def test_explore_input_cap_raises():
@@ -402,7 +439,7 @@ def _cell_tally(entry, spec, inputs, assignment):
     from partialagreement import verify
 
     report = verify.ExplorationReport(entry.name, spec, [inputs], ExploreBudget())
-    verify._explore_cell(entry, inputs, assignment, report, role_orbits=True)
+    verify._explore_cell(entry, inputs, assignment, report)
     return _cell_counts(report)
 
 
@@ -1279,20 +1316,21 @@ def _role_tally(report):
     "spec, vectors", ROLE_CONFIGS,
     ids=[f"n{spec.n}-m{spec.m}-t{spec.t}-k{spec.k}-g{spec.g}" for spec, _ in ROLE_CONFIGS],
 )
-def test_the_role_reduced_search_counts_like_the_unreduced_one(monkeypatch, spec, vectors):
-    from partialagreement import roles
-
+def test_the_role_reduced_search_counts_like_the_unreduced_one(unreduced, spec, vectors):
+    # Each passing configuration resolves cells up to their role groups;
+    # the violating one (k=7) searches its cell plainly after its role search.
     reduced = explore("smg-comp", spec, vectors)
-    assert reduced.states_searched < reduced.states_explored
-    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)  # the identity group only
-    unreduced = explore("smg-comp", spec, vectors)
-    assert unreduced.states_searched == unreduced.states_explored
-    assert _role_tally(reduced) == _role_tally(unreduced)
+    assert bool(reduced.roles) == (reduced.violations_total == 0)
+    with unreduced():
+        plain = explore("smg-comp", spec, vectors)
+    assert plain.states_searched == plain.states_explored and not plain.roles
+    assert _role_tally(reduced) == _role_tally(plain)
 
 
-def test_every_recorded_role_reduced_violation_replays(capsys):
-    # One violation is recorded per violating orbit searched, and each is
-    # the run the search reached, so it replays.
+def test_every_recorded_role_reduced_violation_replays(capsys, unreduced):
+    # A cell whose role search finds a violating outcome is searched
+    # plainly, so the recorded violations are the unreduced search's, and
+    # each replays.
     import hashlib
     import json
 
@@ -1300,12 +1338,15 @@ def test_every_recorded_role_reduced_violation_replays(capsys):
 
     spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
     report = explore("smg-comp", spec, [tuple(range(8))])
-    assert (report.violations_total, len(report.violations)) == (244, 21)
-    # pinned from the explorer with five async program classes, under the
-    # crash rule of ``_crash_can_matter`` that reads the programs' hints
+    assert (report.violations_total, len(report.violations)) == (244, 25)
+    assert not report.roles
+    # pinned from the unreduced search, under the crash rule of
+    # ``_crash_can_matter`` that reads the programs' hints
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "ffc98780765ede6bcf0e55518df46a1ab8d06ffffe902a0ef407088b06b5e6ca"
+        "e15800038f84aa16f91462ca8f28696f4fa338977a267158aee150c6d580178e"
     )
+    with unreduced():
+        assert explore("smg-comp", spec, [tuple(range(8))]).to_json() == report.to_json()
     for violation in report.violations:
         code = cli.main(["run", "--replay", json.dumps(violation), "--format", "json"])
         out = json.loads(capsys.readouterr().out)
@@ -1319,57 +1360,55 @@ def test_every_recorded_role_reduced_violation_replays(capsys):
     [ExploreBudget(max_runs=100), ExploreBudget(max_states=5000), ExploreBudget(max_runs=244)],
     ids=["100-runs", "5000-states", "244-runs"],
 )
-def test_a_capped_role_search_stops_on_the_same_run(monkeypatch, budget):
-    # A cap the role-reduced search reaches is reached by the unreduced one
-    # too, which it then becomes: the partial report stays byte-identical.
-    from partialagreement import roles
-
+def test_a_capped_role_search_stops_on_the_same_run(unreduced, budget):
+    # A cap the role search would reach is reached by the unreduced one
+    # too, which the cell's search then is: the partial report stays
+    # byte-identical.
     spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
     reduced = explore("smg-comp", spec, [tuple(range(8))], budget)
     assert not reduced.exhaustive
-    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
-    assert reduced.to_json() == explore("smg-comp", spec, [tuple(range(8))], budget).to_json()
+    with unreduced():
+        assert reduced.to_json() == explore("smg-comp", spec, [tuple(range(8))], budget).to_json()
 
 
-def test_a_capped_explore_is_redone_without_role_orbits(monkeypatch):
-    # The cap falls in a later cell, after earlier cells were searched under
-    # role groups: the whole explore is redone unreduced, so the partial
-    # report, its diagnostics included, is the unreduced search's.
-    from partialagreement import roles
-
+def test_a_capped_explore_is_redone_without_role_orbits(unreduced):
+    # The cap falls in a later cell, after earlier cells were resolved up
+    # to their role groups: the capped cell is searched plainly, so the
+    # partial report is the unreduced search's.
     spec = ProblemSpec(n=4, m=2, t=0, k=4, model="sm-g", g=4)
     budget = ExploreBudget(max_states=200)
     report = explore("smg-comp", spec, "all", budget)
     assert not report.exhaustive
-    assert report.states_searched == report.states_explored
-    assert report.group_order == 1
-    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
-    assert report.to_json() == explore("smg-comp", spec, "all", budget).to_json()
+    searched, states, _ = zip(*report.roles)
+    assert 0 < len(states) < report.cells_explored
+    assert sum(searched) < sum(states) < report.states_explored
+    with unreduced():
+        assert report.to_json() == explore("smg-comp", spec, "all", budget).to_json()
 
 
-def test_a_cell_that_outgrows_its_codes_is_redone_without_role_orbits(monkeypatch):
+def test_a_cell_that_outgrows_its_codes_is_redone_without_role_orbits(monkeypatch, unreduced):
     # 9 value codes leave 11 ids, fewer than the n=8 g=4 search's local
-    # parts: the search gives up mid-cell and the explore is redone
-    # unreduced, recorded violations included.
+    # parts: the role search gives up mid-cell and the cell is searched
+    # plainly, recorded violations included.
     from partialagreement import roles
 
     gave_up = []
-    visit = roles.RoleKeys.visit
+    encode = roles.RoleKeys.encode
 
-    def spy(self, run, seen):
-        weight = visit(self, run, seen)
-        gave_up.append(weight is None)
-        return weight
+    def spy(self, run):
+        raw = encode(self, run)
+        gave_up.append(raw is None)
+        return raw
 
     spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
     monkeypatch.setattr(roles, "CODE_LIMIT", 20)
-    monkeypatch.setattr(roles.RoleKeys, "visit", spy)
+    monkeypatch.setattr(roles.RoleKeys, "encode", spy)
     report = explore("smg-comp", spec, [tuple(range(8))])
     assert gave_up[-1] and not any(gave_up[:-1]) and len(gave_up) > 1
-    assert report.exhaustive and report.group_order == 1
-    assert report.states_searched == report.states_explored
-    monkeypatch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
-    assert report.to_json() == explore("smg-comp", spec, [tuple(range(8))]).to_json()
+    assert report.exhaustive and not report.roles
+    assert report.states_searched > report.states_explored  # both searches
+    with unreduced():
+        assert report.to_json() == explore("smg-comp", spec, [tuple(range(8))]).to_json()
 
 
 def _relabelled(run, pids, objects, values):
@@ -1418,7 +1457,7 @@ def test_the_role_encoding_is_the_key_and_each_image_the_relabelled_encoding(
     # Every configuration reachable in the cell, crashing any live pid at
     # any point up to t, and its image under each group element.
     from partialagreement import build_algorithm
-    from partialagreement.roles import role_group, role_keys
+    from partialagreement.roles import RoleKeys, role_group
     from partialagreement.shmem import AsyncRun
 
     if vectors == "all":
@@ -1426,10 +1465,10 @@ def test_the_role_encoding_is_the_key_and_each_image_the_relabelled_encoding(
     met = 0
     for inputs in vectors:
         built = build_algorithm("smg-comp", spec, inputs)
-        keys = role_keys(built, inputs)
-        if keys is None:
-            continue
         group = role_group(built, inputs)
+        if len(group) == 1:
+            continue
+        keys = RoleKeys(built, inputs, group)
         seen, by_key, by_code = set(), {}, {}
         stack = [AsyncRun(built.programs, inputs, objects=built.objects, eager=True)]
         while stack:
@@ -1686,11 +1725,12 @@ def test_the_sleep_sets_prune_a_pinned_number_of_children():
 # ROADMAP item 1's seven configs, searched under its crash rule, and the
 # SHA-256 of each to_json(), pinned from the same search with no sleep sets
 # (and equal to the reports of the explorer before sleep sets, with the rule
-# applied). smg-comp n=6 m=3 t=2 g=3 takes every 27th of its 729 input
-# vectors, 27 of them, as all 729 take half a minute.
+# applied), each the unreduced search's: smg-comp n=8 k=7 violates, so its
+# cell is searched plainly. smg-comp n=6 m=3 t=2 g=3 takes every 27th of its
+# 729 input vectors, 27 of them, as all 729 take half a minute.
 CRASH_RULE_REPORTS = [
     ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
-     ExploreBudget(), "b3176aeb7acb6b6eae07639e9ce765a7967b4d2f45a1b7433608ed99e569c05d"),
+     ExploreBudget(), "01f4de117a91f69e9e3a37aebec05dba9387bb3d7aabc6858de35fa9f42395d1"),
     ("smg-comp", ProblemSpec(n=6, m=3, t=2, k=3, model="sm-g", g=3),
      list(itertools.product(range(3), repeat=6))[::27], ExploreBudget(),
      "9c294018891346cf3f3896d52ca7750c21f3905b94a20d402ac6938c9af2cf65"),
@@ -1720,3 +1760,118 @@ def test_sleep_sets_keep_the_reports_under_the_crash_rule(
     report = explore(alg, spec, inputs, budget)
     assert report.moves_slept > 0
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+# Every catalog entry on small configurations: passing, violating (max-wait
+# k=3, reduce-set, smg-comp k=7), capped on runs or on states (in a later
+# cell for smg-comp n=4 g=4), a cell that outgrows its role codes (the code
+# limit patched to 20), and sampled explores. The last column is the role
+# code limit.
+UNREDUCED_CONFIGS = [
+    ("no-comm", ProblemSpec(n=4, m=3, t=1), "all", ExploreBudget(), 256),
+    ("max-wait", ProblemSpec(n=3, m=2, t=1, k=3), "all", ExploreBudget(), 256),
+    ("max-wait", ProblemSpec(n=3, m=3, t=1, k=3), "all", ExploreBudget(max_runs=300), 256),
+    ("max-wait", ProblemSpec(n=3, m=3, t=1), "all", ExploreBudget(mode="sample", samples=5), 256),
+    ("min-flood", ProblemSpec(n=3, m=3, t=1, model="sync-mp"), "all", ExploreBudget(), 256),
+    ("min-flood", ProblemSpec(n=4, m=4, t=2, k=2, ell=2, model="sync-mp"), [(0, 1, 2, 3)],
+     ExploreBudget(max_states=100), 256),
+    ("min-flood", ProblemSpec(n=4, m=4, t=2, model="sync-mp"), "canonical",
+     ExploreBudget(mode="sample", samples=5), 256),
+    ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
+     ExploreBudget(), 256),
+    ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
+     ExploreBudget(), 20),
+    ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
+     ExploreBudget(), 256),
+    ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
+     ExploreBudget(max_runs=100), 256),
+    ("smg-comp", ProblemSpec(n=4, m=2, t=0, k=4, model="sm-g", g=4), "all",
+     ExploreBudget(max_states=200), 256),
+    ("smg-comp", ProblemSpec(n=4, m=4, t=4, k=3, model="sm-g", g=2), "canonical", ExploreBudget(), 256),
+    ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
+     ExploreBudget(mode="sample", samples=5), 256),
+    ("reduce-binary", ProblemSpec(n=3, m=2, t=1, validity="strong"), "all", ExploreBudget(), 256),
+    ("reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), [(0, 1, 2, 2)], ExploreBudget(), 256),
+    ("reduce-sync", ProblemSpec(n=4, m=2, t=1, validity="strong", model="sync-mp"), "all",
+     ExploreBudget(), 256),
+    ("reduce-smg", ProblemSpec(n=4, m=2, t=1, validity="strong"), FEW,
+     ExploreBudget(max_states=2000), 256),
+]
+
+
+@pytest.mark.parametrize(
+    "alg, spec, inputs, budget, code_limit", UNREDUCED_CONFIGS,
+    ids=[f"{alg}-n{spec.n}-{i}" for i, (alg, spec, *_) in enumerate(UNREDUCED_CONFIGS)],
+)
+def test_every_report_is_the_unreduced_searchs(
+    monkeypatch, unreduced, alg, spec, inputs, budget, code_limit
+):
+    from partialagreement import roles
+
+    monkeypatch.setattr(roles, "CODE_LIMIT", code_limit)
+    report = explore(alg, spec, inputs, budget)
+    with unreduced():
+        assert report.to_json() == explore(alg, spec, inputs, budget).to_json()
+
+
+# --- the impossibility oracle (ROADMAP item 4) -------------------------------
+
+
+def _least_necessary_k(spec):
+    """The least ``necessary_k`` of the async-rw rules that apply: R1-R3
+    always, R4 and R5 under strong validity only."""
+    from partialagreement import evaluate_bounds
+
+    rows = ("R1", "R2", "R3", "R4", "R5") if spec.validity == "strong" else ("R1", "R2", "R3")
+    limits = [
+        r.necessary_k for r in evaluate_bounds(spec) if r.row in rows and r.necessary_k is not None
+    ]
+    return min(limits, default=None)
+
+
+def _contradicts_a_theorem(report) -> bool:
+    """Whether ``report`` is an exhaustive search with no violation whose
+    empirical k passes what the paper proves no algorithm can guarantee."""
+    limit = _least_necessary_k(report.spec)
+    return (
+        report.exhaustive and not report.violations_total and limit is not None
+        and report.empirical_k > limit
+    )
+
+
+def _with_default_k(alg, spec):
+    import dataclasses
+
+    from partialagreement import get_algorithm
+
+    return dataclasses.replace(spec, k=get_algorithm(alg).default_k(spec))
+
+
+def test_no_exhaustive_explore_beats_the_impossibility_results():
+    checked = 0
+    for alg in ("no-comm", "max-wait"):
+        for n in range(2, 5):
+            for m, t, validity in itertools.product((2, 3), range(1, n), ("weak", "strong")):
+                spec = _with_default_k(alg, ProblemSpec(n=n, m=m, t=t, validity=validity))
+                report = explore(alg, spec, "all")
+                assert not _contradicts_a_theorem(report), (alg, spec)
+                checked += report.exhaustive and not report.violations_total
+    assert checked  # the check is not vacuous
+
+
+def test_the_quorum_n_max_wait_mutant_is_caught(monkeypatch):
+    # Waiting for every process cannot be wait-free: each configuration
+    # trips the oracle or records a violation.
+    import dataclasses
+
+    from partialagreement import algorithms
+
+    def build(spec, inputs, assignment=None):
+        return algorithms._build_scan(spec.n, tuple(inputs), spec.n, "max")
+
+    entry = algorithms.CATALOG["max-wait"]
+    monkeypatch.setitem(algorithms.CATALOG, "max-wait", dataclasses.replace(entry, build=build))
+    for n, m, t in itertools.product((3, 4), (2, 3), (1, 2)):
+        spec = _with_default_k("max-wait", ProblemSpec(n=n, m=m, t=t))
+        report = explore("max-wait", spec, "canonical")
+        assert report.violations_total or _contradicts_a_theorem(report), spec
