@@ -65,8 +65,9 @@ class NoComm:
 
     __slots__ = ("value",)
     state0 = _INIT
-    # the objects it proposes to, in order: its states hold no pid and no
-    # value, so ``roles`` may relabel it
+    # the objects it proposes to, in order, and all it touches: its states
+    # hold no pid and no value, so ``roles`` may relabel it, and the DFS
+    # may search its cell through persistent sets
     role_objects = ()
 
     def __init__(self, value: int):

@@ -401,6 +401,8 @@ def cmd_explore(args) -> int:
         searched, states, orders = zip(*report.roles)
         group = f"group of {orders[0]}" if len(orders) == 1 else f"groups of up to {max(orders)}"
         lines.append(f"states: {sum(states)} ({sum(searched)} searched up to role symmetry, {group})")
+    if report.moves_pruned:
+        lines.append(f"moves left out by persistent sets: {report.moves_pruned}")
     lines += [f"note: {n}" for n in report.notes]
     for v in report.violations[:5]:
         lines.append(f"violation: {json.dumps(v, sort_keys=True)}")

@@ -8,7 +8,9 @@ configurations for a search up to them. The explorer
 (``verify._explore_cell``) imports this module when it first searches a
 cell where some program proposes to an object it declares in
 ``role_objects``, and asks ``role_search`` to resolve the cell before it
-searches it plainly.
+searches it plainly. Both searches run through ``persistent_sets``, as
+``role_objects`` also declares all a program touches: no register, and
+those objects, proposed to in that order.
 
 Why a relabelling maps the runs of the cell onto its runs: it maps pids,
 objects and values together, and each program onto the program at the
@@ -32,11 +34,12 @@ inputs onto themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from operator import itemgetter
 
-from .shmem import Propose
+from .shmem import Propose, _pids
 
 # A cell whose group has more elements is searched unreduced: each
 # configuration the search meets is relabelled by every element, at about
@@ -224,23 +227,92 @@ class RoleKeys:
         return {bytes(move(raw.translate(table))) for move, table in self.elements}
 
 
-def role_search(built, inputs, root, crash_budget, report) -> bool:
+def persistent_sets(built, crash_budget, report):
+    """The hook of ``shmem.depth_first`` that keeps, at a configuration,
+    only the moves of a persistent set of pids T (``_persistent``), or None
+    unless every program declares ``role_objects``. The moves it leaves
+    out are added to ``report.moves_pruned``. It keeps every move while the
+    budget binds (0 < budget left < crashable pids), so that a crash
+    outside T never disables one inside it."""
+    n = len(built.programs)
+    chains = tuple(getattr(built.programs[pid], "role_objects", None) for pid in range(n))
+    if None in chains:
+        return None
+
+    def ample(run, moves):
+        live = _pids(run.live)
+        if 0 < crash_budget - sum(run.crashed) < len(moves) - len(live):
+            return moves
+        try:
+            objects = tuple([run.actions[pid].obj for pid in live])
+        except AttributeError:  # a pending action that is no Propose
+            return moves
+        members = _persistent(chains, live, objects)
+        if members == run.live:
+            return moves
+        chosen = [move for move in moves if members >> move % n & 1]
+        report.moves_pruned += len(moves) - len(chosen)
+        return chosen
+
+    return ample
+
+
+@functools.cache
+def _persistent(chains, live, objects) -> int:
+    """The bitmask of T where the ``live`` pids, whose ``role_objects`` are
+    ``chains``, propose next to ``objects``. A pid's objects ahead are its
+    chain from its next object on. T grows from one live pid by every live
+    pid whose objects ahead hold what a member of T proposes to next, so no
+    move of a pid outside T ever touches an object T's moves touch; a seed
+    gives one such set per next object. T is the union of the smallest,
+    which a role relabelling maps onto the union at the image; all of
+    ``live`` if a pid proposes to an object it does not declare."""
+    pending = []
+    for pid, obj in zip(live, objects):
+        chain = chains[pid]
+        if obj not in chain:
+            return sum(1 << pid for pid in live)
+        pending.append((pid, obj, set(chain[chain.index(obj):])))
+    closures = []
+    for start in set(objects):
+        reach = {start}
+        while True:
+            members = [(pid, obj) for pid, obj, ahead in pending if not ahead.isdisjoint(reach)]
+            grown = reach.union(obj for _, obj in members)
+            if grown == reach:
+                break
+            reach = grown
+        closures.append(members)
+    least = min(map(len, closures))
+    return sum({1 << pid for members in closures if len(members) == least for pid, _ in members})
+
+
+def role_search(built, inputs, root, crash_budget, report, ample=None) -> bool:
     """Whether the cell was resolved from its ``rotation.orbit_search``
-    from ``root`` up to its role group (``RoleKeys``): each distinct outcome
-    recorded once with its count (``verify._count_passing``), and its
-    states searched, the states they stand for and its group's order
-    appended to ``report.roles``. False, with only the states searched
-    counted, for the cell to be searched plainly, when the group is the
-    identity, the value codes leave no byte for a local part, the search
-    gives none or an outcome fails its verdict."""
+    from ``root`` up to its role group (``RoleKeys``), through the hook
+    ``ample`` (``persistent_sets``): each distinct outcome recorded once
+    with its count (``verify._count_passing``), and its states searched,
+    the states they stand for and its group's order appended to
+    ``report.roles``. False, with only the states searched counted, for the
+    cell to be searched plainly, when the group is the identity, the value
+    codes leave no byte for a local part, the search gives none, or a new
+    outcome fails ``check_agreement``, which stops it there (the report's
+    thresholds are left to the plain search, as a capped one may never
+    reach that outcome)."""
     from . import rotation, verify
 
     group = role_group(built, inputs) if len(set(inputs)) + 1 < CODE_LIMIT else []
     before = report.states_searched
     outcomes = Counter()
+
+    def finished(run, weight):
+        outcome = verify._async_outcome(run)
+        new = outcome not in outcomes
+        outcomes[outcome] += weight
+        return new and not verify.check_agreement(outcome, report.spec).passed
+
     found = len(group) > 1 and rotation.orbit_search(
-        RoleKeys(built, inputs, group), root, crash_budget, report,
-        lambda run, weight: outcomes.update({verify._async_outcome(run): weight}),
+        RoleKeys(built, inputs, group), root, crash_budget, report, finished, ample
     )
     if not (found and verify._count_passing(report, outcomes.items(), found[0])):
         return False

@@ -14,18 +14,19 @@ from . import verify
 from .shmem import AsyncRun, Read, depth_first
 
 
-def orbit_search(keys, root, crash_budget, report, finished):
-    """The states and runs of the DFS (``shmem.depth_first``) from
-    ``root``, one configuration per orbit of the group ``keys`` encodes
-    (``keys.encode(run)``, None once the codes run out; ``keys.images(raw)``,
-    its images), so they are the unreduced DFS's: a configuration is new if
-    neither it nor its orbit's least image is seen, it weighs the orbit's
-    size, and a finished one is passed to ``finished(run, weight)``. None when
-    the codes run out, a run meets the step bound (its steps depend on the
-    path that reached it), or the counts would not fit what ``report`` has
-    left of its caps. The states searched and children slept count in
-    ``report``; the sleep sets stay sound orbit by orbit, as the group maps
-    the children and crash hints of a configuration onto its image's.
+def orbit_search(keys, root, crash_budget, report, finished, ample=None):
+    """The states and runs of the DFS (``shmem.depth_first``, through the
+    hook ``ample``) from ``root``, one configuration per orbit of the group
+    ``keys`` encodes (``keys.encode(run)``, None once the codes run out;
+    ``keys.images(raw)``, its images), so they are the DFS's without
+    orbits: a configuration is new if neither it nor its orbit's least
+    image is seen, it weighs the orbit's size, and a finished one is passed
+    to ``finished(run, weight)``. None when the codes run out, a run meets
+    the step bound (its steps depend on the path that reached it), the
+    counts would not fit what ``report`` has left of its caps, or
+    ``finished`` returns true. The states searched and children slept count
+    in ``report``; the sleep sets stay sound orbit by orbit, as the group
+    maps the children and crash hints of a configuration onto its image's.
     """
     encode, images_of = keys.encode, keys.images
 
@@ -41,7 +42,8 @@ def orbit_search(keys, root, crash_budget, report, finished):
         return weight
 
     states = runs = 0
-    for run, weight, done, slept in depth_first(root, crash_budget, verify._crash_can_matter, visit):
+    can_crash = verify._crash_can_matter
+    for run, weight, done, slept in depth_first(root, crash_budget, can_crash, visit, ample):
         if weight is None or run.nonterminating:
             return None
         report.states_searched += 1
@@ -50,8 +52,8 @@ def orbit_search(keys, root, crash_budget, report, finished):
         runs += done and weight
         if not verify._fits(report, (states, runs)):
             return None
-        if done:
-            finished(run, weight)
+        if done and finished(run, weight):
+            return None
     return states, runs
 
 

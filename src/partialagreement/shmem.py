@@ -442,7 +442,7 @@ def random_walk(run, rng, crash_budget: int) -> int:
     return visited
 
 
-def depth_first(root, crash_budget, can_crash, visit=None):
+def depth_first(root, crash_budget, can_crash, visit=None, ample=None):
     """Search every configuration reachable from ``root``, an eager AsyncRun,
     depth first: yields ``(run, weight, done, slept)`` for each new one.
 
@@ -484,6 +484,20 @@ def depth_first(root, crash_budget, can_crash, visit=None):
     children and ``can_crash`` commute with the relabellings. A run the
     step bound cuts may take steps the other order does not, so once one
     is met, nothing more sleeps.
+
+    Persistent sets (ibid., ch. 4). With ``ample`` (``roles``'s
+    ``persistent_sets``), nothing sleeps, and until a run meets the step
+    bound a configuration builds only ``ample(run, moves)``: the steps and
+    crashes of a set T of pids that every move outside T commutes with,
+    then and after. Proposes to different objects commute, and T holds
+    every pid that may yet propose to an object a member of T proposes to
+    next. A crash commutes with another pid's step, and a pid's
+    crashability only falls as it proceeds, so while the budget left
+    covers every crashable pid no crash disables another (T is all pids
+    while the budget binds). Every move grows an object's proposers or the
+    crashed set, so the graph is acyclic and needs no cycle proviso: every
+    finished configuration is still met, the others fewer. T's choice
+    commutes with the relabellings, so orbits weigh the same.
     """
     n = root.n
     seen = set()
@@ -513,6 +527,8 @@ def depth_first(root, crash_budget, can_crash, visit=None):
             moves = live
             if sum(run.crashed) < crash_budget:
                 moves = [n + p for p in live if can_crash(run, p)] + live
+            if ample and not cut:
+                moves = ample(run, moves)
             children = []
             for move in moves:
                 if sleep >> move & 1:
@@ -524,7 +540,7 @@ def depth_first(root, crash_budget, can_crash, visit=None):
                 else:
                     child.crash(move - n)
                 children.append((child, sleep, run, move))
-                if move >= n or type(run.actions[move]) is not Read:
+                if not ample and (move >= n or type(run.actions[move]) is not Read):
                     sleep |= 1 << move
             stack.extend(reversed(children))
         yield run, weight, done, slept

@@ -164,16 +164,18 @@ class ExplorationReport:
     # relabelling, and resolved from the shared search (see explore), states
     # searched, the shared search's states and the states they stand for
     # (see rotation.shared_search), children the DFS's sleep sets did not build
-    # (see shmem.depth_first), per cell resolved up to role symmetry its
-    # states searched, the states they stand for and its group's order (see
-    # roles.role_search), and the verdict per distinct outcome (see
-    # verdict); not serialised, as they leave the report unchanged.
+    # and moves its persistent sets left out (see shmem.depth_first), per
+    # cell resolved up to role symmetry its states searched, the states they
+    # stand for and its group's order (see roles.role_search), and the
+    # verdict per distinct outcome (see verdict); not serialised, as they
+    # leave the report unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
     cells_resolved: int = 0
     states_searched: int = 0
     shared: tuple = ()
     moves_slept: int = 0
+    moves_pruned: int = 0
     roles: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -388,8 +390,9 @@ def _explore_cell(entry, inputs, assignment, report) -> None:
     its ``samples`` random runs (async sample mode), or the DFS of the
     configurations reachable from its start, one per ``AsyncRun.key``
     (``shmem.depth_first``, whose sleep sets leave unbuilt the children the
-    DFS would find seen, and ``report.moves_slept`` counts them) if
-    ``roles.role_search`` does not resolve it."""
+    DFS would find seen, and ``report.moves_slept`` counts them, or whose
+    persistent sets leave out moves, counted in ``report.moves_pruned``)
+    if ``roles.role_search`` does not resolve it."""
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment)
     crash_budget = min(entry.fault_budget(spec), spec.n)
@@ -427,12 +430,14 @@ def _explore_cell(entry, inputs, assignment, report) -> None:
             report.states_explored += random_walk(run, rng, crash_budget)
             report.record(_async_outcome(run), base, "schedule", run)
         return
+    ample = None
     if any(getattr(prog, "role_objects", None) for prog in built.programs.values()):
         from . import roles  # loaded by the first such cell
 
-        if roles.role_search(built, inputs, root, crash_budget, report):
+        ample = roles.persistent_sets(built, crash_budget, report)
+        if roles.role_search(built, inputs, root, crash_budget, report, ample):
             return
-    for run, _, done, slept in depth_first(root, crash_budget, _crash_can_matter):
+    for run, _, done, slept in depth_first(root, crash_budget, _crash_can_matter, ample=ample):
         report.states_searched += 1
         report.moves_slept += slept
         report.states_explored += 1
@@ -596,7 +601,12 @@ def explore(
     The DFS of a cell (``shmem.depth_first``) does not build a child that
     its sleep sets show to be a configuration already searched, so it meets
     the same configurations in the same order as without them, and no
-    count, recorded run or capped stop changes.
+    count, recorded run or capped stop changes. A cell whose programs all
+    declare ``role_objects`` (propose-only) is searched through persistent
+    sets instead (``roles.persistent_sets``), plainly and up to its role
+    group alike: proposes to different objects commute, crashability only
+    falls as a pid proceeds, and the graph is acyclic, so every finished
+    configuration is still met, and only ``states_explored`` counts fewer.
     """
     entry = get_algorithm(algorithm)
     if entry.uses_oracle:

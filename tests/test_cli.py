@@ -434,21 +434,23 @@ def test_explore_reports_the_states_searched_up_to_role_symmetry(capsys):
         "--k", "3", "--inputs", "0,1,2,3,4,5",
     )
     assert code == 0
-    assert "states: 740 (146 searched up to role symmetry, group of 8)" in out.splitlines()
+    assert "states: 306 (66 searched up to role symmetry, group of 8)" in out.splitlines()
+    assert "moves left out by persistent sets: 59" in out.splitlines()
     code, out, _ = run_cli(
         capsys, "explore", "--alg", "smg-comp", "--n", "4", "--m", "2", "--t", "0", "--g", "4",
         "--inputs", "all",
     )
     assert code == 0
     assert "states: 366 (140 searched up to role symmetry, groups of up to 24)" in out.splitlines()
+    assert "persistent sets" not in out  # every pid proposes to one object
     code, out, _ = run_cli(
         capsys, "explore", "--alg", "smg-comp", "--n", "6", "--m", "6", "--t", "6", "--g", "3",
         "--k", "3", "--inputs", "0,1,2,3,4,5", "--sample", "--samples", "2",
     )
     assert code == 0
-    assert "role symmetry" not in out
+    assert "role symmetry" not in out and "persistent sets" not in out
     code, out, _ = run_cli(capsys, "explore", "--alg", "no-comm", "--n", "3", "--t", "1")
-    assert "role symmetry" not in out
+    assert "role symmetry" not in out and "persistent sets" not in out
     # A group above the limit (720 elements) is not searched under, and a
     # capped search is redone unreduced: neither claims a reduction.
     code, out, _ = run_cli(
@@ -462,8 +464,9 @@ def test_explore_reports_the_states_searched_up_to_role_symmetry(capsys):
         capsys, "explore", "--alg", "smg-comp", "--n", "6", "--m", "6", "--t", "6", "--g", "3",
         "--k", "3", "--inputs", "0,1,2,3,4,5", "--max-runs", "10",
     )
-    assert "executions checked: 10 (states 89, exhaustive: False)" in out.splitlines()
+    assert "executions checked: 10 (states 48, exhaustive: False)" in out.splitlines()
     assert "role symmetry" not in out
+    assert "moves left out by persistent sets: 26" in out.splitlines()
 
 
 def test_explore_infers_m_from_every_vector(capsys):

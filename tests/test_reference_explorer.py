@@ -296,6 +296,79 @@ def test_a_random_async_program_keeps_the_reference_outcomes(n, t, seed, unreduc
         assert dominated(found, decisions, crashed), (decisions, crashed)
 
 
+class RandomChain:
+    """A propose-only program that declares its footprint: it proposes to
+    each object of its chain ``role_objects`` in turn, its input first and
+    then its input again or the last winner (``relay``), and decides the
+    first, the last or the least winner it saw (``rule``), or its input if
+    the chain is empty. Its state is the number of actions emitted and the
+    winners seen, so it may crash while a propose is pending, never before
+    its decide. The state holds values, so role orbits may not relabel it."""
+
+    def __init__(self, chain, value, relay, rule):
+        self.role_objects = chain
+        self.value, self.relay, self.rule = value, relay, rule
+        self.state0 = (0, ())
+
+    def step(self, state, obs):
+        emitted, seen = state
+        if obs is not None:
+            seen += (obs,)
+        if emitted == len(self.role_objects):
+            return (emitted + 1, seen), Decide(self.rule(seen) if seen else self.value)
+        value = seen[-1] if self.relay and seen else self.value
+        return (emitted + 1, seen), Propose(self.role_objects[emitted], value)
+
+    def no_more_visible(self, state):
+        return state[0] > len(self.role_objects)
+
+
+def random_chain_cell(n, t, seed):
+    """A cell of ``RandomChain`` programs on n pids with fault budget t,
+    drawn from ``seed``: each pid's chain is 0 to 3 distinct objects of
+    A-C, in a random order, of capacity n."""
+    rng = random.Random(seed)
+    inputs = tuple(rng.randrange(n) for _ in range(n))
+    rules = (lambda seen: seen[0], lambda seen: seen[-1], min)
+    programs = {
+        pid: RandomChain(
+            tuple(rng.sample("ABC", rng.randint(0, 3))), inputs[pid], rng.random() < 0.5,
+            rng.choice(rules),
+        )
+        for pid in range(n)
+    }
+    objects = {name: ConsensusObject(n) for name in "ABC"}
+    entry = dataclasses.replace(
+        get_algorithm("smg-comp"), name=f"random-chain-{seed}",
+        build=lambda spec, inputs, assignment=None: Built(programs, objects=dict(objects)),
+    )
+    return entry, ProblemSpec(n=n, m=n, t=t, model="sm-g", g=n), inputs, None
+
+
+# (n, t, seed): 12 seeds for every fault budget of n in {2, 3, 4}
+RANDOM_CHAINS = [
+    (n, t, seed)
+    for seed, (n, t) in enumerate(
+        (n, t) for n in (2, 3, 4) for t in range(n + 1) for _ in range(12)
+    )
+]
+
+
+def test_a_random_footprint_program_keeps_the_reference_outcomes(unreduced):
+    # Each cell is searched through the persistent sets of
+    # ``roles.persistent_sets`` (role orbits off), and finds exactly the
+    # reference's outcomes under the same crash rule.
+    pruned = 0
+    for n, t, seed in RANDOM_CHAINS:
+        cell = random_chain_cell(n, t, seed)
+        with unreduced():
+            report = explored_cell(*cell)
+        searched = {(o.decisions, o.crashed, o.flags) for o in report.verdicts}
+        assert searched == reference_outcomes(*cell, verify._crash_can_matter), (n, t, seed)
+        pruned += report.moves_pruned > 0
+    assert pruned > len(RANDOM_CHAINS) // 4
+
+
 # --- the sync half ----------------------------------------------------------
 
 

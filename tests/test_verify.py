@@ -306,11 +306,11 @@ PINNED_SEARCHES = [
      (6160, 2130, 0)),
     ("max-wait", ProblemSpec(n=4, m=2, t=1, k=3), "all", (9856, 3408, 188)),
     ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
-     (740, 34, 0)),
+     (306, 34, 0)),
     ("min-flood", ProblemSpec(n=4, m=4, t=2, k=4, model="sync-mp"), [tuple(range(4))],
      (1537, 1537, 0)),
     ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=6, model="sm-g", g=4), [tuple(range(8))],
-     (22048, 244, 0)),
+     (2923, 244, 0)),
 ]
 
 
@@ -1330,7 +1330,8 @@ def test_the_role_reduced_search_counts_like_the_unreduced_one(unreduced, spec, 
 def test_every_recorded_role_reduced_violation_replays(capsys, unreduced):
     # A cell whose role search finds a violating outcome is searched
     # plainly, so the recorded violations are the unreduced search's, and
-    # each replays.
+    # each replays. The role search stops at its first failing outcome,
+    # the ninth configuration it meets.
     import hashlib
     import json
 
@@ -1340,10 +1341,11 @@ def test_every_recorded_role_reduced_violation_replays(capsys, unreduced):
     report = explore("smg-comp", spec, [tuple(range(8))])
     assert (report.violations_total, len(report.violations)) == (244, 25)
     assert not report.roles
+    assert report.states_searched - report.states_explored == 9
     # pinned from the unreduced search, under the crash rule of
     # ``_crash_can_matter`` that reads the programs' hints
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-        "e15800038f84aa16f91462ca8f28696f4fa338977a267158aee150c6d580178e"
+        "5c0a62e70b7080575feb3c78a0ae7b89c5cc8c12792c48c745b4a024fdd7f6ea"
     )
     with unreduced():
         assert explore("smg-comp", spec, [tuple(range(8))]).to_json() == report.to_json()
@@ -1357,8 +1359,8 @@ def test_every_recorded_role_reduced_violation_replays(capsys, unreduced):
 
 @pytest.mark.parametrize(
     "budget",
-    [ExploreBudget(max_runs=100), ExploreBudget(max_states=5000), ExploreBudget(max_runs=244)],
-    ids=["100-runs", "5000-states", "244-runs"],
+    [ExploreBudget(max_runs=100), ExploreBudget(max_states=2000), ExploreBudget(max_runs=244)],
+    ids=["100-runs", "2000-states", "244-runs"],
 )
 def test_a_capped_role_search_stops_on_the_same_run(unreduced, budget):
     # A cap the role search would reach is reached by the unreduced one
@@ -1611,8 +1613,8 @@ def _searches(monkeypatch, alg, spec, inputs, budget):
 
     yielded = []
 
-    def recorded(*args):
-        for item in shmem.depth_first(*args):
+    def recorded(*args, **hooks):
+        for item in shmem.depth_first(*args, **hooks):
             run, weight, done, _ = item
             yielded.append((run.key(), run.encode(), weight, done))
             yield item
@@ -1661,8 +1663,9 @@ def test_sleep_sets_change_only_the_children_built(monkeypatch, alg, spec, input
         # one object, and its capped cell here never crashes. Every
         # reduce-binary n=3 cell resolves from the shared search, whose 10
         # configurations up to pid rotation, under the hinted crashes, have
-        # no child a sleep set holds.
-        assert report.moves_slept > 0
+        # no child a sleep set holds. In a smg-comp cell the persistent
+        # sets run instead of the sleep sets.
+        assert (report.moves_pruned if alg == "smg-comp" else report.moves_slept) > 0
     assert yielded == yielded_unslept
     assert report.to_json() == unslept.to_json()
 
@@ -1712,9 +1715,12 @@ def test_a_sampled_explore_of_a_livelock_ends_every_run_at_the_step_bound(monkey
 
 def test_the_sleep_sets_prune_a_pinned_number_of_children():
     # A change that silently stops pruning (or prunes a state it should
-    # reach, which the pinned searches catch) fails here.
+    # reach, which the pinned searches catch) fails here. The smg-comp
+    # cell prunes by persistent sets, not by sleep sets.
     smg = explore("smg-comp", ProblemSpec(n=8, m=8, t=8, k=6, model="sm-g", g=4), [tuple(range(8))])
-    assert (smg.states_explored, smg.states_searched, smg.moves_slept) == (22048, 1381, 3580)
+    assert (smg.states_explored, smg.states_searched, smg.moves_slept, smg.moves_pruned) == (
+        2923, 243, 0, 313
+    )
     spec = ProblemSpec(n=5, m=2, t=2, k=5, validity="strong")
     reduce_smg = explore("reduce-smg", spec, [(0, 0, 0, 1, 1)])
     assert (reduce_smg.states_explored, reduce_smg.states_searched, reduce_smg.moves_slept) == (
@@ -1727,10 +1733,13 @@ def test_the_sleep_sets_prune_a_pinned_number_of_children():
 # (and equal to the reports of the explorer before sleep sets, with the rule
 # applied), each the unreduced search's: smg-comp n=8 k=7 violates, so its
 # cell is searched plainly. smg-comp n=6 m=3 t=2 g=3 takes every 27th of its
-# 729 input vectors, 27 of them, as all 729 take half a minute.
+# 729 input vectors, 27 of them, as all 729 take half a minute. The smg-comp
+# cells are searched through persistent sets instead: n=8 k=7 meets 41,396
+# configurations where the DFS without them meets 222,496, with the same
+# runs, violations, k and ell, and records other violating runs.
 CRASH_RULE_REPORTS = [
     ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
-     ExploreBudget(), "01f4de117a91f69e9e3a37aebec05dba9387bb3d7aabc6858de35fa9f42395d1"),
+     ExploreBudget(), "4d207d72bd4d78b85a4b81a9d96091488622d8f70e0e28aaf9b63905f6b1247b"),
     ("smg-comp", ProblemSpec(n=6, m=3, t=2, k=3, model="sm-g", g=3),
      list(itertools.product(range(3), repeat=6))[::27], ExploreBudget(),
      "9c294018891346cf3f3896d52ca7750c21f3905b94a20d402ac6938c9af2cf65"),
@@ -1758,7 +1767,7 @@ def test_sleep_sets_keep_the_reports_under_the_crash_rule(
 
     _crash_before_a_write(monkeypatch)
     report = explore(alg, spec, inputs, budget)
-    assert report.moves_slept > 0
+    assert (report.moves_pruned if alg == "smg-comp" else report.moves_slept) > 0
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
@@ -1812,6 +1821,62 @@ def test_every_report_is_the_unreduced_searchs(
     report = explore(alg, spec, inputs, budget)
     with unreduced():
         assert report.to_json() == explore(alg, spec, inputs, budget).to_json()
+
+
+# --- persistent sets in the async DFS ------------------------------------------
+
+
+def _finished_keys(built, inputs, crash_budget):
+    """The ``key()`` of every finished configuration of the cell's DFS
+    without persistent sets."""
+    from partialagreement import verify
+    from partialagreement.shmem import depth_first
+
+    root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
+    search = depth_first(root, crash_budget, verify._crash_can_matter)
+    return {run.key() for run, _, done, _ in search if done}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_persistent_sets_keep_every_finished_configuration(monkeypatch, unreduced, n):
+    # Every smg-comp cell of n pids, each g and t, on distinct and on
+    # repeated inputs at its guaranteed k: the plain search of the cell,
+    # through the persistent sets, ends in exactly the finished
+    # configurations of the DFS without them, and its report is the one
+    # searched up to role symmetry. A crash is never undone and the budget
+    # only bounds how many are taken, so the DFS without them at budget t
+    # ends in those of its search at budget n with at most t crashed pids.
+    import dataclasses
+
+    from partialagreement import build_algorithm, shmem, verify
+    from partialagreement.algorithms import smg_guarantee
+
+    finished = set()
+
+    def recorded(*args, **hooks):
+        for item in shmem.depth_first(*args, **hooks):
+            if item[2]:
+                finished.add(item[0].key())
+            yield item
+
+    monkeypatch.setattr(verify, "depth_first", recorded)
+    crashed = slice(3 * n, 4 * n)  # the crashed flags in a key
+    vectors = (tuple(range(n)), tuple(p // 2 for p in range(n)))
+    pruned = 0
+    for g, inputs in itertools.product(range(1, n + 1), vectors):
+        spec = ProblemSpec(n=n, m=n, t=n, model="sm-g", g=g)
+        plain = _finished_keys(build_algorithm("smg-comp", spec, inputs), inputs, n)
+        for t in range(n + 1):
+            spec = dataclasses.replace(spec, t=t)
+            spec = dataclasses.replace(spec, k=smg_guarantee(spec))
+            reduced = explore("smg-comp", spec, [inputs])
+            finished.clear()
+            with unreduced():
+                report = explore("smg-comp", spec, [inputs])
+            assert finished == {key for key in plain if sum(key[crashed]) <= t}, (g, t, inputs)
+            assert reduced.to_json() == report.to_json(), (g, t, inputs)
+            pruned += report.moves_pruned > 0
+    assert pruned or n < 4, n
 
 
 # --- the impossibility oracle (ROADMAP item 4) -------------------------------
