@@ -66,8 +66,10 @@ class NoComm:
     __slots__ = ("value",)
     state0 = _INIT
     # the objects it proposes to, in order, and all it touches: its states
-    # hold no pid and no value, so ``roles`` may relabel it, and the DFS
-    # may search its cell through persistent sets
+    # hold no pid, object or value and fix how many proposes it has issued,
+    # so its pending action and decision are functions of its state, input
+    # and the winners of the objects it has proposed to; ``roles`` may then
+    # relabel it, and the DFS may search its cell through persistent sets
     role_objects = ()
 
     def __init__(self, value: int):
@@ -175,27 +177,24 @@ def _decision(rule, values):
 
 class ProposeChain:
     """Propose the input to ``objects[0]``, then each winner to the next
-    object, and decide the last winner. A state is (len(objects), proposes
-    issued): the length keeps chains of different lengths in different
-    local parts (``roles.RoleKeys``), which their pending proposes alone
-    would not."""
+    object, and decide the last winner. A state is the number of proposes
+    issued."""
 
-    __slots__ = ("role_objects", "value", "state0")
+    __slots__ = ("role_objects", "value")
+    state0 = 0
 
     def __init__(self, objects: tuple, value: int):
         self.role_objects = objects  # see NoComm.role_objects
         self.value = value
-        self.state0 = (len(objects), 0)
 
-    def step(self, state, obs):
-        length, issued = state
-        if issued == length:
-            return state, Decide(obs)
+    def step(self, issued, obs):
+        if issued == len(self.role_objects):
+            return issued, Decide(obs)
         value = obs if issued else self.value
-        return (length, issued + 1), Propose(self.role_objects[issued], value)
+        return issued + 1, Propose(self.role_objects[issued], value)
 
     def no_more_visible(self, state):
-        return state[1] == state[0]
+        return state == len(self.role_objects)
 
 
 # --- sync behaviors ---------------------------------------------------------

@@ -17,9 +17,11 @@ objects and values together, and each program onto the program at the
 image pid (same class, renamed objects, relabelled value), so it maps
 every step of a run onto a step of the relabelled run, because
 
-- the program states hold no pid and no value, as ``role_objects``
-  declares (a ``ProposeChain`` state is its length and the proposes it
-  has issued);
+- the program states hold no pid, object or value and fix how many
+  proposes have been issued, as ``role_objects`` declares (a
+  ``ProposeChain`` state is that number), so the pending action and the
+  decision are functions of the state, the input and the winners of the
+  objects already proposed to;
 - a ``ConsensusObject`` is a value (capacity, winner, proposers) that
   treats values as opaque: the first proposal wins whatever it is, and
   the renamed object has the same capacity;
@@ -39,18 +41,19 @@ import itertools
 from collections import Counter
 from operator import itemgetter
 
-from .shmem import Propose, _pids
+from .shmem import _pids
 
 # A cell whose group has more elements is searched unreduced: each
 # configuration the search meets is relabelled by every element, at about
-# 0.8 us an image. Explores reduced against unreduced (2-CPU shared host,
-# Python 3.11.7, best of 3): case 2 n=8 g=4 inputs 0..7 (32 elements) 0.13
-# against 0.82 s; n=10 g=5 t=2 inputs 0..9 (288) 1.9 against 7.2 s, at a
-# peak RSS of 17 against 140 MB. Case 1 searches are small and lose from
-# 120 elements on: n=5 g=5 (120) 4.5 against 1.1 ms, n=10 g=10 inputs with
-# 1, 2, 3 and 4 copies of a value (288) 0.22 against 0.11 s, n=6 g=6 (720)
-# 23 against 5 ms, n=7 g=7 (5040) 270 against 13 ms. A limit that weighs
-# the group against the search is left open (ROADMAP item 6).
+# 0.45 us an image. Explores reduced against unreduced (process time on a
+# 2-CPU shared host, Python 3.11.7, best of 30, of 10 for n=7 and of 3 for
+# n=10): case 2 n=8 g=4 inputs 0..7 (32 elements) 12 against 48 ms; n=10
+# g=5 t=2 inputs 0..9 (288) 0.37 against 1.3 s, at a peak RSS of 17 against
+# 58 MB. Case 1 searches are small and lose from 120 elements on: n=5 g=5
+# (120) 1.6 against 1.2 ms, n=10 g=10 inputs with 1, 2, 3 and 4 copies of a
+# value (288) 121 against 95 ms, n=6 g=6 (720) 9.7 against 3.2 ms, n=7 g=7
+# (5040) 80 against 9 ms. A limit that weighs the group against the search
+# is left open (ROADMAP item 6).
 ROLE_GROUP_LIMIT = 288
 
 # Value codes and local-part ids of one cell, in one byte (see RoleKeys).
@@ -138,30 +141,19 @@ def role_group(built, inputs) -> list:
 class RoleKeys:
     """Keys of a cell's async configurations up to its role group.
 
-    A configuration is encoded as one byte per pid, then one per object:
+    A configuration is encoded as one byte per pid, the id of its local
+    part (program state, kind of pending action, crashed), numbered as
+    first seen after the value codes, then one byte per object, the code of
+    its winner (None is 0, the input values 1, 2, ... in order); codes and
+    ids share the byte, up to ``CODE_LIMIT`` of them. That is one to one
+    with ``AsyncRun.key``: a role program writes no register and decides
+    with no flag, and by the ``role_objects`` contract a pid's byte gives
+    the objects it has proposed to and its pending object, and the winners
+    give its pending value and its decision.
 
-    - a pid's byte is the id of its local part (program state, pending
-      action, decision, crashed), assigned when that local part is first
-      seen;
-    - an object's byte is the code of its winner (None is 0, the input
-      values 1, 2, ... in order). The ids follow the value codes, and codes
-      and ids share one byte: up to ``CODE_LIMIT`` of them.
-
-    That covers every field ``AsyncRun.key`` covers. No program of a role
-    cell writes a register or decides with a flag, and an object keeps its
-    capacity. An object's proposers follow from the pid bytes: the program
-    at each pid is fixed, and its state with its pending action's kind says
-    which of its objects it has proposed to. Its winner does not: once both
-    A-relays of n=8 g=4 (pids 0 and 1) have relayed and decided C's winner,
-    no pid byte shows whether 0 or 1 won A, yet pids 2 and 3, which have not
-    proposed, will see that winner.
-
-    A group element acts as one 256-entry translate table, mapping each id
-    to the id of its local part's relabelled image and each value code to
-    its image's, then one itemgetter, moving the pid and object bytes. A new
-    local part gets the ids of its whole orbit at once, and every table its
-    entries for them, so each image is the encoding of the relabelled
-    configuration.
+    A local part holds no pid, object or value, so each group element is
+    one translate table of the value codes and one itemgetter that moves
+    the pid and object bytes, both fixed once built.
     """
 
     def __init__(self, built, inputs, group):
@@ -169,7 +161,6 @@ class RoleKeys:
         names = list(built.objects)  # a run's objects keep this order
         self.code = {v: i for i, v in enumerate([None, *sorted(set(inputs))])}
         self.ids: dict = {}
-        self.relabels = []
         self.elements = []
         for pids, objects, values in group:
             table = bytearray(range(256))
@@ -180,46 +171,19 @@ class RoleKeys:
                 source[q] = p
             for j, name in enumerate(names):
                 source[n + names.index(objects[name])] = n + j
-            self.relabels.append((objects, {None: None, **values}))
-            self.elements.append((itemgetter(*source), table))
-
-    @staticmethod
-    def _image(local, objects, values):
-        """A pid's local part relabelled by one element's maps."""
-        state, action, decided, crashed = local
-        if type(action) is Propose:
-            action = Propose(objects[action.obj], values[action.value])
-        elif action is not None:  # Decide
-            action = action._replace(value=values[action.value])
-        return state, action, values[decided], crashed
-
-    def _add_orbit(self, local) -> bool:
-        """Give ids to the orbit of a new local part and fill every table's
-        entries for them; False if they would pass ``CODE_LIMIT``."""
-        ids, image = self.ids, self._image
-        orbit = list(dict.fromkeys(image(local, *maps) for maps in self.relabels))
-        first = len(self.code) + len(ids)
-        if first + len(orbit) > CODE_LIMIT:
-            return False
-        for i, member in enumerate(orbit):
-            ids[member] = first + i
-        for maps, (_, table) in zip(self.relabels, self.elements):
-            for member in orbit:
-                table[ids[member]] = ids[image(member, *maps)]
-        return True
+            self.elements.append((itemgetter(*source), bytes(table)))
 
     def encode(self, run) -> bytes | None:
-        """The configuration's bytes; None if its local parts would take
-        the ids past ``CODE_LIMIT``."""
-        ids = self.ids
-        parts = [ids.get(local) for local in zip(run.states, run.actions, run.decided, run.crashed)]
-        if None in parts:
-            for local in zip(run.states, run.actions, run.decided, run.crashed):
-                if local not in ids and not self._add_orbit(local):
-                    return None
-            return self.encode(run)
-        code = self.code
-        parts += [code[obj.winner] for obj in run.objects.values()]
+        """The configuration's bytes; None if its local parts take the ids
+        past ``CODE_LIMIT``."""
+        ids, first = self.ids, len(self.code)
+        parts = [
+            ids.setdefault(local, first + len(ids))
+            for local in zip(run.states, map(type, run.actions), run.crashed)
+        ]
+        if first + len(ids) > CODE_LIMIT:
+            return None
+        parts += [self.code[obj.winner] for obj in run.objects.values()]
         return bytes(parts)
 
     def images(self, raw) -> set:
@@ -296,9 +260,8 @@ def role_search(built, inputs, root, crash_budget, report, ample=None) -> bool:
     ``report.roles``. False, with only the states searched counted, for the
     cell to be searched plainly, when the group is the identity, the value
     codes leave no byte for a local part, the search gives none, or a new
-    outcome fails ``check_agreement``, which stops it there (the report's
-    thresholds are left to the plain search, as a capped one may never
-    reach that outcome)."""
+    outcome fails its verdict (``report.verdict``, which counts and folds
+    nothing), which stops it there."""
     from . import rotation, verify
 
     group = role_group(built, inputs) if len(set(inputs)) + 1 < CODE_LIMIT else []
@@ -309,7 +272,7 @@ def role_search(built, inputs, root, crash_budget, report, ample=None) -> bool:
         outcome = verify._async_outcome(run)
         new = outcome not in outcomes
         outcomes[outcome] += weight
-        return new and not verify.check_agreement(outcome, report.spec).passed
+        return new and not report.verdict(outcome).passed
 
     found = len(group) > 1 and rotation.orbit_search(
         RoleKeys(built, inputs, group), root, crash_budget, report, finished, ample

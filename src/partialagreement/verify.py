@@ -167,8 +167,9 @@ class ExplorationReport:
     # and moves its persistent sets left out (see shmem.depth_first), per
     # cell resolved up to role symmetry its states searched, the states they
     # stand for and its group's order (see roles.role_search), and the
-    # verdict per distinct outcome (see verdict); not serialised, as they
-    # leave the report unchanged.
+    # verdict per distinct outcome recorded, and per one checked but not yet
+    # recorded (see verdict); not serialised, as they leave the report
+    # unchanged.
     cells_explored: int = 0
     cells_folded: int = 0
     cells_resolved: int = 0
@@ -178,6 +179,7 @@ class ExplorationReport:
     moves_pruned: int = 0
     roles: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
+    checked: dict = field(default_factory=dict, repr=False, compare=False)
 
     def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
         """Count ``weight`` finished runs (see _count_passing). ``token`` is the
@@ -187,7 +189,13 @@ class ExplorationReport:
         self.executions_checked += weight
         if outcome.flags:
             self.flagged_executions += weight
-        verdict = self.verdict(outcome)
+        verdict = self.verdicts.get(outcome)
+        if verdict is None:
+            # empirical thresholds are maxima and minima over outcomes, so
+            # one fold per distinct outcome recorded gives the same values
+            verdict = self.verdicts[outcome] = self.verdict(outcome)
+            del self.checked[outcome]
+            self._fold_thresholds(outcome)
         if not verdict.passed:
             self.violations_total += weight
             if len(self.violations) < self.budget.max_recorded_violations:
@@ -202,13 +210,11 @@ class ExplorationReport:
             raise _BudgetStop
 
     def verdict(self, outcome: _Outcome) -> Verdict:
-        """The verdict of ``outcome``, checked once per distinct outcome."""
-        verdict = self.verdicts.get(outcome)
+        """The verdict of ``outcome``, checked once per distinct outcome;
+        nothing is counted or folded until it is recorded."""
+        verdict = self.verdicts.get(outcome) or self.checked.get(outcome)
         if verdict is None:
-            verdict = self.verdicts[outcome] = check_agreement(outcome, self.spec)
-            # empirical thresholds are maxima and minima over outcomes, so
-            # one fold per distinct outcome gives the same values
-            self._fold_thresholds(outcome)
+            verdict = self.checked[outcome] = check_agreement(outcome, self.spec)
         return verdict
 
     def _fold_thresholds(self, outcome: _Outcome) -> None:

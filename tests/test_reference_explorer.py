@@ -284,6 +284,13 @@ def test_a_random_async_program_keeps_the_reference_outcomes(n, t, seed, unreduc
     # random programs matched exactly, and 84 of these 100 do, the rest
     # differing only by such crashes, whose outcomes the searched ones
     # dominate. Equality waits for the crash-relevance fix (ROADMAP item 1).
+    check_random_async_cell(n, t, seed, unreduced)
+
+
+def check_random_async_cell(n, t, seed, unreduced) -> None:
+    """Assert that the search of ``random_async_cell(n, t, seed)`` finds a
+    subset of the reference's outcomes under the same crash rule, and an
+    outcome dominating each outcome of a crash anywhere."""
     cell = random_async_cell(n, t, seed)
     with unreduced():
         report = explored_cell(*cell)
@@ -358,15 +365,144 @@ def test_a_random_footprint_program_keeps_the_reference_outcomes(unreduced):
     # Each cell is searched through the persistent sets of
     # ``roles.persistent_sets`` (role orbits off), and finds exactly the
     # reference's outcomes under the same crash rule.
-    pruned = 0
-    for n, t, seed in RANDOM_CHAINS:
-        cell = random_chain_cell(n, t, seed)
-        with unreduced():
-            report = explored_cell(*cell)
-        searched = {(o.decisions, o.crashed, o.flags) for o in report.verdicts}
-        assert searched == reference_outcomes(*cell, verify._crash_can_matter), (n, t, seed)
-        pruned += report.moves_pruned > 0
+    pruned = sum(check_random_chain_cell(n, t, seed, unreduced) for n, t, seed in RANDOM_CHAINS)
     assert pruned > len(RANDOM_CHAINS) // 4
+
+
+def check_random_chain_cell(n, t, seed, unreduced) -> bool:
+    """Assert that the search of ``random_chain_cell(n, t, seed)`` finds
+    exactly the reference's outcomes; whether its persistent sets left a
+    move out."""
+    cell = random_chain_cell(n, t, seed)
+    with unreduced():
+        report = explored_cell(*cell)
+    searched = {(o.decisions, o.crashed, o.flags) for o in report.verdicts}
+    assert searched == reference_outcomes(*cell, verify._crash_can_matter), (n, t, seed)
+    return report.moves_pruned > 0
+
+
+class RoleChain:
+    """A propose-only program that keeps to the ``role_objects`` contract
+    of ``roles``: it proposes to each object of its chain in turn, and its
+    state is the number of proposes issued. Its class fixes its behaviour,
+    so ``roles._role`` tells the behaviours apart: it relays its input, or
+    from the second propose on the last winner (``relay_winner``), and
+    decides the last winner (``decide_winner``, its input if the chain is
+    empty) or its input."""
+
+    relay_winner = decide_winner = False
+    state0 = 0
+
+    def __init__(self, chain, value):
+        self.role_objects, self.value = chain, value
+
+    def step(self, issued, obs):
+        if issued == len(self.role_objects):
+            return issued, Decide(obs if self.decide_winner and issued else self.value)
+        value = obs if self.relay_winner and issued else self.value
+        return issued + 1, Propose(self.role_objects[issued], value)
+
+    def no_more_visible(self, state):
+        return state == len(self.role_objects)
+
+
+ROLE_BEHAVIOURS = tuple(
+    type(f"RoleChain{int(relay)}{int(decide)}", (RoleChain,),
+         {"relay_winner": relay, "decide_winner": decide})
+    for relay, decide in itertools.product((False, True), repeat=2)
+)
+
+
+def random_role_cell(seed):
+    """A cell of 1 to 3 roles drawn from ``seed``: each a ``ROLE_BEHAVIOURS``
+    class with a chain of 0 to 2 distinct objects of A-C (capacity n), run
+    by 1 to 3 pids (2 if a lone role drew 1, as n >= 2), at random pids;
+    inputs, t and k drawn in 0..n-1, 0..n and 1..n."""
+    rng = random.Random(seed)
+    roles = [
+        (rng.choice(ROLE_BEHAVIOURS), tuple(rng.sample("ABC", rng.randint(0, 2))))
+        for _ in range(rng.randint(1, 3))
+    ]
+    sizes = [rng.randint(1, 3) for _ in roles]
+    if sum(sizes) < 2:
+        sizes[0] = 2
+    pids = [role for role, size in zip(roles, sizes) for _ in range(size)]
+    rng.shuffle(pids)
+    n = len(pids)
+    inputs = tuple(rng.randrange(n) for _ in range(n))
+    programs = {pid: cls(chain, inputs[pid]) for pid, (cls, chain) in enumerate(pids)}
+    objects = {name: ConsensusObject(n) for name in "ABC"}
+    entry = dataclasses.replace(
+        get_algorithm("smg-comp"), name=f"random-roles-{seed}",
+        build=lambda spec, inputs, assignment=None: Built(programs, objects=dict(objects)),
+    )
+    spec = ProblemSpec(n=n, m=n, t=rng.randint(0, n), k=rng.randint(1, n), model="sm-g", g=n)
+    return entry, spec, inputs, None
+
+
+def check_random_role_cell(seed, unreduced, limit=None) -> bool:
+    """Assert that the cell's report up to its role group is byte-identical
+    to its report without role orbits (``unreduced``), and that
+    ``check_role_encoding`` holds on it (on its first ``limit``
+    configurations, if given); whether role orbits resolved it."""
+    from test_verify import check_role_encoding
+
+    cell = random_role_cell(seed)
+    entry, spec, inputs, _ = cell
+    reduced = explored_cell(*cell)
+    with unreduced():
+        assert explored_cell(*cell).to_json() == reduced.to_json(), seed
+    check_role_encoding(entry.build(spec, inputs), inputs, spec.t, limit)
+    return bool(reduced.roles)
+
+
+RANDOM_ROLE_SEEDS = range(60)
+
+
+def test_a_random_role_cell_keeps_its_report_up_to_its_group(unreduced):
+    # The encoding check meets every configuration of most cells, and the
+    # first 2,000 of the larger ones (all of them take 105 s;
+    # ``sweep_random_programs.py`` takes the limit on its command line).
+    resolved = sum(
+        check_random_role_cell(seed, unreduced, limit=2000) for seed in RANDOM_ROLE_SEEDS
+    )
+    assert resolved > len(RANDOM_ROLE_SEEDS) // 4
+
+
+class CountlessChain(RoleChain):
+    """A two-object chain that breaks the contract: its state is the winner
+    it relays (None before its first propose returns), not the number of
+    proposes issued, so it holds a value that the role group relabels."""
+
+    state0 = None
+
+    def step(self, relayed, obs):
+        if obs is None:
+            return None, Propose(self.role_objects[0], self.value)
+        if relayed is None:
+            return obs, Propose(self.role_objects[1], obs)
+        return relayed, Decide(obs)
+
+    def no_more_visible(self, state):
+        return False
+
+
+def test_the_role_encoding_check_catches_a_chain_that_does_not_count():
+    from test_verify import check_role_encoding
+
+    n = 4
+    inputs = tuple(range(n))
+    programs = {pid: CountlessChain(("A", "B"), inputs[pid]) for pid in range(n)}
+    built = Built(programs, objects={name: ConsensusObject(n) for name in "AB"})
+    with pytest.raises(AssertionError):
+        check_role_encoding(built, inputs, 0)
+    # the same cell of programs that count their proposes passes
+    counting = ROLE_BEHAVIOURS[-1]
+    built = Built(
+        {pid: counting(("A", "B"), inputs[pid]) for pid in range(n)},
+        objects={name: ConsensusObject(n) for name in "AB"},
+    )
+    assert check_role_encoding(built, inputs, 0)
 
 
 # --- the sync half ----------------------------------------------------------

@@ -368,6 +368,33 @@ def test_verdict_memo_on_sync_runs(monkeypatch):
     assert report.empirical_ell == max(len(v.details) for v in verdicts)
 
 
+@pytest.mark.parametrize(
+    "spec, vectors",
+    [
+        (ProblemSpec(n=4, m=4, t=2, model="sm-g", g=4), "all"),
+        (ProblemSpec(n=8, m=8, t=8, k=6, model="sm-g", g=4), [tuple(range(8))]),
+    ],
+    ids=["n4-g4-all", "n8-g4"],
+)
+def test_a_role_cell_checks_each_distinct_outcome_once(monkeypatch, spec, vectors):
+    # The role search checks a new outcome through the report's memo, which
+    # counts and folds nothing, and recording it later reuses that check.
+    from partialagreement import verify
+
+    calls = []
+
+    def counting(outcome, spec):
+        calls.append(outcome)
+        return check_agreement(outcome, spec)
+
+    report = explore("smg-comp", spec, vectors)
+    monkeypatch.setattr(verify, "check_agreement", counting)
+    counted = explore("smg-comp", spec, vectors)
+    assert counted.roles and counted.to_json() == report.to_json()
+    assert len(calls) == len(set(calls)) == len(counted.verdicts)
+    assert not counted.checked
+
+
 def test_a_replay_encoding_with_full_scan_set_is_refused():
     # An encoding that sets full_scan asks for a scan-boundary search this
     # explorer does not have; one with full_scan absent or false replays.
@@ -1389,9 +1416,10 @@ def test_a_capped_explore_is_redone_without_role_orbits(unreduced):
 
 
 def test_a_cell_that_outgrows_its_codes_is_redone_without_role_orbits(monkeypatch, unreduced):
-    # 9 value codes leave 11 ids, fewer than the n=8 g=4 search's local
-    # parts: the role search gives up mid-cell and the cell is searched
-    # plainly, recorded violations included.
+    # 9 value codes leave 2 ids, fewer than the 3 local parts the n=8 g=4
+    # search meets before its first failing outcome: the role search gives
+    # up mid-cell and the cell is searched plainly, recorded violations
+    # included.
     from partialagreement import roles
 
     gave_up = []
@@ -1403,7 +1431,7 @@ def test_a_cell_that_outgrows_its_codes_is_redone_without_role_orbits(monkeypatc
         return raw
 
     spec = ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4)
-    monkeypatch.setattr(roles, "CODE_LIMIT", 20)
+    monkeypatch.setattr(roles, "CODE_LIMIT", 11)
     monkeypatch.setattr(roles.RoleKeys, "encode", spy)
     report = explore("smg-comp", spec, [tuple(range(8))])
     assert gave_up[-1] and not any(gave_up[:-1]) and len(gave_up) > 1
@@ -1449,6 +1477,53 @@ ENCODED_CELLS = [
 ]
 
 
+def check_role_encoding(built, inputs, crash_budget, limit=None) -> int:
+    """Assert, on every configuration reachable in the cell (crashing any
+    live pid at any point up to ``crash_budget``; the first ``limit`` the
+    DFS meets, if given), that ``roles.RoleKeys`` encodes it one to one
+    with its ``key()``, that each group element maps it onto a
+    configuration of the cell, the one its pid-mapped moves reach, and that
+    each image of its encoding is that configuration's encoding. The number
+    of configurations met; 0 when the group is the identity."""
+    from partialagreement.roles import RoleKeys, role_group
+    from partialagreement.shmem import AsyncRun
+
+    group = role_group(built, inputs)
+    if len(group) == 1:
+        return 0
+    keys = RoleKeys(built, inputs, group)
+    seen, by_key, by_code = set(), {}, {}
+    root = AsyncRun(built.programs, inputs, objects=built.objects, eager=True)
+    # a run, and per element the run its pid-mapped moves reach
+    stack = [(root, [root] * len(group))]
+    while stack and len(seen) != limit:
+        run, reached = stack.pop()
+        key = run.key()
+        if key in seen:
+            continue
+        seen.add(key)
+        raw = keys.encode(run)
+        assert by_key.setdefault(key, raw) == raw
+        assert by_code.setdefault(raw, key) == key
+        for element, (move, table), image in zip(group, keys.elements, reached):
+            assert image.key() == _relabelled(run, *element).key()
+            code = keys.encode(image)
+            assert bytes(move(raw.translate(table))) == code
+            assert by_code.setdefault(code, image.key()) == image.key()
+            assert by_key.setdefault(image.key(), code) == code
+        moves = [(AsyncRun.step, pid) for pid in run.live_undecided()]
+        if sum(run.crashed) < crash_budget:
+            moves += [(AsyncRun.crash, pid) for pid in run.live_undecided()]
+        for act, pid in moves:
+            children = [run.clone(), *(image.clone() for image in reached)]
+            act(children[0], pid)
+            for (pids, _, _), child in zip(group, children[1:]):
+                act(child, pids[pid])
+            stack.append((children[0], children[1:]))
+    assert len(keys.code) + len(keys.ids) <= 256
+    return len(seen)
+
+
 @pytest.mark.parametrize(
     "spec, vectors, configurations", ENCODED_CELLS,
     ids=[f"n{spec.n}-m{spec.m}-t{spec.t}-g{spec.g}" for spec, _, _ in ENCODED_CELLS],
@@ -1459,45 +1534,13 @@ def test_the_role_encoding_is_the_key_and_each_image_the_relabelled_encoding(
     # Every configuration reachable in the cell, crashing any live pid at
     # any point up to t, and its image under each group element.
     from partialagreement import build_algorithm
-    from partialagreement.roles import RoleKeys, role_group
-    from partialagreement.shmem import AsyncRun
 
     if vectors == "all":
         vectors = list(itertools.product(range(spec.m), repeat=spec.n))
-    met = 0
-    for inputs in vectors:
-        built = build_algorithm("smg-comp", spec, inputs)
-        group = role_group(built, inputs)
-        if len(group) == 1:
-            continue
-        keys = RoleKeys(built, inputs, group)
-        seen, by_key, by_code = set(), {}, {}
-        stack = [AsyncRun(built.programs, inputs, objects=built.objects, eager=True)]
-        while stack:
-            run = stack.pop()
-            key = run.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            raw = keys.encode(run)
-            assert by_key.setdefault(key, raw) == raw
-            assert by_code.setdefault(raw, key) == key
-            for element, (move, table) in zip(group, keys.elements):
-                image = _relabelled(run, *element)
-                code = keys.encode(image)
-                assert bytes(move(raw.translate(table))) == code
-                assert by_code.setdefault(code, image.key()) == image.key()
-                assert by_key.setdefault(image.key(), code) == code
-            live = run.live_undecided()
-            if sum(run.crashed) < spec.t:
-                for pid in live:
-                    stack.append(run.clone())
-                    stack[-1].crash(pid)
-            for pid in live:
-                stack.append(run.clone())
-                stack[-1].step(pid)
-        met += len(seen)
-        assert len(keys.code) + len(keys.ids) <= 256
+    met = sum(
+        check_role_encoding(build_algorithm("smg-comp", spec, inputs), inputs, spec.t)
+        for inputs in vectors
+    )
     assert met == configurations
 
 
@@ -1774,8 +1817,8 @@ def test_sleep_sets_keep_the_reports_under_the_crash_rule(
 # Every catalog entry on small configurations: passing, violating (max-wait
 # k=3, reduce-set, smg-comp k=7), capped on runs or on states (in a later
 # cell for smg-comp n=4 g=4), a cell that outgrows its role codes (the code
-# limit patched to 20), and sampled explores. The last column is the role
-# code limit.
+# limit patched to 10: 7 value codes leave 3 ids for the cell's 5 local
+# parts), and sampled explores. The last column is the role code limit.
 UNREDUCED_CONFIGS = [
     ("no-comm", ProblemSpec(n=4, m=3, t=1), "all", ExploreBudget(), 256),
     ("max-wait", ProblemSpec(n=3, m=2, t=1, k=3), "all", ExploreBudget(), 256),
@@ -1789,7 +1832,7 @@ UNREDUCED_CONFIGS = [
     ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
      ExploreBudget(), 256),
     ("smg-comp", ProblemSpec(n=6, m=6, t=6, k=3, model="sm-g", g=3), [tuple(range(6))],
-     ExploreBudget(), 20),
+     ExploreBudget(), 10),
     ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
      ExploreBudget(), 256),
     ("smg-comp", ProblemSpec(n=8, m=8, t=8, k=7, model="sm-g", g=4), [tuple(range(8))],
@@ -1883,11 +1926,16 @@ def test_the_persistent_sets_keep_every_finished_configuration(monkeypatch, unre
 
 
 def _least_necessary_k(spec):
-    """The least ``necessary_k`` of the async-rw rules that apply: R1-R3
-    always, R4 and R5 under strong validity only."""
+    """The least ``necessary_k`` of the rules that apply: in async-rw R1-R3
+    always, R4 and R5 under strong validity only; in sm-g R8 and R10."""
     from partialagreement import evaluate_bounds
 
-    rows = ("R1", "R2", "R3", "R4", "R5") if spec.validity == "strong" else ("R1", "R2", "R3")
+    if spec.model == "sm-g":
+        rows = ("R8", "R10")
+    elif spec.validity == "strong":
+        rows = ("R1", "R2", "R3", "R4", "R5")
+    else:
+        rows = ("R1", "R2", "R3")
     limits = [
         r.necessary_k for r in evaluate_bounds(spec) if r.row in rows and r.necessary_k is not None
     ]
@@ -1922,6 +1970,50 @@ def test_no_exhaustive_explore_beats_the_impossibility_results():
                 assert not _contradicts_a_theorem(report), (alg, spec)
                 checked += report.exhaustive and not report.violations_total
     assert checked  # the check is not vacuous
+    # sm-g: smg-comp on distinct inputs wherever R8 or R10 gives a
+    # necessary k, that is g = t < n (R10's n=4 g=t=2 among them)
+    composed = 0
+    for n in range(2, 7):
+        for g, t in itertools.product(range(1, n + 1), range(n + 1)):
+            spec = _with_default_k("smg-comp", ProblemSpec(n=n, m=n, t=t, model="sm-g", g=g))
+            if _least_necessary_k(spec) is None:
+                continue
+            report = explore("smg-comp", spec, [tuple(range(n))])
+            assert report.exhaustive and not report.violations_total, spec
+            assert not _contradicts_a_theorem(report), spec
+            composed += 1
+    assert composed == 15
+
+
+def test_min_flood_below_the_round_lower_bound_violates(monkeypatch):
+    # R6: for k >= ceil((n+t+1)/2) no sync algorithm decides in fewer than
+    # rounds_lower (= t) rounds, so min-flood built with one round fewer
+    # must record a violation on distinct inputs. n=6 t=4 is left out: its
+    # search runs into the run cap pattern by pattern.
+    import dataclasses
+    import math
+
+    from partialagreement import algorithms, evaluate_bounds
+
+    entry = algorithms.CATALOG["min-flood"]
+
+    def build(spec, inputs, assignment=None):
+        r6 = next(r for r in evaluate_bounds(spec) if r.row == "R6")
+        return dataclasses.replace(entry.build(spec, inputs), rounds=r6.rounds_lower - 1)
+
+    monkeypatch.setitem(algorithms.CATALOG, "min-flood", dataclasses.replace(entry, build=build))
+    found = {}
+    for n in range(4, 7):
+        for t in range(2, min(3, n - 2) + 1):
+            k = math.ceil((n + t + 1) / 2)
+            report = explore("min-flood", ProblemSpec(n=n, m=n, t=t, k=k, model="sync-mp"),
+                             [tuple(range(n))])
+            assert report.exhaustive
+            found[n, t] = (report.violations_total, report.executions_checked)
+    assert found == {
+        (4, 2): (32, 129), (5, 2): (18, 721), (5, 3): (354, 20641), (6, 2): (554, 4033),
+        (6, 3): (30, 289665),
+    }
 
 
 def test_the_quorum_n_max_wait_mutant_is_caught(monkeypatch):
