@@ -392,11 +392,14 @@ def cmd_explore(args) -> int:
     if report.shared:
         searched, states = report.shared
         resolved = report.cells_resolved
-        lines.append(
+        line = (
             f"searches: {searched} states searched up to pid rotation ({states} with their "
-            f"images), {resolved} cell{'s' * (resolved != 1)} resolved, "
-            f"{report.cells_explored - resolved} searched"
+            f"images), {resolved} cell{'s' * (resolved != 1)} resolved"
         )
+        if report.plain:
+            states, failing = report.plain
+            line += f" ({failing} failing, from one plain search of {states} states)"
+        lines.append(f"{line}, {report.cells_explored - resolved} searched")
     if report.roles:
         searched, states, orders = zip(*report.roles)
         group = f"group of {orders[0]}" if len(orders) == 1 else f"groups of up to {max(orders)}"

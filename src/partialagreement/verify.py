@@ -10,7 +10,9 @@ driven across every contract-compliant first-phase assignment.
 A cell (one input vector, with one first-phase assignment for a reduction)
 is searched, folded onto an earlier cell of its symmetry orbit, or resolved
 from one search up to a group: the pid rotation of the graph that cells
-with a decision basis share, or a role cell's own role group (see explore).
+with a decision basis share, or a role cell's own role group. A cell of that
+shared graph where a class fails resolves from the graph's one plain search
+(see explore).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import (
     ProblemSpec, SpecError, VALIDITY_STRONG, best_witness, evaluate_bounds,
 )
 from .objects import check_contract
-from .shmem import AsyncRun, Decide, depth_first, random_walk
+from .shmem import AsyncRun, depth_first, random_walk
 from .syncmp import chain_patterns, pattern_outcome, random_pattern
 
 
@@ -163,7 +165,9 @@ class ExplorationReport:
     # Cells searched or resolved, folded by pid symmetry and value
     # relabelling, and resolved from the shared search (see explore), states
     # searched, the shared search's states and the states they stand for
-    # (see rotation.shared_search), children the DFS's sleep sets did not build
+    # (see rotation.shared_search), the states of its graph's plain search
+    # and the failing cells resolved from it (see rotation.plain_search),
+    # children the DFS's sleep sets did not build
     # and moves its persistent sets left out (see shmem.depth_first), per
     # cell resolved up to role symmetry its states searched, the states they
     # stand for and its group's order (see roles.role_search), and the
@@ -175,6 +179,7 @@ class ExplorationReport:
     cells_resolved: int = 0
     states_searched: int = 0
     shared: tuple = ()
+    plain: tuple = ()
     moves_slept: int = 0
     moves_pruned: int = 0
     roles: list = field(default_factory=list)
@@ -329,57 +334,11 @@ def _async_outcome(run) -> _Outcome:
     )
 
 
-_UNDECIDED = Decide(None)
-
-
-def _run_class(run, shift=0) -> int:
-    """The class of a finished run (see explore), an int: its
-    nonterminating bit, then per pid n + 2 bits: its decision basis,
-    whether it decided and whether it crashed. With ``shift``, that of the
-    run with pid p moved to p + shift and each basis rotated with it."""
-    n = run.n
-    cls = run.nonterminating
-    for pid in range(n):
-        bits = run.crashed[pid] << n + 1
-        if run.decided[pid] is not None:
-            basis = run.progs[pid].basis(run.states[pid])
-            bits |= 1 << n | (basis << shift | basis >> n - shift) & (1 << n) - 1
-        cls |= bits << 1 + (pid + shift) % n * (n + 2)
-    return cls
-
-
-def _class_outcomes(entry, spec, inputs, assignment, runs):
-    """The outcomes in this cell of the ``runs`` Counter of run classes
-    (see explore), each with the count of its classes' runs: decided by the
-    cell's own programs, once per pid and basis."""
-    progs = entry.build(spec, inputs, assignment=assignment).programs
-    n = len(inputs)
-    decides = {}
-    outcomes = Counter()
-    for cls, count in runs.items():
-        decided = []
-        for pid in range(n):
-            bits = cls >> 1 + pid * (n + 2) & (2 << n) - 1
-            if (pid, bits) not in decides:
-                decide = progs[pid].decide_on(bits ^ 1 << n) if bits >> n else _UNDECIDED
-                decides[pid, bits] = decide
-            decided.append(decides[pid, bits])
-        outcome = _Outcome(
-            inputs,
-            tuple(decide.value for decide in decided),
-            frozenset(p for p in range(n) if cls >> (p + 1) * (n + 2) & 1),
-            frozenset().union(*(decide.flags for decide in decided)),
-            bool(cls & 1),
-        )
-        outcomes[outcome] += count
-    return outcomes.items()
-
-
 def _count_passing(report, outcomes, states) -> bool:
     """Record each ``(outcome, count)`` of ``outcomes`` with its count, then
     add ``states``: a cell's outcomes from a search up to pid rotation or up
     to its role group, or a crash-pattern group's (see explore). Counts nothing
-    and returns False, for the runs to be searched one by one, if an outcome
+    and returns False, for the runs to be recorded one by one, if an outcome
     fails its verdict."""
     if not all(report.verdict(outcome).passed for outcome, _ in outcomes):
         return False
@@ -387,6 +346,14 @@ def _count_passing(report, outcomes, states) -> bool:
         report.record(outcome, None, None, None, count)
     report.states_explored += states
     return True
+
+
+def _cell_base(inputs, assignment) -> dict:
+    """What each recorded violation of the cell says of it."""
+    base = {"inputs": list(inputs)}
+    if assignment is not None:
+        base["assignment"] = list(assignment)
+    return base
 
 
 def _explore_cell(entry, inputs, assignment, report) -> None:
@@ -402,11 +369,9 @@ def _explore_cell(entry, inputs, assignment, report) -> None:
     spec, budget = report.spec, report.budget
     built = entry.build(spec, inputs, assignment)
     crash_budget = min(entry.fault_budget(spec), spec.n)
-    base = {"inputs": list(inputs)}
+    base = _cell_base(inputs, assignment)
     if entry.flavor == "sync":
         base["rounds"] = built.rounds
-    if assignment is not None:
-        base["assignment"] = list(assignment)
     rng = random.Random(f"{budget.seed}|{inputs}|{assignment}") if budget.mode == "sample" else None
 
     if entry.flavor == "sync":
@@ -507,11 +472,14 @@ def _tally(report) -> tuple:
 
 
 def _explore_cells(entry, vectors, report) -> None:
-    """Search or fold every cell of ``vectors`` into ``report`` (see explore)."""
+    """Search, fold or resolve every cell of ``vectors`` into ``report`` (see
+    explore). The shared search runs at the first cell, and its graph's
+    plain search at the first cell whose classes fail, once each."""
     spec, budget = report.spec, report.budget
     fold = entry.symmetry is not None and budget.mode != "sample"
     share = fold and entry.flavor == "async"
     shared = None  # the states, runs and run classes of the shared search
+    plain = None  # the states and listed runs of its graph's plain search
     # orbit -> states and runs of its first cell; None if that cell recorded
     # a violation, so the recorded list keeps its cells and order, or a
     # flagged run, as a tie is broken by value order
@@ -532,9 +500,15 @@ def _explore_cells(entry, vectors, report) -> None:
                 from . import rotation  # loaded by the first shared search
 
                 share, shared = False, rotation.shared_search(entry, inputs, assignment, report)
-            if shared and _fits(report, shared) and _count_passing(
-                report, _class_outcomes(entry, spec, inputs, assignment, shared[2]), shared[0]
-            ):
+            if shared and _fits(report, shared):
+                outcome = rotation.class_decoder(entry, spec, inputs, assignment)
+                if not _count_passing(report, rotation.class_outcomes(outcome, shared[2]), shared[0]):
+                    plain = plain or rotation.plain_search(entry, inputs, assignment, report)
+                    base = _cell_base(inputs, assignment)
+                    for cls, path in plain[1]:
+                        report.record(outcome(cls), base, "schedule", path)
+                    report.states_explored += plain[0]
+                    report.plain = plain[0], report.plain[1] + 1
                 report.cells_resolved += 1
             else:
                 _explore_cell(entry, inputs, assignment, report)
@@ -560,9 +534,11 @@ def explore(
     assignment. Every reduction below keeps the report the unreduced
     search's by one rule: it counts the work of a cell (of a crash-pattern
     group, for sync) only when every outcome passes its verdict and the
-    counts fit the caps, and searches it plainly otherwise, so the recorded
-    violations keep their cells and order and a partial search stops on
-    the same run. Sampled explores are never folded or resolved.
+    counts fit the caps. Otherwise it records the runs one by one in the
+    order of the cell's plain search, so the recorded violations keep their
+    cells and order, and it searches a cell that would reach a cap plainly,
+    so a partial search stops on the same run. Sampled explores are never
+    folded or resolved.
 
     An exhaustive search folds the cells by the entry's declared
     ``CatalogEntry.symmetry`` and ``value_symmetry``: each orbit
@@ -580,11 +556,17 @@ def explore(
     declare ``basis`` and ``decide_on`` (see ``CatalogEntry``) resolves
     each, the first included, from one DFS of the graph they share up to
     values, run one configuration per pid-rotation orbit
-    (``rotation.shared_search``). It counts the class (``_run_class``: per
-    pid its decision basis or undecided, the crashed pids and
+    (``rotation.shared_search``). It counts the class (``rotation.run_class``:
+    per pid its decision basis or undecided, the crashed pids and
     nontermination) of each distinct rotation of each finished run. Each
-    class is decided by the cell's own programs (``_class_outcomes``) and
-    recorded with its count, and the search's states are added. A cell
+    class is decided by the cell's own programs (``rotation.class_decoder``)
+    and recorded with its count, and the search's states are added. A cell
+    where a class fails its verdict is resolved from one plain DFS of the
+    shared graph (``rotation.plain_search``), run by the first such cell:
+    the programs never branch on a value, so its finished runs, in DFS
+    order and with their schedules, are every cell's. Each run is recorded,
+    decided by the cell's own programs, with its schedule as its token,
+    and the search's states are added. A cell
     whose programs declare ``role_objects`` (``smg-comp``'s) is resolved
     the same way from one search of its own configurations up to its role
     group (``roles.role_search``), each distinct outcome recorded once with

@@ -629,7 +629,7 @@ def test_a_violating_orbit_is_searched_cell_by_cell():
         5400, 1269, 528,
     )
     # Three orbits of four cells each violate, and every one of their cells
-    # is searched; the three clean orbits of four fold.
+    # is resolved from one plain search; the three clean orbits of four fold.
     assert len({tuple(v["assignment"]) for v in report.violations}) == 12
     assert len(report.violations) == 528 and report.cells_folded == 9
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -736,7 +736,7 @@ VIOLATING_MAX_WAIT = ("max-wait", ProblemSpec(n=4, m=2, t=1, k=3), "all")
 # reach the cap, so the vector is searched. 17,000 states fall inside
 # (1, 0, 0, 1), the 28th vector and a later member of the orbit of
 # (0, 0, 1, 1), which is searched for the same reason. In no-comm, the
-# orbits whose first vector violates are searched vector by vector. The
+# orbits whose first vector violates are explored vector by vector. The
 # min-flood digests are pinned from the explorer that replayed every crash
 # pattern from the first round: 3,000 runs stop inside the single cell,
 # and a sampled search never folds. The violating max-wait digest is pinned
@@ -871,7 +871,8 @@ def _resolution_mismatches(alg, spec, vectors):
         # no violation is recorded, so none needs a schedule
         budget = ExploreBudget(max_recorded_violations=0)
         report = verify.ExplorationReport(alg, spec, [inputs], budget)
-        for outcome, count in verify._class_outcomes(entry, spec, inputs, cell, classes):
+        outcome = rotation.class_decoder(entry, spec, inputs, cell)
+        for outcome, count in rotation.class_outcomes(outcome, classes):
             report.record(outcome, None, None, None, count)
         report.states_explored += states
         if _cell_counts(report) != _cell_tally(entry, spec, inputs, cell):
@@ -898,7 +899,7 @@ def test_the_basis_declarations_are_the_expected_ones():
 # The fold configurations of every entry with a basis. Among them are the
 # violating reduce-set n=4 m=3 t=2 k=4 configuration, on (0, 1, 2, 2) and
 # (0, 1, 0, 2), and max-wait n=4 m=2 t=1 k=3 on every vector, whose
-# violating cells are searched by explore.
+# violating cells explore resolves from one plain search.
 RESOLVE_CONFIGS = [row for row in FOLD_CONFIGS if row[0] in BASIS_ENTRIES]
 
 
@@ -933,16 +934,17 @@ VIOLATING_REDUCE_SET = (
     "reduce-set", ProblemSpec(n=4, m=3, t=2, k=4, ell=1), [(0, 1, 2, 2)],
 )
 # (config, budget, cells resolved): every PLAIN_FOLDS row and the two
-# reductions, each with and without resolution. The first cell resolves too,
-# from the shared search, unless it fails a verdict or meets a cap.
+# reductions, each with and without resolution. Every cell resolves, the
+# first included, unless it meets a cap: from the shared search, or, if a
+# class fails its verdict, from one plain search of the graph.
 RESOLVED_REPORTS = [
     *((config, budget, resolved) for (config, budget, _, _), resolved in zip(
-        PLAIN_FOLDS, (20, 1, 2, 20, 5, 0, 0, 4)
+        PLAIN_FOLDS, (20, 1, 2, 20, 25, 0, 0, 8)
     )),
     (REDUCE_BINARY_4, ExploreBudget(), 2),
     *((REDUCE_BINARY_4, ExploreBudget(max_runs=r, max_states=s), 2)
       for r, s, _, _ in PARTIAL_SEARCHES),
-    (VIOLATING_REDUCE_SET, ExploreBudget(max_recorded_violations=1000), 6),
+    (VIOLATING_REDUCE_SET, ExploreBudget(max_recorded_violations=1000), 18),
 ]
 
 
@@ -965,6 +967,76 @@ def test_a_resolved_cell_keeps_the_report(monkeypatch, config, budget, resolved)
     assert (report.cells_explored, report.cells_folded) == (
         searched.cells_explored, searched.cells_folded
     )
+
+
+# (config, max_runs, max_states, max_recorded_violations), each cap falling
+# inside the config's second failing cell, pinned from the explorer that
+# searched every failing cell. no-comm n=6 k=4 fails on 20 of its 25 explored
+# vectors, one state and one run each, the second failing one from 11 to 12;
+# max-wait n=4 k=3 on 4 of its 8, 616 states and 213 runs each, the second
+# from 1,232 states, 426 runs and 47 violations; reduce-set on 12 of its 18
+# cells, 200 states and 47 runs each, the second from 400, 94 and 44.
+FAILING_CELLS = [
+    (NO_COMM_6, 12, 11, 1),
+    (VIOLATING_MAX_WAIT, 500, 1500, 70),
+    (VIOLATING_REDUCE_SET, 120, 500, 60),
+]
+
+
+@pytest.mark.parametrize(
+    "config, max_runs, max_states, recorded", FAILING_CELLS,
+    ids=["no-comm", "max-wait", "reduce-set"],
+)
+def test_a_failing_cell_resolves_from_one_plain_search(
+    monkeypatch, config, max_runs, max_states, recorded
+):
+    # Every cell whose classes fail its verdict records the runs of one plain
+    # search of the shared graph, in their DFS order and with their
+    # schedules; a cell that would reach a cap is searched plainly.
+    alg, spec, inputs = config
+    budgets = [
+        ExploreBudget(max_recorded_violations=1000),
+        ExploreBudget(max_runs=max_runs),
+        ExploreBudget(max_states=max_states),
+        ExploreBudget(max_recorded_violations=recorded),
+    ]
+    reports = [explore(alg, spec, inputs, budget) for budget in budgets]
+    full, by_runs, by_states, few = reports
+    failing = {json.dumps([v["inputs"], v.get("assignment")]) for v in full.violations}
+    assert full.cells_resolved == full.cells_explored
+    assert full.plain[1] == len(failing) > 1
+    assert full.states_searched == full.shared[0] + full.plain[0]
+    assert not (by_runs.exhaustive or by_states.exhaustive)
+    assert len(few.violations) == recorded < few.violations_total
+    _without_basis(monkeypatch)
+    for budget, report in zip(budgets, reports):
+        assert report.to_json() == explore(alg, spec, inputs, budget).to_json()
+
+
+WIDE_NO_COMM = ("no-comm", ProblemSpec(n=300, m=2, t=1, k=300), [(0, 1) * 150])
+
+
+@pytest.mark.parametrize(
+    "config, violations", [(VIOLATING_MAX_WAIT, 188), (WIDE_NO_COMM, 1)],
+    ids=["max-wait", "no-comm-300-pids"],
+)
+def test_every_violation_of_a_resolved_cell_replays(capsys, config, violations):
+    # Every violation, each recorded from the plain search's runs (the
+    # default 25 of max-wait come from its first failing cell alone), names
+    # a run that fails with the recorded verdict; a schedule keeps pids past
+    # 255 too.
+    from partialagreement import cli
+
+    alg, spec, inputs = config
+    report = explore(alg, spec, inputs, ExploreBudget(max_recorded_violations=1000))
+    assert report.cells_resolved == report.cells_explored
+    assert len(report.violations) == report.violations_total == violations
+    for violation in report.violations:
+        code = cli.main(["run", "--replay", json.dumps(violation), "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["verdict"] == violation["verdict"]
+        assert out["replay"]["schedule"] == violation["schedule"]
 
 
 def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
@@ -1057,7 +1129,7 @@ def _orbit_and_plain_searches(alg, spec, inputs, assignment):
     for run, weight, done, _ in shmem.depth_first(root, crash_budget, verify._crash_can_matter):
         states += weight
         if done:
-            classes[verify._run_class(run)] += 1
+            classes[rotation.run_class(run)] += 1
     return orbits, (states, classes.total(), classes)
 
 
