@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import MODEL_SM_G, ProblemSpec, SpecError, ceil_div
 from .objects import ConsensusObject, compliant_assignments, first_phase
@@ -260,19 +259,19 @@ def composition_plan(n: int, g: int) -> dict:
 # --- catalog ----------------------------------------------------------------
 
 
-@dataclass
-class Built:
+class Built(NamedTuple):
     """Everything one run needs: programs, fresh shared objects, the round
     count (sync) and a reduction's first-phase answers."""
 
     programs: dict
-    objects: dict = field(default_factory=dict)
+    # shared by every build without objects: no run writes it in place, as
+    # a propose replaces a run's objects dict (``AsyncRun._advance``)
+    objects: dict = {}
     rounds: int | None = None
     first_phase: tuple | None = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One catalog algorithm: its builder, fault budget and verdict defaults.
 
     ``oracle_contract`` (spec -> (k, ell)) marks a reduction whose first

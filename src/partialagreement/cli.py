@@ -168,7 +168,7 @@ def _budget_from_args(args) -> ExploreBudget:
     max_runs = args.max_runs
     if max_runs is None:
         try:
-            max_runs = int(env_default) if env_default else ExploreBudget.max_runs
+            max_runs = int(env_default) if env_default else ExploreBudget().max_runs
         except ValueError:
             raise SpecError(
                 f"PARTIAL_AGREEMENT_BUDGET must be an integer, got {env_default!r}"

@@ -9,7 +9,7 @@ each report names the rule that produced it so tables can be cross-referenced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 MODEL_ASYNC_RW = "async-rw"
@@ -58,8 +58,7 @@ def best_witness(counts: dict, proposed, ell: int) -> tuple:
     return tuple(sorted(ranked[:ell]))
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(namedtuple("ProblemSpec", "n m t k ell validity model g")):
     """The tuple a run is judged against.
 
     n processes, m admissible input values, up to t crashes, agreement
@@ -67,42 +66,39 @@ class ProblemSpec:
     ell, validity mode, and the communication model ("sm-g" carries g).
     """
 
-    n: int
-    m: int = 2
-    t: int = 0
-    k: int | None = None
-    ell: int = 1
-    validity: str = VALIDITY_WEAK
-    model: str = MODEL_ASYNC_RW
-    g: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k is None:
-            object.__setattr__(self, "k", self.n)
-        for name in ("n", "m", "t", "k", "ell") + (("g",) if self.g is not None else ()):
-            if type(getattr(self, name)) is not int:
-                raise SpecError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n < 2:
-            raise SpecError(f"n must be >= 2, got {self.n}")
-        if self.m < 2:
-            raise SpecError(f"m must be >= 2, got {self.m}")
-        if not 0 <= self.t <= self.n:
-            raise SpecError(f"t must satisfy 0 <= t <= n, got t={self.t}, n={self.n}")
-        if not 1 <= self.k <= self.n:
-            raise SpecError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not 1 <= self.ell <= self.m:
-            raise SpecError(f"ell must satisfy 1 <= ell <= m, got ell={self.ell}, m={self.m}")
-        if self.validity not in (VALIDITY_WEAK, VALIDITY_STRONG):
-            raise SpecError(f"validity must be weak or strong, got {self.validity!r}")
-        if self.model not in MODELS:
-            raise SpecError(f"unknown model {self.model!r}")
-        if self.model == MODEL_SM_G:
-            if self.g is None:
+    def __new__(cls, n, m=2, t=0, k=None, ell=1, validity=VALIDITY_WEAK, model=MODEL_ASYNC_RW, g=None):
+        if k is None:
+            k = n
+        ints = {"n": n, "m": m, "t": t, "k": k, "ell": ell}
+        if g is not None:
+            ints["g"] = g
+        for name, value in ints.items():
+            if type(value) is not int:
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+        if n < 2:
+            raise SpecError(f"n must be >= 2, got {n}")
+        if m < 2:
+            raise SpecError(f"m must be >= 2, got {m}")
+        if not 0 <= t <= n:
+            raise SpecError(f"t must satisfy 0 <= t <= n, got t={t}, n={n}")
+        if not 1 <= k <= n:
+            raise SpecError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+        if not 1 <= ell <= m:
+            raise SpecError(f"ell must satisfy 1 <= ell <= m, got ell={ell}, m={m}")
+        if validity not in (VALIDITY_WEAK, VALIDITY_STRONG):
+            raise SpecError(f"validity must be weak or strong, got {validity!r}")
+        if model not in MODELS:
+            raise SpecError(f"unknown model {model!r}")
+        if model == MODEL_SM_G:
+            if g is None:
                 raise SpecError("model sm-g requires g")
-            if not 1 <= self.g <= self.n:
-                raise SpecError(f"g must satisfy 1 <= g <= n, got g={self.g}, n={self.n}")
-        elif self.g is not None:
-            raise SpecError(f"g is only meaningful for model sm-g, got model {self.model!r}")
+            if not 1 <= g <= n:
+                raise SpecError(f"g must satisfy 1 <= g <= n, got g={g}, n={n}")
+        elif g is not None:
+            raise SpecError(f"g is only meaningful for model sm-g, got model {model!r}")
+        return tuple.__new__(cls, (n, m, t, k, ell, validity, model, g))
 
     def check_inputs(self, values) -> tuple:
         """``values`` as a tuple if it is an input vector (or an oracle
@@ -139,24 +135,18 @@ class ProblemSpec:
         return list(vectors)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "t": self.t,
-            "k": self.k,
-            "ell": self.ell,
-            "validity": self.validity,
-            "model": self.model,
-            "g": self.g,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
-        return cls(**{k: d[k] for k in ("n", "m", "t", "k", "ell", "validity", "model", "g") if k in d})
+        return cls(**{k: d[k] for k in cls._fields if k in d})
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple(
+    "BoundReport",
+    "row sufficient_k necessary_k rounds_lower rounds_upper assumptions variant",
+    defaults=(None, None, None, None, (), "base"),
+)):
     """Thresholds produced by one catalog rule.
 
     sufficient_k: largest k known to be achievable by a construction.
@@ -166,20 +156,16 @@ class BoundReport:
     variant: "base" or a named refinement of the same rule.
     """
 
-    row: str
-    sufficient_k: int | None = None
-    necessary_k: int | None = None
-    rounds_lower: int | None = None
-    rounds_upper: int | None = None
-    assumptions: tuple[str, ...] = ()
-    variant: str = "base"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sufficient_k is not None and self.necessary_k is not None:
             if self.sufficient_k > self.necessary_k:
                 raise SpecError(
                     f"{self.row}: sufficient_k {self.sufficient_k} exceeds necessary_k {self.necessary_k}"
                 )
+        return self
 
     def to_dict(self) -> dict:
         return {

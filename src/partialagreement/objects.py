@@ -14,34 +14,35 @@ contract admits, and an explorer builds the reduction once per assignment.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Iterator
 
 from .core import ModelViolationError, SpecError, best_witness
 
 
-@dataclass(frozen=True, slots=True)
-class ConsensusObject:
+class ConsensusObject(namedtuple(
+    "ConsensusObject", "capacity winner proposers", defaults=(None, frozenset()),
+)):
     """First proposal wins: a propose returns the next object and the winner."""
 
-    capacity: int
-    winner: int | None = None
-    proposers: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.capacity < 1:
             raise SpecError(f"capacity must be >= 1, got {self.capacity}")
+        return self
 
     def propose(self, pid: int, value: int) -> tuple[ConsensusObject, int]:
-        if pid in self.proposers:
+        capacity, winner, proposers = self
+        if pid in proposers:
             raise ModelViolationError(f"process {pid} proposed twice on one object")
-        if len(self.proposers) + 1 > self.capacity:
-            raise ModelViolationError(
-                f"object capacity {self.capacity} exceeded by proposer {pid}"
-            )
-        winner = value if self.winner is None else self.winner
-        return ConsensusObject(self.capacity, winner, self.proposers | {pid}), winner
+        if len(proposers) + 1 > capacity:
+            raise ModelViolationError(f"object capacity {capacity} exceeded by proposer {pid}")
+        if winner is None:
+            winner = value
+        # _make skips __new__'s check, which this object's capacity passed
+        return self._make((capacity, winner, proposers | {pid})), winner
 
 
 def agreement_holds(assignment, n, k, ell, inputs) -> bool:

@@ -14,7 +14,6 @@ exhaustive one, the DFS of an explore's cell.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import ModelViolationError, ProblemSpec, SpecError
@@ -43,8 +42,7 @@ class Decide(NamedTuple):
     flags: tuple = ()
 
 
-@dataclass(frozen=True)
-class AsyncSchedule:
+class AsyncSchedule(NamedTuple):
     """An interleaving plus crash placements.
 
     ``steps[i]`` is the process stepped at position i. A crash ``(pid, pos)``
@@ -100,8 +98,7 @@ class AsyncSchedule:
         return cls(steps, crashes)
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     """Full event log of one asynchronous run.
 
     Events are ``(position, pid, kind, payload)`` with kind one of write,

@@ -34,29 +34,26 @@ runs.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from collections import Counter, namedtuple
+from typing import Iterator, NamedTuple
 
 from .core import ProblemSpec, SpecError
 from .shmem import Decide
 
 
-@dataclass(frozen=True)
-class CrashPattern:
-    """Adversary choices: victims as ``(pid, round, recipients_reached)``.
+class CrashPattern(namedtuple("CrashPattern", "victims")):
+    """Adversary choices: victims as ``(pid, round, recipients_reached)``,
+    sorted, each recipients_reached a frozenset.
 
     A victim delivers its round-r messages exactly to recipients_reached
     and is silent afterwards.
     """
 
-    victims: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "victims",
-            tuple(sorted((p, r, frozenset(rcpts)) for p, r, rcpts in self.victims)),
+    def __new__(cls, victims=()):
+        return super().__new__(
+            cls, tuple(sorted((p, r, frozenset(rcpts)) for p, r, rcpts in victims))
         )
 
     def validate(self, n: int, t: int, rounds: int) -> None:
@@ -107,8 +104,7 @@ class CrashPattern:
         return cls(tuple(victims))
 
 
-@dataclass(frozen=True)
-class RoundTrace:
+class RoundTrace(NamedTuple):
     """Per-round message log plus final decisions.
 
     ``rounds[r-1]`` is ``(sent, delivered)`` where each entry is a tuple of

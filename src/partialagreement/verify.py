@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, namedtuple
 from typing import NamedTuple
 
 from .algorithms import get_algorithm
@@ -32,8 +31,7 @@ from .shmem import AsyncRun, depth_first, random_walk
 from .syncmp import chain_patterns, pattern_outcome, random_pattern
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking one run against the agreement contract.
 
     witness_set is the <= ell proposed values certifying agreement;
@@ -104,26 +102,27 @@ def check_agreement(trace, spec: ProblemSpec) -> Verdict:
 # --- exploration ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExploreBudget:
+class ExploreBudget(namedtuple(
+    "ExploreBudget",
+    "max_runs max_states max_input_vectors samples mode seed max_recorded_violations",
+    defaults=(500_000, 4_000_000, 4096, 100, "auto", 0, 25),
+)):
     """Limits for one exploration.
 
     mode "auto" enumerates exhaustively and fails soft (partial report)
     past the caps; mode "sample" replaces schedule/pattern enumeration with
-    ``samples`` seeded random runs per cell. Every field but ``mode`` is an
-    int, the caps and ``samples`` are positive and ``max_recorded_violations``
-    is not negative, 0 recording none (SpecError otherwise).
+    ``samples`` seeded random runs per cell. Either mode stops, before
+    recording it, at the first run whose states take ``states_explored``
+    past ``max_states``: a DFS state, a crash pattern or a random walk's
+    steps. Every field but ``mode`` is an int, the caps and ``samples`` are
+    positive and ``max_recorded_violations`` is not negative, 0 recording
+    none (SpecError otherwise).
     """
 
-    max_runs: int = 500_000
-    max_states: int = 4_000_000
-    max_input_vectors: int = 4096
-    samples: int = 100
-    mode: str = "auto"
-    seed: int = 0
-    max_recorded_violations: int = 25
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in (
             "max_runs", "max_states", "max_input_vectors", "samples", "seed",
             "max_recorded_violations",
@@ -137,54 +136,50 @@ class ExploreBudget:
             raise SpecError(f"max_recorded_violations must be >= 0, got {self.max_recorded_violations}")
         if self.mode not in ("auto", "sample"):
             raise SpecError(f"mode must be 'auto' or 'sample', got {self.mode!r}")
+        return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # What an explore's replay encoding holds (see explore_from_replay).
 _REPLAY_KEYS = ("algorithm", "spec", "inputs_mode", "budget")
 
 
-@dataclass
 class ExplorationReport:
-    algorithm: str
-    spec: ProblemSpec
-    inputs_mode: object
-    budget: ExploreBudget
-    executions_checked: int = 0
-    states_explored: int = 0
-    violations: list = field(default_factory=list)
-    violations_total: int = 0
-    flagged_executions: int = 0
-    empirical_k: int | None = None
-    empirical_k_all_runs: int | None = None
-    empirical_ell: int | None = None
-    exhaustive: bool = True
-    notes: list = field(default_factory=list)
+    executions_checked = 0
+    states_explored = 0
+    violations_total = 0
+    flagged_executions = 0
+    empirical_k = None
+    empirical_k_all_runs = None
+    empirical_ell = None
+    exhaustive = True
     # Cells searched or resolved, folded by pid symmetry and value
     # relabelling, and resolved from the shared search (see explore), states
     # searched, the shared search's states and the states they stand for
     # (see rotation.shared_search), the states of its graph's plain search
     # and the failing cells resolved from it (see rotation.plain_search),
     # children the DFS's sleep sets did not build
-    # and moves its persistent sets left out (see shmem.depth_first), per
-    # cell resolved up to role symmetry its states searched, the states they
-    # stand for and its group's order (see roles.role_search), and the
-    # verdict per distinct outcome recorded, and per one checked but not yet
-    # recorded (see verdict); not serialised, as they leave the report
-    # unchanged.
-    cells_explored: int = 0
-    cells_folded: int = 0
-    cells_resolved: int = 0
-    states_searched: int = 0
-    shared: tuple = ()
-    plain: tuple = ()
-    moves_slept: int = 0
-    moves_pruned: int = 0
-    roles: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
-    checked: dict = field(default_factory=dict, repr=False, compare=False)
+    # and moves its persistent sets left out (see shmem.depth_first), and,
+    # made by __init__, per cell resolved up to role symmetry its states
+    # searched, the states they stand for and its group's order (see
+    # roles.role_search), and the verdict per distinct outcome recorded, and
+    # per one checked but not yet recorded (see verdict); not serialised, as
+    # they leave the report unchanged.
+    cells_explored = 0
+    cells_folded = 0
+    cells_resolved = 0
+    states_searched = 0
+    shared = ()
+    plain = ()
+    moves_slept = 0
+    moves_pruned = 0
+
+    def __init__(self, algorithm: str, spec: ProblemSpec, inputs_mode, budget: ExploreBudget):
+        self.algorithm, self.spec, self.inputs_mode, self.budget = algorithm, spec, inputs_mode, budget
+        self.violations, self.notes, self.roles = [], [], []
+        self.verdicts, self.checked = {}, {}
 
     def record(self, outcome: _Outcome, base: dict, token_key: str, token, weight=1) -> None:
         """Count ``weight`` finished runs (see _count_passing). ``token`` is the
@@ -367,6 +362,7 @@ def _explore_cell(entry, inputs, assignment, report) -> None:
     persistent sets leave out moves, counted in ``report.moves_pruned``)
     if ``roles.role_search`` does not resolve it."""
     spec, budget = report.spec, report.budget
+    max_states = budget.max_states  # a local, as it is compared once per state
     built = entry.build(spec, inputs, assignment)
     crash_budget = min(entry.fault_budget(spec), spec.n)
     base = _cell_base(inputs, assignment)
@@ -378,7 +374,7 @@ def _explore_cell(entry, inputs, assignment, report) -> None:
         def run_alone(patterns):
             for pattern in patterns:
                 report.states_explored += 1
-                if report.states_explored > budget.max_states:
+                if report.states_explored > max_states:
                     raise _BudgetStop
                 outcome = pattern_outcome(built.programs, pattern, built.rounds)
                 report.record(_Outcome(inputs, *outcome, False), base, "pattern", pattern)
@@ -399,6 +395,8 @@ def _explore_cell(entry, inputs, assignment, report) -> None:
         for _ in range(budget.samples):
             run = root.clone()
             report.states_explored += random_walk(run, rng, crash_budget)
+            if report.states_explored > max_states:
+                raise _BudgetStop
             report.record(_async_outcome(run), base, "schedule", run)
         return
     ample = None
@@ -412,7 +410,7 @@ def _explore_cell(entry, inputs, assignment, report) -> None:
         report.states_searched += 1
         report.moves_slept += slept
         report.states_explored += 1
-        if report.states_explored > budget.max_states:
+        if report.states_explored > max_states:
             raise _BudgetStop
         if done:
             report.record(_async_outcome(run), base, "schedule", run)

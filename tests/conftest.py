@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -20,7 +21,7 @@ def _unreduced():
     without role orbits both run through them."""
     with pytest.MonkeyPatch.context() as patch:
         for name, entry in list(CATALOG.items()):
-            patch.setitem(CATALOG, name, dataclasses.replace(entry, symmetry=None))
+            patch.setitem(CATALOG, name, entry._replace(symmetry=None))
         patch.setattr(roles, "ROLE_GROUP_LIMIT", 0)
         yield
 
@@ -29,3 +30,29 @@ def _unreduced():
 def unreduced():
     """A context manager under which every search is the unreduced one."""
     return _unreduced
+
+
+def _first_difference(a, b, path="report"):
+    """The path to the first place where the JSON values ``a`` and ``b``,
+    which differ, differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        key = next(k for k in sorted(a.keys() | b.keys()) if k not in a or k not in b or a[k] != b[k])
+        if key in a and key in b:
+            return _first_difference(a[key], b[key], f"{path}.{key}")
+        return f"{path}.{key}"
+    if isinstance(a, list) and isinstance(b, list):
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+        if i is not None:
+            return _first_difference(a[i], b[i], f"{path}[{i}]")
+        return f"{path}[{min(len(a), len(b))}]"
+    return path
+
+
+def same_report(got: str, want: str, context="") -> None:
+    """Fail unless two reports' ``to_json()`` strings are equal, naming only
+    the first differing key and the two digests: pytest's diff of two long
+    JSON strings can run for minutes."""
+    if got != want:
+        where = _first_difference(json.loads(got), json.loads(want))
+        digests = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (got, want)]
+        pytest.fail(f"{context} reports differ first at {where}: sha256 {' != '.join(digests)}".lstrip())

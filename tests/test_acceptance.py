@@ -25,6 +25,7 @@ from partialagreement import (
 from partialagreement.core import ceil_div
 from partialagreement.verify import best_witness
 
+from conftest import same_report
 from test_bounds import (
     by_row,
     expected_r1,
@@ -267,5 +268,5 @@ def test_c9_replay_determinism():
         budget = ExploreBudget(mode="sample", samples=12, seed=seed)
         report = explore("max-wait", spec, "all", budget)
         replayed = explore_from_replay(report.replay_encoding())
-        assert replayed.to_json() == report.to_json(), f"seed {seed}"
+        same_report(replayed.to_json(), report.to_json(), f"seed {seed}")
     report_line("C9", started, "100 seeded explorations replay bit-identically")

@@ -15,7 +15,6 @@ no counts. It is also compared on seeded random sync programs.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -34,6 +33,7 @@ from partialagreement import (
 from partialagreement.algorithms import BroadcastMajority, Built
 from partialagreement.shmem import Decide, Propose, Read, Write
 from partialagreement.syncmp import chain_patterns, pattern_groups, random_pattern
+from conftest import same_report
 
 
 class Config(NamedTuple):
@@ -256,8 +256,8 @@ def random_async_cell(n, t, seed):
                 ops.append(("read", rng.randrange(n), rng.randint(0, 1), rng.random() < 0.5))
         rng.shuffle(ops)
         programs[pid] = RandomAsync(tuple(ops), inputs[pid])
-    entry = dataclasses.replace(
-        get_algorithm("no-comm"), name=f"random-{seed}",
+    entry = get_algorithm("no-comm")._replace(
+        name=f"random-{seed}",
         build=lambda spec, inputs, assignment=None: Built(
             programs, objects={"A": ConsensusObject(n), "B": ConsensusObject(n)},
         ),
@@ -345,8 +345,8 @@ def random_chain_cell(n, t, seed):
         for pid in range(n)
     }
     objects = {name: ConsensusObject(n) for name in "ABC"}
-    entry = dataclasses.replace(
-        get_algorithm("smg-comp"), name=f"random-chain-{seed}",
+    entry = get_algorithm("smg-comp")._replace(
+        name=f"random-chain-{seed}",
         build=lambda spec, inputs, assignment=None: Built(programs, objects=dict(objects)),
     )
     return entry, ProblemSpec(n=n, m=n, t=t, model="sm-g", g=n), inputs, None
@@ -432,8 +432,8 @@ def random_role_cell(seed):
     inputs = tuple(rng.randrange(n) for _ in range(n))
     programs = {pid: cls(chain, inputs[pid]) for pid, (cls, chain) in enumerate(pids)}
     objects = {name: ConsensusObject(n) for name in "ABC"}
-    entry = dataclasses.replace(
-        get_algorithm("smg-comp"), name=f"random-roles-{seed}",
+    entry = get_algorithm("smg-comp")._replace(
+        name=f"random-roles-{seed}",
         build=lambda spec, inputs, assignment=None: Built(programs, objects=dict(objects)),
     )
     spec = ProblemSpec(n=n, m=n, t=rng.randint(0, n), k=rng.randint(1, n), model="sm-g", g=n)
@@ -451,7 +451,7 @@ def check_random_role_cell(seed, unreduced, limit=None) -> bool:
     entry, spec, inputs, _ = cell
     reduced = explored_cell(*cell)
     with unreduced():
-        assert explored_cell(*cell).to_json() == reduced.to_json(), seed
+        same_report(explored_cell(*cell).to_json(), reduced.to_json(), seed)
     check_role_encoding(entry.build(spec, inputs), inputs, spec.t, limit)
     return bool(reduced.roles)
 
@@ -533,12 +533,12 @@ class Gossip:
 def _entry(name, build):
     """A sync catalog entry under ``name`` with every field but ``build``
     taken from min-flood's."""
-    return dataclasses.replace(get_algorithm("min-flood"), name=name, build=build)
+    return get_algorithm("min-flood")._replace(name=name, build=build)
 
 
 def _short(spec, inputs, assignment=None):
     built = get_algorithm("min-flood").build(spec, inputs)
-    return dataclasses.replace(built, rounds=built.rounds - 1)
+    return built._replace(rounds=built.rounds - 1)
 
 
 MIN_FLOOD = get_algorithm("min-flood")

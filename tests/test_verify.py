@@ -19,6 +19,7 @@ from partialagreement import (
 )
 from partialagreement.shmem import AsyncRun, Propose, Write
 from partialagreement.verify import best_witness
+from conftest import same_report
 from test_shmem import Livelock as _Livelock
 
 
@@ -189,7 +190,7 @@ def test_explore_replay_roundtrip():
     budget = ExploreBudget(mode="sample", samples=10, seed=3)
     report = explore("max-wait", spec, "all", budget)
     replayed = explore_from_replay(report.replay_encoding())
-    assert replayed.to_json() == report.to_json()
+    same_report(replayed.to_json(), report.to_json())
 
 
 def test_explore_budget_partial_report():
@@ -390,7 +391,8 @@ def test_a_role_cell_checks_each_distinct_outcome_once(monkeypatch, spec, vector
     report = explore("smg-comp", spec, vectors)
     monkeypatch.setattr(verify, "check_agreement", counting)
     counted = explore("smg-comp", spec, vectors)
-    assert counted.roles and counted.to_json() == report.to_json()
+    assert counted.roles
+    same_report(counted.to_json(), report.to_json())
     assert len(calls) == len(set(calls)) == len(counted.verdicts)
     assert not counted.checked
 
@@ -409,7 +411,7 @@ def test_a_replay_encoding_with_full_scan_set_is_refused():
     with pytest.raises(SpecError):
         explore_from_replay({**encoding, "full_scan": True})
     for old in (encoding, {**encoding, "full_scan": False}):
-        assert explore_from_replay(json.dumps(old)).to_json() == report.to_json()
+        same_report(explore_from_replay(json.dumps(old)).to_json(), report.to_json())
 
 
 def test_every_entry_point_checks_inputs_against_the_spec():
@@ -581,8 +583,6 @@ def test_a_flagged_cell_keeps_its_swap_images_searched(monkeypatch):
     # 0-1 swap images, with four 1s, read 4: folding one into the other
     # would change the report. An orbit whose first cell has a flagged run
     # seeds no fold, so every later cell of it is searched.
-    import dataclasses
-
     from partialagreement import algorithms
 
     def contract(spec):
@@ -590,7 +590,7 @@ def test_a_flagged_cell_keeps_its_swap_images_searched(monkeypatch):
 
     entry = algorithms.CATALOG["reduce-sync"]
     monkeypatch.setattr(algorithms, "_sync_contract", contract)
-    entry = dataclasses.replace(entry, oracle_contract=contract)
+    entry = entry._replace(oracle_contract=contract)
     monkeypatch.setitem(algorithms.CATALOG, "reduce-sync", entry)
     spec = ProblemSpec(n=6, m=2, t=2, k=3, validity="strong", model="sync-mp")
     inputs = (0, 0, 0, 1, 1, 1)
@@ -718,7 +718,33 @@ def test_a_partial_search_stops_on_the_same_run(max_runs, max_states, runs, stat
     spec = ProblemSpec(n=4, m=2, t=1, k=4, validity="strong")
     budget = ExploreBudget(max_runs=max_runs, max_states=max_states)
     report = explore("reduce-binary", spec, [(0, 0, 1, 1)], budget)
-    assert report.to_json() == PARTIAL_REPORT % (max_runs, max_states, runs, states)
+    same_report(report.to_json(), PARTIAL_REPORT % (max_runs, max_states, runs, states))
+
+
+# (algorithm, spec, (states, runs) of the sampled explore capped at 3
+# states): a random walk of max-wait takes 5 steps, a crash pattern 1.
+SAMPLED_CAPS = [
+    ("max-wait", ProblemSpec(n=3, m=2, t=1, k=2), (5, 0)),
+    ("min-flood", ProblemSpec(n=3, m=2, t=1, k=2, model="sync-mp"), (4, 3)),
+]
+
+
+@pytest.mark.parametrize("alg, spec, capped_at_3", SAMPLED_CAPS, ids=["async", "sync"])
+def test_a_sampled_explore_stops_on_the_run_past_max_states(alg, spec, capped_at_3):
+    # As in the DFS, a sampled explore stops at the first run (a random
+    # walk's steps, or one crash pattern) whose states take states_explored
+    # past max_states, before recording it; a cap that admits those states
+    # records it.
+    def sampled(max_states):
+        return explore(alg, spec, "all", ExploreBudget(mode="sample", samples=5, max_states=max_states))
+
+    full = sampled(4_000_000)
+    for cap in (3, 10):
+        capped = sampled(cap)
+        assert capped.states_explored > cap and capped.executions_checked < full.executions_checked
+        assert sampled(capped.states_explored).executions_checked == capped.executions_checked + 1
+    capped = sampled(3)
+    assert (capped.states_explored, capped.executions_checked) == capped_at_3
 
 
 MAX_WAIT_4 = ("max-wait", ProblemSpec(n=4, m=4, t=1, k=2), "canonical")
@@ -963,7 +989,7 @@ def test_a_resolved_cell_keeps_the_report(monkeypatch, config, budget, resolved)
     _without_basis(monkeypatch)
     searched = explore(alg, spec, inputs, budget)
     assert searched.cells_resolved == 0
-    assert report.to_json() == searched.to_json()
+    same_report(report.to_json(), searched.to_json())
     assert (report.cells_explored, report.cells_folded) == (
         searched.cells_explored, searched.cells_folded
     )
@@ -1010,7 +1036,7 @@ def test_a_failing_cell_resolves_from_one_plain_search(
     assert len(few.violations) == recorded < few.violations_total
     _without_basis(monkeypatch)
     for budget, report in zip(budgets, reports):
-        assert report.to_json() == explore(alg, spec, inputs, budget).to_json()
+        same_report(report.to_json(), explore(alg, spec, inputs, budget).to_json())
 
 
 WIDE_NO_COMM = ("no-comm", ProblemSpec(n=300, m=2, t=1, k=300), [(0, 1) * 150])
@@ -1045,14 +1071,12 @@ def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
     # A resolved class takes its flags from the cell's own decisions. A cell
     # with a flagged run seeds no fold, so 15 of the 16 cells are explored,
     # and each of them, the first included, resolves from the shared search.
-    import dataclasses
-
     from partialagreement import algorithms
 
     def contract(spec):
         return (2, 1)
 
-    entry = dataclasses.replace(algorithms.CATALOG["reduce-smg"], oracle_contract=contract)
+    entry = algorithms.CATALOG["reduce-smg"]._replace(oracle_contract=contract)
     monkeypatch.setattr(algorithms, "_smg_contract", contract)
     monkeypatch.setitem(algorithms.CATALOG, "reduce-smg", entry)
     spec = ProblemSpec(n=4, m=2, t=2, k=2, validity="strong")
@@ -1066,7 +1090,7 @@ def test_a_flagged_run_resolves_with_its_flags(monkeypatch):
         658, 0, 15,
     )
     _without_basis(monkeypatch)
-    assert explore("reduce-smg", spec, [(0, 0, 1, 1)]).to_json() == report.to_json()
+    same_report(explore("reduce-smg", spec, [(0, 0, 1, 1)]).to_json(), report.to_json())
 
 
 def test_the_resolution_check_catches_a_value_branching_program(monkeypatch):
@@ -1179,17 +1203,15 @@ def test_the_shared_search_check_catches_a_rotation_breaking_program(monkeypatch
 
 
 def _min_flood_one_round_short(monkeypatch):
-    import dataclasses
-
     from partialagreement import algorithms
 
     entry = algorithms.CATALOG["min-flood"]
 
     def build(spec, inputs, assignment=None):
         built = entry.build(spec, inputs)
-        return dataclasses.replace(built, rounds=built.rounds - 1)
+        return built._replace(rounds=built.rounds - 1)
 
-    monkeypatch.setitem(algorithms.CATALOG, "min-flood", dataclasses.replace(entry, build=build))
+    monkeypatch.setitem(algorithms.CATALOG, "min-flood", entry._replace(build=build))
 
 
 # (n, t, max_recorded_violations, violations, digest of to_json): the first
@@ -1447,7 +1469,7 @@ def test_every_recorded_role_reduced_violation_replays(capsys, unreduced):
         "5c0a62e70b7080575feb3c78a0ae7b89c5cc8c12792c48c745b4a024fdd7f6ea"
     )
     with unreduced():
-        assert explore("smg-comp", spec, [tuple(range(8))]).to_json() == report.to_json()
+        same_report(explore("smg-comp", spec, [tuple(range(8))]).to_json(), report.to_json())
     for violation in report.violations:
         code = cli.main(["run", "--replay", json.dumps(violation), "--format", "json"])
         out = json.loads(capsys.readouterr().out)
@@ -1469,7 +1491,7 @@ def test_a_capped_role_search_stops_on_the_same_run(unreduced, budget):
     reduced = explore("smg-comp", spec, [tuple(range(8))], budget)
     assert not reduced.exhaustive
     with unreduced():
-        assert reduced.to_json() == explore("smg-comp", spec, [tuple(range(8))], budget).to_json()
+        same_report(reduced.to_json(), explore("smg-comp", spec, [tuple(range(8))], budget).to_json())
 
 
 def test_a_capped_explore_is_redone_without_role_orbits(unreduced):
@@ -1484,7 +1506,7 @@ def test_a_capped_explore_is_redone_without_role_orbits(unreduced):
     assert 0 < len(states) < report.cells_explored
     assert sum(searched) < sum(states) < report.states_explored
     with unreduced():
-        assert report.to_json() == explore("smg-comp", spec, "all", budget).to_json()
+        same_report(report.to_json(), explore("smg-comp", spec, "all", budget).to_json())
 
 
 def test_a_cell_that_outgrows_its_codes_is_redone_without_role_orbits(monkeypatch, unreduced):
@@ -1510,7 +1532,7 @@ def test_a_cell_that_outgrows_its_codes_is_redone_without_role_orbits(monkeypatc
     assert report.exhaustive and not report.roles
     assert report.states_searched > report.states_explored  # both searches
     with unreduced():
-        assert report.to_json() == explore("smg-comp", spec, [tuple(range(8))]).to_json()
+        same_report(report.to_json(), explore("smg-comp", spec, [tuple(range(8))]).to_json())
 
 
 def _relabelled(run, pids, objects, values):
@@ -1782,7 +1804,7 @@ def test_sleep_sets_change_only_the_children_built(monkeypatch, alg, spec, input
         # sets run instead of the sleep sets.
         assert (report.moves_pruned if alg == "smg-comp" else report.moves_slept) > 0
     assert yielded == yielded_unslept
-    assert report.to_json() == unslept.to_json()
+    same_report(report.to_json(), unslept.to_json())
 
 
 def test_a_run_cut_by_the_step_bound_ends_the_sleep_sets(monkeypatch):
@@ -1807,8 +1829,6 @@ def test_a_run_cut_by_the_step_bound_ends_the_sleep_sets(monkeypatch):
 def test_a_sampled_explore_of_a_livelock_ends_every_run_at_the_step_bound(monkeypatch):
     # A random walk stops where its run marks itself nonterminating, so the
     # explore finishes and each run is a resiliency violation that replays.
-    import dataclasses
-
     from partialagreement import AsyncSchedule, algorithms, run_async
 
     entry = algorithms.CATALOG["max-wait"]
@@ -1816,7 +1836,7 @@ def test_a_sampled_explore_of_a_livelock_ends_every_run_at_the_step_bound(monkey
     def build(spec, inputs, assignment=None):
         return algorithms.Built({pid: _Livelock(pid, spec.n, inputs[pid]) for pid in range(spec.n)})
 
-    monkeypatch.setitem(algorithms.CATALOG, "max-wait", dataclasses.replace(entry, build=build))
+    monkeypatch.setitem(algorithms.CATALOG, "max-wait", entry._replace(build=build))
     spec = ProblemSpec(n=3, m=3, t=0, k=3)
     report = explore("max-wait", spec, [(0, 1, 2)], ExploreBudget(mode="sample", samples=4))
     assert report.executions_checked == report.violations_total == 4
@@ -1935,7 +1955,7 @@ def test_every_report_is_the_unreduced_searchs(
     monkeypatch.setattr(roles, "CODE_LIMIT", code_limit)
     report = explore(alg, spec, inputs, budget)
     with unreduced():
-        assert report.to_json() == explore(alg, spec, inputs, budget).to_json()
+        same_report(report.to_json(), explore(alg, spec, inputs, budget).to_json())
 
 
 # --- persistent sets in the async DFS ------------------------------------------
@@ -1961,8 +1981,6 @@ def test_the_persistent_sets_keep_every_finished_configuration(monkeypatch, unre
     # searched up to role symmetry. A crash is never undone and the budget
     # only bounds how many are taken, so the DFS without them at budget t
     # ends in those of its search at budget n with at most t crashed pids.
-    import dataclasses
-
     from partialagreement import build_algorithm, shmem, verify
     from partialagreement.algorithms import smg_guarantee
 
@@ -1982,14 +2000,14 @@ def test_the_persistent_sets_keep_every_finished_configuration(monkeypatch, unre
         spec = ProblemSpec(n=n, m=n, t=n, model="sm-g", g=g)
         plain = _finished_keys(build_algorithm("smg-comp", spec, inputs), inputs, n)
         for t in range(n + 1):
-            spec = dataclasses.replace(spec, t=t)
-            spec = dataclasses.replace(spec, k=smg_guarantee(spec))
+            spec = spec._replace(t=t)
+            spec = spec._replace(k=smg_guarantee(spec))
             reduced = explore("smg-comp", spec, [inputs])
             finished.clear()
             with unreduced():
                 report = explore("smg-comp", spec, [inputs])
             assert finished == {key for key in plain if sum(key[crashed]) <= t}, (g, t, inputs)
-            assert reduced.to_json() == report.to_json(), (g, t, inputs)
+            same_report(reduced.to_json(), report.to_json(), (g, t, inputs))
             pruned += report.moves_pruned > 0
     assert pruned or n < 4, n
 
@@ -2025,11 +2043,9 @@ def _contradicts_a_theorem(report) -> bool:
 
 
 def _with_default_k(alg, spec):
-    import dataclasses
-
     from partialagreement import get_algorithm
 
-    return dataclasses.replace(spec, k=get_algorithm(alg).default_k(spec))
+    return spec._replace(k=get_algorithm(alg).default_k(spec))
 
 
 def test_no_exhaustive_explore_beats_the_impossibility_results():
@@ -2062,7 +2078,6 @@ def test_min_flood_below_the_round_lower_bound_violates(monkeypatch):
     # rounds_lower (= t) rounds, so min-flood built with one round fewer
     # must record a violation on distinct inputs. n=6 t=4 is left out: its
     # search runs into the run cap pattern by pattern.
-    import dataclasses
     import math
 
     from partialagreement import algorithms, evaluate_bounds
@@ -2071,9 +2086,9 @@ def test_min_flood_below_the_round_lower_bound_violates(monkeypatch):
 
     def build(spec, inputs, assignment=None):
         r6 = next(r for r in evaluate_bounds(spec) if r.row == "R6")
-        return dataclasses.replace(entry.build(spec, inputs), rounds=r6.rounds_lower - 1)
+        return entry.build(spec, inputs)._replace(rounds=r6.rounds_lower - 1)
 
-    monkeypatch.setitem(algorithms.CATALOG, "min-flood", dataclasses.replace(entry, build=build))
+    monkeypatch.setitem(algorithms.CATALOG, "min-flood", entry._replace(build=build))
     found = {}
     for n in range(4, 7):
         for t in range(2, min(3, n - 2) + 1):
@@ -2091,15 +2106,13 @@ def test_min_flood_below_the_round_lower_bound_violates(monkeypatch):
 def test_the_quorum_n_max_wait_mutant_is_caught(monkeypatch):
     # Waiting for every process cannot be wait-free: each configuration
     # trips the oracle or records a violation.
-    import dataclasses
-
     from partialagreement import algorithms
 
     def build(spec, inputs, assignment=None):
         return algorithms._build_scan(spec.n, tuple(inputs), spec.n, "max")
 
     entry = algorithms.CATALOG["max-wait"]
-    monkeypatch.setitem(algorithms.CATALOG, "max-wait", dataclasses.replace(entry, build=build))
+    monkeypatch.setitem(algorithms.CATALOG, "max-wait", entry._replace(build=build))
     for n, m, t in itertools.product((3, 4), (2, 3), (1, 2)):
         spec = _with_default_k("max-wait", ProblemSpec(n=n, m=m, t=t))
         report = explore("max-wait", spec, "canonical")
